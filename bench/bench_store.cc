@@ -1,8 +1,9 @@
 // Storage-layer benchmarks (google-benchmark): TSV vs kf::store binary
-// load/save throughput for the scale-1 synthetic corpus and its fused KB,
-// plus the mmap open path. bytes_per_second is the headline metric; the
-// *_bytes counters on the write benches expose the on-disk size ratio the
-// binary format claims (>=3x smaller, >=5x faster to load than TSV).
+// load/save throughput for the scale-1 synthetic corpus and its fused KB
+// (import both ways, binary export), plus the mmap open path.
+// bytes_per_second is the headline metric; the *_bytes counters on the
+// write benches expose the on-disk size ratio the binary format claims
+// (>=3x smaller, >=5x faster to load than TSV).
 //
 // scripts/bench.sh runs this binary and merges its JSON into
 // BENCH_perf.json.
@@ -168,6 +169,25 @@ void BM_FusedKbImportBin(benchmark::State& state) {
   state.counters["bin_bytes"] = static_cast<double>(bin.size());
 }
 BENCHMARK(BM_FusedKbImportBin)->Unit(benchmark::kMillisecond);
+
+// ---- fused-KB export: the binary image written straight from the KB's
+// columns (no per-triple rows, no re-interning) ----
+
+void BM_FusedKbExportBin(benchmark::State& state) {
+  const kf::FusedKB& kb = FusedAtScale1();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string bin = kb.ToBinary();
+    bytes = bin.size();
+    benchmark::DoNotOptimize(bin);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kb.num_triples()));
+  state.counters["bin_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_FusedKbExportBin)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -124,12 +124,16 @@ int main() {
   // Read the verdicts back through the fused KB, with the hand-built
   // string tables flowing in as naming hooks.
   SnapshotNaming naming;
-  naming.subject = [&](kb::EntityId id) { return entities.Get(id); };
-  naming.predicate = [&](kb::PredicateId id) { return predicates.Get(id); };
-  naming.object = [&](kb::ValueId id) {
-    return objects.Get(values.Get(id).string_id);
+  naming.subject = [&](kb::EntityId id) {
+    return std::string(entities.Get(id));
   };
-  naming.url = [&](extract::UrlId id) { return urls.Get(id); };
+  naming.predicate = [&](kb::PredicateId id) {
+    return std::string(predicates.Get(id));
+  };
+  naming.object = [&](kb::ValueId id) {
+    return std::string(objects.Get(values.Get(id).string_id));
+  };
+  naming.url = [&](extract::UrlId id) { return std::string(urls.Get(id)); };
   Result<FusedKB> snapshot = session.Snapshot(naming);
   if (!snapshot.ok()) {
     std::fprintf(stderr, "snapshot failed: %s\n",

@@ -70,11 +70,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
       --benchmark_min_time=0.01 "$@"
   fi
   if [[ -x "${BUILD_DIR}/bench/bench_store" ]]; then
-    # The fused-KB import pair is enough to keep the storage benches from
-    # rotting; the corpus loads re-parse scale-1 TSV and are too slow for
-    # a smoke pass.
+    # The fused-KB import pair and binary export are enough to keep the
+    # storage benches from rotting; the corpus loads re-parse scale-1 TSV
+    # and are too slow for a smoke pass.
     "${BUILD_DIR}/bench/bench_store" \
-      --benchmark_filter='BM_FusedKbImport(Tsv|Bin)' \
+      --benchmark_filter='BM_FusedKb(Import(Tsv|Bin)|ExportBin)' \
       --benchmark_min_time=0.01 "$@"
   fi
   exit 0

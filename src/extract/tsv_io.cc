@@ -19,7 +19,7 @@ void AlignExtractorMetas(const TsvCorpus& corpus,
   for (uint32_t i = static_cast<uint32_t>(metas->size());
        i < corpus.extractors.size(); ++i) {
     ExtractorMeta meta;
-    meta.name = corpus.extractors.Get(i);
+    meta.name = std::string(corpus.extractors.Get(i));
     meta.has_confidence = false;
     metas->push_back(std::move(meta));
   }

@@ -9,23 +9,69 @@
 #include "eval/calibration.h"
 #include "kb/value.h"
 #include "store/atomic_writer.h"
-#include "store/store.h"
 
 namespace kf {
 namespace {
 
-uint64_t PackKey(uint32_t a, uint32_t b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
+using store::kKbFromFallback;
+using store::kKbHasProbability;
+using store::kKbWinner;
+
+constexpr uint32_t kNone = FusedKB::kNone;
 
 /// Strings entering the KB must survive the TSV round-trip: tabs and
 /// newlines (possible in user naming callbacks) become spaces.
-std::string Sanitize(std::string s) {
-  for (char& c : s) {
+void Sanitize(std::string* s) {
+  for (char& c : *s) {
     if (c == '\t' || c == '\n' || c == '\r') c = ' ';
   }
-  return s;
 }
+
+/// The callback's name for `id`, or the synthesized "<prefix><id>".
+template <typename Id>
+std::string RenderName(const std::function<std::string(Id)>& fn, char prefix,
+                       Id id) {
+  std::string name = fn ? fn(id) : prefix + std::to_string(id);
+  Sanitize(&name);
+  return name;
+}
+
+/// Dense dataset id -> KB id map, kNone until set. Every dataset producer
+/// interns its ids densely, so a vector sized by the largest id seen
+/// stands in for a hash map.
+class Remap {
+ public:
+  uint32_t& operator[](uint32_t id) {
+    if (id >= map_.size()) {
+      map_.resize(std::max<size_t>(size_t{id} + 1, map_.size() * 2), kNone);
+    }
+    return map_[id];
+  }
+
+ private:
+  std::vector<uint32_t> map_;
+};
+
+/// The sanitized names of one id kind, rendered once per distinct id. A
+/// returned view is valid until the next call (the arena may grow).
+template <typename Id>
+class NameCache {
+ public:
+  NameCache(const std::function<std::string(Id)>& fn, char prefix)
+      : fn_(fn), prefix_(prefix) {}
+
+  std::string_view operator()(Id id) {
+    uint32_t& slot = slot_[id];
+    if (slot == kNone) slot = names_.Append(RenderName(fn_, prefix_, id));
+    return names_.Get(slot);
+  }
+
+ private:
+  const std::function<std::string(Id)>& fn_;
+  const char prefix_;
+  Remap slot_;
+  StringArena names_;
+};
 
 /// Vote weight in the scorers' log-odds space, with the accuracy pulled
 /// off 0/1 so imported (unclamped) accuracies cannot produce infinities.
@@ -34,64 +80,107 @@ double VoteWeight(double accuracy) {
   return std::log(a / (1.0 - a));
 }
 
-/// Renders the pseudo-source identity of `prov` under the granularity the
-/// run used — only the fields that formed the identity appear.
-std::string DescribeProvenance(const extract::ExtractionDataset& dataset,
-                               const extract::Provenance& prov,
-                               const extract::Granularity& g,
-                               const SnapshotNaming& naming) {
-  std::string out;
-  auto add = [&out](const char* key, const std::string& value) {
-    if (!out.empty()) out += '|';
-    out += key;
-    out += '=';
-    out += value;
-  };
-  if (g.use_extractor) {
-    const std::vector<extract::ExtractorMeta>& metas = dataset.extractors();
-    add("extractor", prov.extractor < metas.size() &&
-                             !metas[prov.extractor].name.empty()
-                         ? metas[prov.extractor].name
-                         : StrFormat("x%u", prov.extractor));
-  }
-  if (g.use_url) {
-    add("url", naming.url ? naming.url(prov.url)
-                          : StrFormat("u%u", prov.url));
-  }
-  if (g.use_site) {
-    add("site", naming.site ? naming.site(prov.site)
-                            : StrFormat("w%u", prov.site));
-  }
-  if (g.use_predicate) {
-    add("predicate", naming.predicate ? naming.predicate(prov.predicate)
-                                      : StrFormat("p%u", prov.predicate));
-  }
-  if (g.use_pattern) {
-    add("pattern", naming.pattern ? naming.pattern(prov.pattern)
-                                  : StrFormat("r%u", prov.pattern));
-  }
-  return out.empty() ? "all" : out;
+bool ValidUnitInterval(double v) {
+  return std::isfinite(v) && v >= 0.0 && v <= 1.0;
 }
 
-bool ValidUnitInterval(double v) { return std::isfinite(v) && v >= 0.0 && v <= 1.0; }
+/// "(subject, predicate, object)" of triple `t`, for error messages.
+std::string TripleName(const store::FusedKbColumns& c, uint32_t t) {
+  return StrFormat("(%s, %s, %s)",
+                   std::string(c.subjects.Get(c.triple_subject[t])).c_str(),
+                   std::string(c.predicates.Get(c.triple_predicate[t])).c_str(),
+                   std::string(c.objects.Get(c.triple_object[t])).c_str());
+}
+
+/// The KB as TSV schema rows — the TSV format's print type only.
+extract::FusedKbTsv ToRows(const store::FusedKbColumns& c) {
+  extract::FusedKbTsv tsv;
+  tsv.method = c.method;
+  tsv.num_rounds = static_cast<size_t>(c.num_rounds);
+  tsv.provenances.resize(c.num_provenances());
+  for (uint32_t p = 0; p < c.num_provenances(); ++p) {
+    extract::FusedKbProvRow& row = tsv.provenances[p];
+    row.description = std::string(c.prov_descriptions.Get(p));
+    row.accuracy = c.prov_accuracy[p];
+    row.evaluated = c.prov_evaluated[p] != 0;
+    row.num_claims = c.prov_claims[p];
+  }
+  tsv.triples.resize(c.num_triples());
+  for (uint32_t t = 0; t < c.num_triples(); ++t) {
+    extract::FusedKbTripleRow& row = tsv.triples[t];
+    row.subject = std::string(c.subjects.Get(c.triple_subject[t]));
+    row.predicate = std::string(c.predicates.Get(c.triple_predicate[t]));
+    row.object = std::string(c.objects.Get(c.triple_object[t]));
+    row.probability = c.probability[t];
+    row.calibrated = c.calibrated[t];
+    row.has_probability = (c.triple_flags[t] & kKbHasProbability) != 0;
+    row.from_fallback = (c.triple_flags[t] & kKbFromFallback) != 0;
+    row.winner = (c.triple_flags[t] & kKbWinner) != 0;
+    row.supporters.assign(c.supporters.begin() + c.support_offsets[t],
+                          c.supporters.begin() + c.support_offsets[t + 1]);
+  }
+  return tsv;
+}
+
+/// Parsed TSV rows as columns; ids first-seen in row order.
+store::FusedKbColumns FromRows(const extract::FusedKbTsv& tsv) {
+  store::FusedKbColumns c;
+  c.method = tsv.method;
+  c.num_rounds = tsv.num_rounds;
+  for (const extract::FusedKbProvRow& p : tsv.provenances) {
+    c.prov_descriptions.Append(p.description);
+    c.prov_accuracy.push_back(p.accuracy);
+    c.prov_evaluated.push_back(p.evaluated ? 1 : 0);
+    c.prov_claims.push_back(p.num_claims);
+  }
+  const size_t n = tsv.triples.size();
+  c.triple_subject.reserve(n);
+  c.triple_predicate.reserve(n);
+  c.triple_object.reserve(n);
+  c.probability.reserve(n);
+  c.calibrated.reserve(n);
+  c.triple_flags.reserve(n);
+  c.support_offsets.reserve(n + 1);
+  for (const extract::FusedKbTripleRow& row : tsv.triples) {
+    c.triple_subject.push_back(c.subjects.Intern(row.subject));
+    c.triple_predicate.push_back(c.predicates.Intern(row.predicate));
+    c.triple_object.push_back(c.objects.Intern(row.object));
+    c.probability.push_back(row.probability);
+    c.calibrated.push_back(row.calibrated);
+    c.triple_flags.push_back(static_cast<uint8_t>(
+        (row.has_probability ? kKbHasProbability : 0) |
+        (row.from_fallback ? kKbFromFallback : 0) |
+        (row.winner ? kKbWinner : 0)));
+    c.supporters.insert(c.supporters.end(), row.supporters.begin(),
+                        row.supporters.end());
+    c.support_offsets.push_back(static_cast<uint32_t>(c.supporters.size()));
+  }
+  return c;
+}
 
 }  // namespace
+
+// ---- construction ----
 
 SnapshotNaming SnapshotNaming::FromCorpus(const extract::TsvCorpus& corpus) {
   SnapshotNaming naming;
   const extract::TsvCorpus* c = &corpus;
-  naming.subject = [c](kb::EntityId id) { return c->subjects.Get(id); };
+  naming.subject = [c](kb::EntityId id) {
+    return std::string(c->subjects.Get(id));
+  };
   naming.predicate = [c](kb::PredicateId id) {
-    return c->predicates.Get(id);
+    return std::string(c->predicates.Get(id));
   };
   naming.object = [c](kb::ValueId id) {
-    return c->objects.Get(c->values.Get(id).string_id);
+    return std::string(c->objects.Get(c->values.Get(id).string_id));
   };
-  naming.url = [c](extract::UrlId id) { return c->urls.Get(id); };
-  naming.site = [c](extract::SiteId id) { return c->sites.Get(id); };
+  naming.url = [c](extract::UrlId id) { return std::string(c->urls.Get(id)); };
+  naming.site = [c](extract::SiteId id) {
+    return std::string(c->sites.Get(id));
+  };
   // The TSV loader interns patterns into the extractor table.
   naming.pattern = [c](extract::PatternId id) {
-    return c->extractors.Get(id);
+    return std::string(c->extractors.Get(id));
   };
   return naming;
 }
@@ -115,8 +204,9 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
   }
 
   FusedKB snap;
-  snap.method_ = std::move(method);
-  snap.num_rounds_ = result.num_rounds;
+  store::FusedKbColumns& c = snap.columns_;
+  c.method = std::move(method);
+  c.num_rounds = result.num_rounds;
 
   eval::CalibrationCurve curve;
   if (gold != nullptr) {
@@ -124,40 +214,67 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
                                      result.has_probability, *gold);
   }
 
-  // Triples and items in TripleId order; names resolve through the
-  // callbacks (or synthesize) exactly once per distinct id.
-  std::unordered_map<kb::DataItemId, uint32_t> item_of;
-  item_of.reserve(n);
-  snap.triples_.reserve(n);
+  // Dataset ids map to KB ids through dense remaps, so each naming
+  // callback runs once per distinct id and no triple is hashed: only a
+  // data item's first triple probes the (subject, predicate) table.
+  NameCache<kb::PredicateId> predicate_names(naming.predicate, 'p');
+  Remap subject_of, predicate_of, object_of;
+  std::vector<uint32_t> item_of(dataset.num_items(), kNone);
+  // Per KB item: its dataset item and its (subject, predicate) ids.
+  std::vector<kb::DataItemId> item_source;
+  std::vector<uint32_t> item_subject, item_predicate;
+  std::vector<uint32_t> triple_item(n);
+  snap.item_table_.Reserve(dataset.num_items());
+  c.triple_subject.resize(n);
+  c.triple_predicate.resize(n);
+  c.triple_object.resize(n);
+  c.probability.resize(n);
+  c.calibrated.resize(n);
+  c.triple_flags.resize(n);
   for (kb::TripleId t = 0; t < n; ++t) {
     const extract::TripleInfo& info = dataset.triple(t);
-    auto [it, fresh] =
-        item_of.try_emplace(info.item, static_cast<uint32_t>(snap.items_.size()));
-    if (fresh) {
+    uint32_t& item = item_of[info.item];
+    if (item == kNone) {
       const kb::DataItem& di = dataset.item(info.item);
-      Item item;
-      item.subject = snap.subjects_.Intern(
-          Sanitize(naming.subject ? naming.subject(di.subject)
-                                  : StrFormat("s%u", di.subject)));
-      item.predicate = snap.predicates_.Intern(
-          Sanitize(naming.predicate ? naming.predicate(di.predicate)
-                                    : StrFormat("p%u", di.predicate)));
-      snap.items_.push_back(item);
+      uint32_t& s = subject_of[di.subject];
+      if (s == kNone) {
+        s = c.subjects.Intern(RenderName(naming.subject, 's', di.subject));
+      }
+      uint32_t& p = predicate_of[di.predicate];
+      if (p == kNone) p = c.predicates.Intern(predicate_names(di.predicate));
+      item = static_cast<uint32_t>(item_source.size());
+      const uint32_t owner = snap.InsertItem(s, p, item);
+      if (owner != item) {
+        return Status::InvalidArgument(StrFormat(
+            "snapshot naming renders data items %u and %u as one (subject, "
+            "predicate) pair (%s, %s)",
+            item_source[owner], info.item,
+            std::string(c.subjects.Get(s)).c_str(),
+            std::string(c.predicates.Get(p)).c_str()));
+      }
+      item_source.push_back(info.item);
+      item_subject.push_back(s);
+      item_predicate.push_back(p);
     }
-    Triple tr;
-    tr.item = it->second;
-    tr.object = snap.objects_.Intern(
-        Sanitize(naming.object ? naming.object(info.object)
-                               : StrFormat("v%u", info.object)));
-    tr.probability = result.probability[t];
-    tr.has_probability = result.has_probability[t] != 0;
-    tr.from_fallback = result.from_fallback[t] != 0;
-    tr.calibrated = !tr.has_probability
-                        ? 0.0
-                        : (gold != nullptr
-                               ? eval::Calibrate(curve, tr.probability)
-                               : tr.probability);
-    snap.triples_.push_back(tr);
+    uint32_t& o = object_of[info.object];
+    if (o == kNone) {
+      o = c.objects.Intern(RenderName(naming.object, 'v', info.object));
+    }
+    triple_item[t] = item;
+    c.triple_subject[t] = item_subject[item];
+    c.triple_predicate[t] = item_predicate[item];
+    c.triple_object[t] = o;
+    const double probability = result.probability[t];
+    const bool has_probability = result.has_probability[t] != 0;
+    c.probability[t] = probability;
+    c.calibrated[t] = !has_probability
+                          ? 0.0
+                          : (gold != nullptr
+                                 ? eval::Calibrate(curve, probability)
+                                 : probability);
+    c.triple_flags[t] = static_cast<uint8_t>(
+        (has_probability ? kKbHasProbability : 0) |
+        (result.from_fallback[t] != 0 ? kKbFromFallback : 0));
   }
 
   // Supporters from the claim graph: the item/provenance groupings are
@@ -169,25 +286,26 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
       [&](kb::DataItemId, kb::TripleId triple, uint32_t, float) {
         if (triple < n) ++counts[triple];
       });
-  snap.support_offsets_.assign(n + 1, 0);
+  c.support_offsets.assign(n + 1, 0);
   for (size_t t = 0; t < n; ++t) {
-    snap.support_offsets_[t + 1] = snap.support_offsets_[t] + counts[t];
+    c.support_offsets[t + 1] = c.support_offsets[t] + counts[t];
   }
-  snap.support_provs_.resize(snap.support_offsets_[n]);
-  std::vector<uint32_t> cursor(snap.support_offsets_.begin(),
-                               snap.support_offsets_.end() - 1);
+  c.supporters.resize(c.support_offsets[n]);
+  std::vector<uint32_t> cursor(c.support_offsets.begin(),
+                               c.support_offsets.end() - 1);
   graph.ForEachClaim(
       [&](kb::DataItemId, kb::TripleId triple, uint32_t prov, float) {
-        if (triple < n) snap.support_provs_[cursor[triple]++] = prov;
+        if (triple < n) c.supporters[cursor[triple]++] = prov;
       });
   for (size_t t = 0; t < n; ++t) {
-    std::sort(snap.support_provs_.begin() + snap.support_offsets_[t],
-              snap.support_provs_.begin() + snap.support_offsets_[t + 1]);
+    std::sort(c.supporters.begin() + c.support_offsets[t],
+              c.supporters.begin() + c.support_offsets[t + 1]);
   }
 
   // The provenance table: converged accuracies + a rendered identity
   // (via any record of the provenance — all project to the same
-  // pseudo-source under the run's granularity).
+  // pseudo-source under the run's granularity), built in one reused
+  // buffer and appended to the description arena.
   const std::vector<double>& accuracy = engine.provenance_accuracy();
   const std::vector<uint8_t>& evaluated = engine.provenance_evaluated();
   const std::vector<uint32_t>& claims = engine.provenance_claims();
@@ -199,180 +317,282 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
       representative[record_provs[r]] = r;
     }
   }
-  const extract::Granularity& granularity = engine.options().granularity;
-  snap.provenances_.reserve(num_provs);
+  const extract::Granularity& g = engine.options().granularity;
+  const std::vector<extract::ExtractorMeta>& metas = dataset.extractors();
+  NameCache<extract::UrlId> url_names(naming.url, 'u');
+  NameCache<extract::SiteId> site_names(naming.site, 'w');
+  NameCache<extract::PatternId> pattern_names(naming.pattern, 'r');
+  std::string description;
+  // Each field is appended before the next cache call, so no name view
+  // outlives a growth of its cache.
+  auto add = [&description](const char* key, std::string_view value) {
+    if (!description.empty()) description += '|';
+    description += key;
+    description += '=';
+    description += value;
+  };
+  c.prov_accuracy.resize(num_provs);
+  c.prov_evaluated.resize(num_provs);
+  c.prov_claims.resize(num_provs);
   for (uint32_t p = 0; p < num_provs; ++p) {
-    extract::FusedKbProvRow row;
-    row.description =
-        representative[p] == kNone
-            ? StrFormat("prov%u", p)
-            : Sanitize(DescribeProvenance(
-                  dataset, dataset.records()[representative[p]].prov,
-                  granularity, naming));
-    row.accuracy = accuracy[p];
-    row.evaluated = evaluated[p] != 0;
-    row.num_claims = claims[p];
-    snap.provenances_.push_back(std::move(row));
+    description.clear();
+    if (representative[p] == kNone) {
+      description = "prov" + std::to_string(p);
+    } else {
+      const extract::Provenance& prov =
+          dataset.records()[representative[p]].prov;
+      if (g.use_extractor) {
+        if (prov.extractor < metas.size() &&
+            !metas[prov.extractor].name.empty()) {
+          add("extractor", metas[prov.extractor].name);
+        } else {
+          add("extractor", "x" + std::to_string(prov.extractor));
+        }
+      }
+      if (g.use_url) add("url", url_names(prov.url));
+      if (g.use_site) add("site", site_names(prov.site));
+      if (g.use_predicate) add("predicate", predicate_names(prov.predicate));
+      if (g.use_pattern) add("pattern", pattern_names(prov.pattern));
+      if (description.empty()) description = "all";
+      Sanitize(&description);
+    }
+    c.prov_descriptions.Append(description);
+    c.prov_accuracy[p] = accuracy[p];
+    c.prov_evaluated[p] = evaluated[p] != 0 ? 1 : 0;
+    c.prov_claims[p] = claims[p];
   }
 
-  KF_CHECK_OK(snap.BuildIndexes());
+  Status indexed = snap.BuildIndexes(triple_item, item_source.size());
+  if (!indexed.ok()) {
+    return Status(indexed.code(),
+                  "snapshot naming collision: " + indexed.message());
+  }
+  for (uint32_t winner : snap.item_winner_) {
+    if (winner != kNone) c.triple_flags[winner] |= kKbWinner;
+  }
   return snap;
 }
 
-Status FusedKB::BuildIndexes() {
-  const size_t n = triples_.size();
-  const size_t num_items = items_.size();
+Result<FusedKB> FusedKB::FromColumns(store::FusedKbColumns columns) {
+  FusedKB kb;
+  kb.columns_ = std::move(columns);
+  const store::FusedKbColumns& c = kb.columns_;
+  for (uint32_t p = 0; p < c.num_provenances(); ++p) {
+    if (!ValidUnitInterval(c.prov_accuracy[p])) {
+      return Status::InvalidArgument(StrFormat(
+          "provenance '%s': accuracy %g outside [0,1]",
+          std::string(c.prov_descriptions.Get(p)).c_str(),
+          c.prov_accuracy[p]));
+    }
+  }
 
-  // Item CSR over triples (triples already carry their item index).
-  std::vector<uint32_t> counts(num_items, 0);
-  for (const Triple& tr : triples_) ++counts[tr.item];
+  const size_t n = c.num_triples();
+  std::vector<uint32_t> triple_item(n);
+  uint32_t num_items = 0;
+  for (uint32_t t = 0; t < n; ++t) {
+    if (!ValidUnitInterval(c.probability[t]) ||
+        !ValidUnitInterval(c.calibrated[t])) {
+      return Status::InvalidArgument(
+          StrFormat("triple %s: probabilities outside [0,1]",
+                    TripleName(c, t).c_str()));
+    }
+    // Explain() lists each supporter once; the snapshot writes them
+    // sorted, so anything else is a damaged or hand-edited file.
+    for (uint32_t s = c.support_offsets[t] + 1; s < c.support_offsets[t + 1];
+         ++s) {
+      if (c.supporters[s - 1] >= c.supporters[s]) {
+        return Status::InvalidArgument(
+            StrFormat("triple %s: supporters not strictly ascending",
+                      TripleName(c, t).c_str()));
+      }
+    }
+    triple_item[t] = kb.InsertItem(
+        c.triple_subject[t], c.triple_predicate[t], num_items);
+    if (triple_item[t] == num_items) ++num_items;
+  }
+  KF_RETURN_IF_ERROR(kb.BuildIndexes(triple_item, num_items));
+
+  // The winner column is derived data; an inconsistent file (hand-edited
+  // or truncated) is rejected rather than silently re-derived.
+  for (uint32_t t = 0; t < n; ++t) {
+    const bool derived = kb.item_winner_[triple_item[t]] == t;
+    if (derived != ((c.triple_flags[t] & kKbWinner) != 0)) {
+      return Status::InvalidArgument(
+          StrFormat("triple %s: winner flag inconsistent with the "
+                    "probabilities",
+                    TripleName(c, t).c_str()));
+    }
+  }
+  return kb;
+}
+
+Status FusedKB::BuildIndexes(const std::vector<uint32_t>& triple_item,
+                             size_t num_items) {
+  const store::FusedKbColumns& c = columns_;
+  const size_t n = c.num_triples();
+
+  // Item CSR over triples, each span in ascending triple order.
   item_offsets_.assign(num_items + 1, 0);
+  for (uint32_t item : triple_item) ++item_offsets_[item + 1];
   for (size_t i = 0; i < num_items; ++i) {
-    item_offsets_[i + 1] = item_offsets_[i] + counts[i];
+    item_offsets_[i + 1] += item_offsets_[i];
   }
   item_triples_.resize(n);
   std::vector<uint32_t> cursor(item_offsets_.begin(),
                                item_offsets_.end() - 1);
-  for (uint32_t t = 0; t < n; ++t) {
-    item_triples_[cursor[triples_[t].item]++] = t;
-  }
+  for (uint32_t t = 0; t < n; ++t) item_triples_[cursor[triple_item[t]]++] = t;
 
   // Winners: highest predicted probability per item, ties toward the
-  // earlier triple (item_triples_ spans are in ascending triple order).
-  for (size_t i = 0; i < num_items; ++i) {
+  // earlier triple. The same sweep rejects an object repeated within an
+  // item, through a dense last-item-seen mark per object id.
+  item_winner_.assign(num_items, kNone);
+  std::vector<uint32_t> seen_in(c.objects.size(), kNone);
+  for (uint32_t i = 0; i < num_items; ++i) {
     uint32_t winner = kNone;
     for (uint32_t s = item_offsets_[i]; s < item_offsets_[i + 1]; ++s) {
-      uint32_t t = item_triples_[s];
-      if (!triples_[t].has_probability) continue;
-      if (winner == kNone ||
-          triples_[t].probability > triples_[winner].probability) {
+      const uint32_t t = item_triples_[s];
+      uint32_t& seen = seen_in[c.triple_object[t]];
+      if (seen == i) {
+        return Status::InvalidArgument(
+            StrFormat("duplicate triple %s", TripleName(c, t).c_str()));
+      }
+      seen = i;
+      if ((c.triple_flags[t] & kKbHasProbability) == 0) continue;
+      if (winner == kNone || c.probability[t] > c.probability[winner]) {
         winner = t;
       }
     }
-    items_[i].winner = winner;
+    item_winner_[i] = winner;
   }
 
   // Probability order over predicted triples.
   by_probability_.clear();
   for (uint32_t t = 0; t < n; ++t) {
-    if (triples_[t].has_probability) by_probability_.push_back(t);
+    if (c.triple_flags[t] & kKbHasProbability) by_probability_.push_back(t);
   }
   std::sort(by_probability_.begin(), by_probability_.end(),
-            [this](uint32_t a, uint32_t b) {
-              if (triples_[a].probability != triples_[b].probability) {
-                return triples_[a].probability > triples_[b].probability;
+            [&c](uint32_t a, uint32_t b) {
+              if (c.probability[a] != c.probability[b]) {
+                return c.probability[a] > c.probability[b];
               }
               return a < b;
             });
-
-  // Hash indexes.
-  item_index_.clear();
-  item_index_.reserve(num_items);
-  for (uint32_t i = 0; i < num_items; ++i) {
-    if (!item_index_
-             .emplace(PackKey(items_[i].subject, items_[i].predicate), i)
-             .second) {
-      return Status::InvalidArgument(
-          StrFormat("duplicate data item (%s, %s)",
-                    subjects_.Get(items_[i].subject).c_str(),
-                    predicates_.Get(items_[i].predicate).c_str()));
-    }
-  }
-  triple_index_.clear();
-  triple_index_.reserve(n);
-  for (uint32_t t = 0; t < n; ++t) {
-    if (!triple_index_
-             .emplace(PackKey(triples_[t].item, triples_[t].object), t)
-             .second) {
-      const Item& item = items_[triples_[t].item];
-      return Status::InvalidArgument(
-          StrFormat("duplicate triple (%s, %s, %s)",
-                    subjects_.Get(item.subject).c_str(),
-                    predicates_.Get(item.predicate).c_str(),
-                    objects_.Get(triples_[t].object).c_str()));
-    }
-  }
   return Status::OK();
 }
 
+// ---- queries ----
+
 KbVerdict FusedKB::MakeVerdict(uint32_t t) const {
-  const Triple& tr = triples_[t];
-  const Item& item = items_[tr.item];
+  const store::FusedKbColumns& c = columns_;
+  const uint8_t flags = c.triple_flags[t];
   KbVerdict v;
-  v.subject = subjects_.Get(item.subject);
-  v.predicate = predicates_.Get(item.predicate);
-  v.object = objects_.Get(tr.object);
-  v.probability = tr.probability;
-  v.calibrated = tr.calibrated;
-  v.has_probability = tr.has_probability;
-  v.from_fallback = tr.from_fallback;
-  v.winner = item.winner == t;
+  v.subject = c.subjects.Get(c.triple_subject[t]);
+  v.predicate = c.predicates.Get(c.triple_predicate[t]);
+  v.object = c.objects.Get(c.triple_object[t]);
+  v.probability = c.probability[t];
+  v.calibrated = c.calibrated[t];
+  v.has_probability = (flags & kKbHasProbability) != 0;
+  v.from_fallback = (flags & kKbFromFallback) != 0;
+  v.winner = (flags & kKbWinner) != 0;
   v.index = t;
   return v;
 }
 
 KbVerdict FusedKB::verdict(uint32_t index) const {
-  KF_CHECK(index < triples_.size());
+  KF_CHECK(index < num_triples());
   return MakeVerdict(index);
 }
 
+KbProvenance FusedKB::provenance(uint32_t p) const {
+  KF_CHECK(p < num_provenances());
+  KbProvenance out;
+  out.description = columns_.prov_descriptions.Get(p);
+  out.accuracy = columns_.prov_accuracy[p];
+  out.evaluated = columns_.prov_evaluated[p] != 0;
+  out.num_claims = columns_.prov_claims[p];
+  return out;
+}
+
 std::vector<uint32_t> FusedKB::supporters(uint32_t index) const {
-  KF_CHECK(index < triples_.size());
+  KF_CHECK(index < num_triples());
   return std::vector<uint32_t>(
-      support_provs_.begin() + support_offsets_[index],
-      support_provs_.begin() + support_offsets_[index + 1]);
+      columns_.supporters.begin() + columns_.support_offsets[index],
+      columns_.supporters.begin() + columns_.support_offsets[index + 1]);
+}
+
+uint32_t FusedKB::FindItem(std::string_view subject,
+                           std::string_view predicate) const {
+  const uint32_t s = columns_.subjects.Find(subject);
+  if (s == StringInterner::kInvalidId) return kNone;
+  const uint32_t p = columns_.predicates.Find(predicate);
+  if (p == StringInterner::kInvalidId) return kNone;
+  const ItemSlot* slot =
+      item_table_.Find(ItemHash(s, p), [s, p](const ItemSlot& slot) {
+        return slot.subject == s && slot.predicate == p;
+      });
+  return slot == nullptr ? kNone : slot->item;
+}
+
+uint32_t FusedKB::InsertItem(uint32_t subject, uint32_t predicate,
+                             uint32_t item) {
+  return item_table_
+      .Insert(ItemSlot{subject, predicate, item},
+              [subject, predicate](const ItemSlot& slot) {
+                return slot.subject == subject && slot.predicate == predicate;
+              })
+      .item;
+}
+
+uint32_t FusedKB::FindTriple(uint32_t item, uint32_t object) const {
+  for (uint32_t s = item_offsets_[item]; s < item_offsets_[item + 1]; ++s) {
+    if (columns_.triple_object[item_triples_[s]] == object) {
+      return item_triples_[s];
+    }
+  }
+  return kNone;
 }
 
 std::optional<KbVerdict> FusedKB::Lookup(std::string_view subject,
                                          std::string_view predicate) const {
-  uint32_t s = subjects_.Find(subject);
-  uint32_t p = predicates_.Find(predicate);
-  if (s == StringInterner::kInvalidId || p == StringInterner::kInvalidId) {
-    return std::nullopt;
-  }
-  auto it = item_index_.find(PackKey(s, p));
-  if (it == item_index_.end() || items_[it->second].winner == kNone) {
-    return std::nullopt;
-  }
-  return MakeVerdict(items_[it->second].winner);
+  const uint32_t item = FindItem(subject, predicate);
+  if (item == kNone || item_winner_[item] == kNone) return std::nullopt;
+  return MakeVerdict(item_winner_[item]);
 }
 
 std::optional<KbVerdict> FusedKB::Verdict(std::string_view subject,
                                           std::string_view predicate,
                                           std::string_view object) const {
-  uint32_t s = subjects_.Find(subject);
-  uint32_t p = predicates_.Find(predicate);
-  uint32_t o = objects_.Find(object);
-  if (s == StringInterner::kInvalidId || p == StringInterner::kInvalidId ||
-      o == StringInterner::kInvalidId) {
-    return std::nullopt;
-  }
-  auto item = item_index_.find(PackKey(s, p));
-  if (item == item_index_.end()) return std::nullopt;
-  auto triple = triple_index_.find(PackKey(item->second, o));
-  if (triple == triple_index_.end()) return std::nullopt;
-  return MakeVerdict(triple->second);
+  const uint32_t item = FindItem(subject, predicate);
+  if (item == kNone) return std::nullopt;
+  const uint32_t o = columns_.objects.Find(object);
+  if (o == StringInterner::kInvalidId) return std::nullopt;
+  const uint32_t t = FindTriple(item, o);
+  if (t == kNone) return std::nullopt;
+  return MakeVerdict(t);
 }
 
 std::vector<KbEvidence> FusedKB::Explain(std::string_view subject,
                                          std::string_view predicate,
                                          std::string_view object) const {
   std::vector<KbEvidence> out;
-  std::optional<KbVerdict> v = Verdict(subject, predicate, object);
-  if (!v) return out;
-  const uint32_t target = v->index;
-  const uint32_t item = triples_[target].item;
-  auto append = [this, &out](uint32_t t, bool supports) {
-    for (uint32_t s = support_offsets_[t]; s < support_offsets_[t + 1];
+  const uint32_t item = FindItem(subject, predicate);
+  if (item == kNone) return out;
+  const uint32_t o = columns_.objects.Find(object);
+  if (o == StringInterner::kInvalidId) return out;
+  const uint32_t target = FindTriple(item, o);
+  if (target == kNone) return out;
+  const store::FusedKbColumns& c = columns_;
+  auto append = [&c, &out](uint32_t t, bool supports) {
+    for (uint32_t s = c.support_offsets[t]; s < c.support_offsets[t + 1];
          ++s) {
-      const uint32_t p = support_provs_[s];
+      const uint32_t p = c.supporters[s];
       KbEvidence e;
       e.provenance = p;
-      e.description = provenances_[p].description;
-      e.object = objects_.Get(triples_[t].object);
-      e.accuracy = provenances_[p].accuracy;
+      e.description = c.prov_descriptions.Get(p);
+      e.object = c.objects.Get(c.triple_object[t]);
+      e.accuracy = c.prov_accuracy[p];
       e.vote = VoteWeight(e.accuracy);
-      e.evaluated = provenances_[p].evaluated;
+      e.evaluated = c.prov_evaluated[p] != 0;
       e.supports = supports;
       out.push_back(e);
     }
@@ -398,113 +618,26 @@ std::vector<KbVerdict> FusedKB::TopK(size_t k) const {
 std::vector<KbVerdict> FusedKB::AboveThreshold(double min_probability) const {
   std::vector<KbVerdict> out;
   for (uint32_t t : by_probability_) {
-    if (triples_[t].probability < min_probability) break;
+    if (columns_.probability[t] < min_probability) break;
     out.push_back(MakeVerdict(t));
   }
   return out;
 }
 
-extract::FusedKbTsv FusedKB::ToRows() const {
-  extract::FusedKbTsv tsv;
-  tsv.method = method_;
-  tsv.num_rounds = num_rounds_;
-  tsv.provenances = provenances_;
-  tsv.triples.reserve(triples_.size());
-  for (uint32_t t = 0; t < triples_.size(); ++t) {
-    const Triple& tr = triples_[t];
-    const Item& item = items_[tr.item];
-    extract::FusedKbTripleRow row;
-    row.subject = subjects_.Get(item.subject);
-    row.predicate = predicates_.Get(item.predicate);
-    row.object = objects_.Get(tr.object);
-    row.probability = tr.probability;
-    row.calibrated = tr.calibrated;
-    row.has_probability = tr.has_probability;
-    row.from_fallback = tr.from_fallback;
-    row.winner = item.winner == t;
-    row.supporters = supporters(t);
-    tsv.triples.push_back(std::move(row));
-  }
-  return tsv;
-}
+// ---- serialization ----
 
 std::string FusedKB::ToTsv() const {
-  return extract::WriteFusedKbTsv(ToRows());
+  return extract::WriteFusedKbTsv(ToRows(columns_));
 }
 
 Status FusedKB::ExportTsv(const std::string& path) const {
   return store::AtomicWriteFile(path, ToTsv());
 }
 
-Result<FusedKB> FusedKB::FromRows(const extract::FusedKbTsv& tsv) {
-  FusedKB kb;
-  kb.method_ = tsv.method;
-  kb.num_rounds_ = tsv.num_rounds;
-  for (const extract::FusedKbProvRow& p : tsv.provenances) {
-    if (!ValidUnitInterval(p.accuracy)) {
-      return Status::InvalidArgument(
-          StrFormat("provenance '%s': accuracy %g outside [0,1]",
-                    p.description.c_str(), p.accuracy));
-    }
-  }
-  kb.provenances_ = tsv.provenances;
-
-  std::unordered_map<uint64_t, uint32_t> item_of;
-  kb.support_offsets_.assign(1, 0);
-  kb.triples_.reserve(tsv.triples.size());
-  for (const extract::FusedKbTripleRow& row : tsv.triples) {
-    if (!ValidUnitInterval(row.probability) ||
-        !ValidUnitInterval(row.calibrated)) {
-      return Status::InvalidArgument(
-          StrFormat("triple (%s, %s, %s): probabilities outside [0,1]",
-                    row.subject.c_str(), row.predicate.c_str(),
-                    row.object.c_str()));
-    }
-    uint32_t s = kb.subjects_.Intern(row.subject);
-    uint32_t p = kb.predicates_.Intern(row.predicate);
-    auto [it, fresh] = item_of.try_emplace(
-        PackKey(s, p), static_cast<uint32_t>(kb.items_.size()));
-    if (fresh) {
-      Item item;
-      item.subject = s;
-      item.predicate = p;
-      kb.items_.push_back(item);
-    }
-    Triple tr;
-    tr.item = it->second;
-    tr.object = kb.objects_.Intern(row.object);
-    tr.probability = row.probability;
-    tr.calibrated = row.calibrated;
-    tr.has_probability = row.has_probability;
-    tr.from_fallback = row.from_fallback;
-    kb.triples_.push_back(tr);
-    kb.support_provs_.insert(kb.support_provs_.end(),
-                             row.supporters.begin(), row.supporters.end());
-    kb.support_offsets_.push_back(
-        static_cast<uint32_t>(kb.support_provs_.size()));
-  }
-  KF_RETURN_IF_ERROR(kb.BuildIndexes());
-
-  // The winner column is derived data; an inconsistent file (hand-edited
-  // or truncated) is rejected rather than silently re-derived.
-  for (uint32_t t = 0; t < kb.triples_.size(); ++t) {
-    const bool derived = kb.items_[kb.triples_[t].item].winner == t;
-    if (derived != tsv.triples[t].winner) {
-      const extract::FusedKbTripleRow& row = tsv.triples[t];
-      return Status::InvalidArgument(
-          StrFormat("triple (%s, %s, %s): winner flag inconsistent with "
-                    "the probabilities",
-                    row.subject.c_str(), row.predicate.c_str(),
-                    row.object.c_str()));
-    }
-  }
-  return kb;
-}
-
 Result<FusedKB> FusedKB::FromTsv(const std::string& text) {
   Result<extract::FusedKbTsv> parsed = extract::ReadFusedKbTsv(text);
   if (!parsed.ok()) return parsed.status();
-  return FromRows(*parsed);
+  return FromColumns(FromRows(*parsed));
 }
 
 Result<FusedKB> FusedKB::ImportTsv(const std::string& path) {
@@ -518,55 +651,55 @@ Result<FusedKB> FusedKB::ImportTsv(const std::string& path) {
   return kb;
 }
 
-std::string FusedKB::ToBinary() const {
-  return store::WriteFusedKb(ToRows());
-}
+std::string FusedKB::ToBinary() const { return store::WriteFusedKb(columns_); }
 
 Status FusedKB::ExportBinary(const std::string& path) const {
-  return store::AtomicWriteFile(path, ToBinary());
+  return store::WriteFusedKbFile(columns_, path);
 }
 
 Result<FusedKB> FusedKB::FromBinary(std::string_view bytes) {
-  Result<extract::FusedKbTsv> rows = store::LoadFusedKb(bytes);
-  if (!rows.ok()) return rows.status();
-  return FromRows(*rows);
+  Result<store::FusedKbColumns> columns = store::LoadFusedKb(bytes);
+  if (!columns.ok()) return columns.status();
+  return FromColumns(std::move(columns).value());
 }
 
 Result<FusedKB> FusedKB::ImportBinary(const std::string& path) {
-  Result<extract::FusedKbTsv> rows = store::LoadFusedKbFile(path);
-  if (!rows.ok()) return rows.status();
-  return FromRows(*rows);
+  Result<store::FusedKbColumns> columns = store::LoadFusedKbFile(path);
+  if (!columns.ok()) return columns.status();
+  return FromColumns(std::move(columns).value());
 }
 
 bool operator==(const FusedKB& a, const FusedKB& b) {
-  if (a.method_ != b.method_ || a.num_rounds_ != b.num_rounds_ ||
-      a.provenances_ != b.provenances_ ||
-      a.triples_.size() != b.triples_.size()) {
+  const store::FusedKbColumns& x = a.columns_;
+  const store::FusedKbColumns& y = b.columns_;
+  if (x.method != y.method || x.num_rounds != y.num_rounds ||
+      x.num_provenances() != y.num_provenances() ||
+      x.prov_accuracy != y.prov_accuracy ||
+      x.prov_evaluated != y.prov_evaluated ||
+      x.prov_claims != y.prov_claims ||
+      x.num_triples() != y.num_triples()) {
     return false;
   }
-  for (uint32_t t = 0; t < a.triples_.size(); ++t) {
-    const FusedKB::Triple& ta = a.triples_[t];
-    const FusedKB::Triple& tb = b.triples_[t];
-    const FusedKB::Item& ia = a.items_[ta.item];
-    const FusedKB::Item& ib = b.items_[tb.item];
-    if (a.subjects_.Get(ia.subject) != b.subjects_.Get(ib.subject) ||
-        a.predicates_.Get(ia.predicate) !=
-            b.predicates_.Get(ib.predicate) ||
-        a.objects_.Get(ta.object) != b.objects_.Get(tb.object) ||
-        ta.probability != tb.probability ||
-        ta.calibrated != tb.calibrated ||
-        ta.has_probability != tb.has_probability ||
-        ta.from_fallback != tb.from_fallback ||
-        (ia.winner == t) != (ib.winner == t)) {
+  for (uint32_t p = 0; p < x.num_provenances(); ++p) {
+    if (x.prov_descriptions.Get(p) != y.prov_descriptions.Get(p)) {
       return false;
     }
-    if (a.support_offsets_[t + 1] - a.support_offsets_[t] !=
-        b.support_offsets_[t + 1] - b.support_offsets_[t]) {
-      return false;
-    }
-    if (!std::equal(a.support_provs_.begin() + a.support_offsets_[t],
-                    a.support_provs_.begin() + a.support_offsets_[t + 1],
-                    b.support_provs_.begin() + b.support_offsets_[t])) {
+  }
+  for (uint32_t t = 0; t < x.num_triples(); ++t) {
+    if (x.subjects.Get(x.triple_subject[t]) !=
+            y.subjects.Get(y.triple_subject[t]) ||
+        x.predicates.Get(x.triple_predicate[t]) !=
+            y.predicates.Get(y.triple_predicate[t]) ||
+        x.objects.Get(x.triple_object[t]) !=
+            y.objects.Get(y.triple_object[t]) ||
+        x.probability[t] != y.probability[t] ||
+        x.calibrated[t] != y.calibrated[t] ||
+        x.triple_flags[t] != y.triple_flags[t] ||
+        x.support_offsets[t + 1] - x.support_offsets[t] !=
+            y.support_offsets[t + 1] - y.support_offsets[t] ||
+        !std::equal(x.supporters.begin() + x.support_offsets[t],
+                    x.supporters.begin() + x.support_offsets[t + 1],
+                    y.supporters.begin() + y.support_offsets[t])) {
       return false;
     }
   }

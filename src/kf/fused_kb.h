@@ -16,8 +16,14 @@
 // string tables and indexes, so it stays valid and bit-identical after
 // the Session appends, re-fuses, switches methods, or is destroyed — the
 // serializable unit the scale-out roadmap ships between processes.
-// Lookups are O(group): hash to the data item or triple, touch only that
-// group's claims — never an O(corpus) scan.
+//
+// Its data is flat columns in the kf::store fused-KB layout
+// (store::FusedKbColumns: arena dictionaries, per-triple id and
+// probability columns, the supporter CSR, the provenance table), so the
+// binary export writes blocks straight from memory and dropping a KB
+// frees a few dozen buffers, not one node per string. Lookups are
+// O(group): hash the names to ids, find the data item in a flat table,
+// and scan only that item's triples — never an O(corpus) scan.
 #ifndef KF_KF_FUSED_KB_H_
 #define KF_KF_FUSED_KB_H_
 
@@ -26,15 +32,16 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "common/interner.h"
+#include "common/flat_table.h"
+#include "common/hash.h"
 #include "common/label.h"
 #include "common/status.h"
 #include "extract/dataset.h"
 #include "extract/tsv_io.h"
 #include "fusion/engine.h"
+#include "store/store.h"
 
 namespace kf {
 
@@ -43,6 +50,8 @@ namespace kf {
 /// names, so id-only datasets (e.g. synthetic corpora) snapshot fine.
 /// Extractor names come from the dataset's ExtractorMeta table.
 /// Callbacks are only invoked during the Snapshot() call and may borrow.
+/// They must be pure functions of the id: Snapshot() calls each one once
+/// per distinct id and reuses the name for every later occurrence.
 struct SnapshotNaming {
   std::function<std::string(kb::EntityId)> subject;
   std::function<std::string(kb::PredicateId)> predicate;
@@ -77,6 +86,17 @@ struct KbVerdict {
   uint32_t index = 0;
 };
 
+/// One provenance row of the KB: the pseudo-source's rendered identity
+/// and its converged accuracy. The description views the KB's own table.
+struct KbProvenance {
+  std::string_view description;
+  double accuracy = 0.0;
+  /// Whether the accuracy is data-driven (vs the default).
+  bool evaluated = false;
+  /// Claims the provenance made in the run.
+  uint32_t num_claims = 0;
+};
+
 /// One provenance's contribution to a verdict (one Explain() row).
 struct KbEvidence {
   /// Index into FusedKB::provenance().
@@ -102,7 +122,8 @@ class FusedKB {
 
   FusedKB() = default;
   /// Owns interners; movable like them, not copyable (export/import or
-  /// re-snapshot to duplicate).
+  /// re-snapshot to duplicate). Moves keep every heap buffer, so views
+  /// handed out by queries stay valid in the moved-to KB.
   FusedKB(FusedKB&&) = default;
   FusedKB& operator=(FusedKB&&) = default;
 
@@ -115,7 +136,8 @@ class FusedKB {
                                   std::string_view predicate) const;
 
   /// The verdict on one specific triple (which may be a losing value of
-  /// its item). Empty when the triple is not in the KB.
+  /// its item). Empty when the triple is not in the KB. Scans the item's
+  /// triples: O(group).
   std::optional<KbVerdict> Verdict(std::string_view subject,
                                    std::string_view predicate,
                                    std::string_view object) const;
@@ -138,32 +160,27 @@ class FusedKB {
 
   // ---- raw access (index order == snapshot TripleId order) ----
 
-  size_t num_triples() const { return triples_.size(); }
-  size_t num_items() const { return items_.size(); }
-  size_t num_provenances() const { return provenances_.size(); }
+  size_t num_triples() const { return columns_.num_triples(); }
+  size_t num_items() const { return item_winner_.size(); }
+  size_t num_provenances() const { return columns_.num_provenances(); }
   /// Registry name of the method that produced the KB.
-  const std::string& method() const { return method_; }
-  size_t num_rounds() const { return num_rounds_; }
+  const std::string& method() const { return columns_.method; }
+  size_t num_rounds() const {
+    return static_cast<size_t>(columns_.num_rounds);
+  }
 
   KbVerdict verdict(uint32_t index) const;
-  const extract::FusedKbProvRow& provenance(uint32_t p) const {
-    return provenances_[p];
-  }
-  /// Supporting provenance indices of one triple (ascending).
+  KbProvenance provenance(uint32_t p) const;
+  /// Supporting provenance indices of one triple (strictly ascending).
   std::vector<uint32_t> supporters(uint32_t index) const;
 
-  // ---- serialization (the extract::FusedKbTsv schema) ----
+  // ---- serialization ----
   //
-  // Two wire formats share one schema: the row-tagged TSV (ToTsv) and
-  // the kf::store binary columnar container (ToBinary) — ~3-4x smaller
-  // and >5x faster to load. Both round-trip bit-exactly through the same
-  // validated construction (FromRows).
-
-  /// The KB in schema form — what both serializers write.
-  extract::FusedKbTsv ToRows() const;
-  /// Validated construction from schema rows: unit-interval checks,
-  /// winner-flag consistency, index build. Both importers land here.
-  static Result<FusedKB> FromRows(const extract::FusedKbTsv& rows);
+  // Two wire formats: the row-tagged TSV of extract::FusedKbTsv (ToTsv)
+  // and the kf::store binary columnar container (ToBinary) — ~3-4x
+  // smaller and written straight from the columns. Both importers land in
+  // one validated construction: unit-interval checks, strictly ascending
+  // supporters, winner-flag consistency, duplicate detection, index build.
 
   std::string ToTsv() const;
   Status ExportTsv(const std::string& path) const;
@@ -187,7 +204,10 @@ class FusedKB {
   /// the engine's last run over `dataset` (kf::Session::Snapshot passes
   /// exactly that). With `gold` (sized like the result), raw scores are
   /// additionally mapped through the gold sample's calibration bins into
-  /// KbVerdict::calibrated. Fails on an empty result or mis-sized gold.
+  /// KbVerdict::calibrated. Fails on an empty result or mis-sized gold,
+  /// and with InvalidArgument naming the strings when `naming` renders
+  /// two data items as one (subject, predicate) pair or two values of one
+  /// item as one object (tab/newline sanitizing can cause either).
   static Result<FusedKB> Snapshot(const extract::ExtractionDataset& dataset,
                                   const fusion::FusionEngine& engine,
                                   const fusion::FusionResult& result,
@@ -196,49 +216,46 @@ class FusedKB {
                                   const std::vector<Label>* gold = nullptr);
 
  private:
-  struct Triple {
-    uint32_t item = 0;    // index into items_
-    uint32_t object = 0;  // id in objects_
-    double probability = 0.0;
-    double calibrated = 0.0;
-    bool has_probability = false;
-    bool from_fallback = false;
+  /// One (subject id, predicate id) -> item entry of item_table_.
+  struct ItemSlot {
+    uint32_t subject = 0;
+    uint32_t predicate = 0;
+    uint32_t item = kNone;  // kNone: empty
+    bool empty() const { return item == kNone; }
+    uint64_t hash() const { return ItemHash(subject, predicate); }
   };
-  struct Item {
-    uint32_t subject = 0;    // id in subjects_
-    uint32_t predicate = 0;  // id in predicates_
-    uint32_t winner = kNone;  // triple index, kNone when nothing predicted
-  };
+  static uint64_t ItemHash(uint32_t subject, uint32_t predicate) {
+    return Mix64((static_cast<uint64_t>(subject) << 32) | predicate);
+  }
 
+  /// Validated construction from imported columns (both importers).
+  static Result<FusedKB> FromColumns(store::FusedKbColumns columns);
+  /// Derives the item CSR, winners, and the probability order from the
+  /// columns and each triple's item (`num_items` items, numbered
+  /// first-seen, already in the table); fails on a duplicate triple.
+  Status BuildIndexes(const std::vector<uint32_t>& triple_item,
+                      size_t num_items);
+  /// The triple of `item` whose object id is `object`, or kNone.
+  uint32_t FindTriple(uint32_t item, uint32_t object) const;
+  /// The item of (subject, predicate) ids; claims it for `item` when
+  /// absent.
+  uint32_t InsertItem(uint32_t subject, uint32_t predicate, uint32_t item);
+  /// Item of (subject, predicate) names, or kNone.
+  uint32_t FindItem(std::string_view subject,
+                    std::string_view predicate) const;
   KbVerdict MakeVerdict(uint32_t t) const;
-  /// Derives items' triple lists, winners, the probability order, and
-  /// the hash indexes from triples_/items_. Fails on duplicate triples.
-  Status BuildIndexes();
 
-  std::string method_;
-  size_t num_rounds_ = 0;
+  store::FusedKbColumns columns_;
 
-  StringInterner subjects_;
-  StringInterner predicates_;
-  StringInterner objects_;
-  std::vector<Item> items_;
-  std::vector<Triple> triples_;
-  std::vector<extract::FusedKbProvRow> provenances_;
-
-  /// Triple -> supporting provenance indices (CSR, spans ascending).
-  std::vector<uint32_t> support_offsets_{0};
-  std::vector<uint32_t> support_provs_;
-
+  // ---- derived lookup structures ----
+  FlatTable<ItemSlot> item_table_;
   /// Item -> its triples in index order (CSR).
   std::vector<uint32_t> item_offsets_{0};
   std::vector<uint32_t> item_triples_;
-
+  /// Item -> winning triple, kNone when nothing predicted.
+  std::vector<uint32_t> item_winner_;
   /// Predicted triples by (probability desc, index asc).
   std::vector<uint32_t> by_probability_;
-  /// (subject id, predicate id) -> item index.
-  std::unordered_map<uint64_t, uint32_t> item_index_;
-  /// (item index, object id) -> triple index.
-  std::unordered_map<uint64_t, uint32_t> triple_index_;
 };
 
 }  // namespace kf

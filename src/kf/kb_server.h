@@ -31,8 +31,12 @@
 // (it owns its string tables and indexes and never points into the
 // Session). Acquire() hands out shared ownership; an old generation stays
 // bit-identical and alive until its last holder releases it, then it is
-// destroyed on whichever thread dropped the last reference. The writer
-// never blocks on readers and readers never block on the writer.
+// destroyed on whichever thread dropped the last reference — often a
+// reader. That costs the reader fewer than thirty frees: a FusedKB is flat
+// columns (arena strings, id and probability arrays, flat tables), with
+// nothing allocated per string or per index entry, so there is no
+// retirement queue. The writer never blocks on readers and readers never
+// block on the writer.
 //
 // Implementation note: the swap uses the C++17 atomic shared_ptr free
 // functions. Readers never take a KbServer mutex and never wait on the

@@ -104,8 +104,9 @@ class Session {
   /// stable names); with `gold` (sized like the last result) verdicts
   /// also carry calibrated probabilities from the gold sample's
   /// calibration bins. Fails before the first Fuse(), when the last
-  /// method was not engine-backed (vote / accu / popaccu), and on an
-  /// empty dataset.
+  /// method was not engine-backed (vote / accu / popaccu), on an empty
+  /// dataset, and when `naming` merges two data items or two values of
+  /// one item (see FusedKB::Snapshot).
   Result<FusedKB> Snapshot(const SnapshotNaming& naming = {},
                            const std::vector<Label>* gold = nullptr) const;
 

@@ -66,6 +66,20 @@ void BlockBuilder::AddRaw(BlockId id, const void* data, size_t bytes,
              std::string_view(static_cast<const char*>(data), bytes), rows);
 }
 
+void BlockBuilder::AddStrings(BlockId id, const StringArena& strings) {
+  // An empty arena has no offsets yet; its block is the lone 0 offset.
+  static constexpr uint32_t kNoStrings[1] = {0};
+  const std::vector<uint32_t>& offsets = strings.offsets();
+  const uint32_t* table = offsets.empty() ? kNoStrings : offsets.data();
+  const size_t table_bytes =
+      (offsets.empty() ? 1 : offsets.size()) * sizeof(uint32_t);
+  std::string block;
+  block.reserve(table_bytes + strings.bytes().size());
+  block.append(reinterpret_cast<const char*>(table), table_bytes);
+  block.append(strings.bytes());
+  AddEncoded(id, Encoding::kStrings, block, strings.size());
+}
+
 void BlockBuilder::AddDeltaVarint(BlockId id,
                                   const std::vector<uint32_t>& values) {
   std::string packed;

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/interner.h"
 #include "common/logging.h"
 #include "common/status.h"
 
@@ -46,7 +47,7 @@ inline constexpr uint32_t kFormatVersion = 1;
 
 enum class ContentKind : uint32_t {
   kCorpus = 1,   // extract::TsvCorpus (full ExtractionDataset + dictionaries)
-  kFusedKb = 2,  // kf::FusedKB (the extract::FusedKbTsv schema, M/P/T)
+  kFusedKb = 2,  // kf::FusedKB (store::FusedKbColumns, the M/P/T schema)
   // One claim-graph shard's spillable columns (spill::ShardSpillManager).
   // All blocks are kRaw so a mapped file serves the columns in place.
   kClaimShard = 3,
@@ -234,28 +235,10 @@ class BlockBuilder {
     AddEncoded(id, Encoding::kPacked, payload, column.size());
   }
 
-  /// Appends a string dictionary/list: u32 offsets[rows+1] + bytes.
-  /// `get(i)` returns the i-th entry.
-  template <typename Getter>
-  void AddStrings(BlockId id, size_t rows, Getter get) {
-    std::string block;
-    std::vector<uint32_t> offsets;
-    offsets.reserve(rows + 1);
-    std::string bytes;
-    offsets.push_back(0);
-    for (size_t i = 0; i < rows; ++i) {
-      std::string_view s = get(i);
-      bytes.append(s.data(), s.size());
-      // The u32 offset table caps one string block at 4 GiB of bytes;
-      // abort rather than serialize silently truncated offsets.
-      KF_CHECK(bytes.size() <= 0xffffffffull);
-      offsets.push_back(static_cast<uint32_t>(bytes.size()));
-    }
-    block.append(reinterpret_cast<const char*>(offsets.data()),
-                 offsets.size() * sizeof(uint32_t));
-    block += bytes;
-    AddEncoded(id, Encoding::kStrings, block, rows);
-  }
+  /// Appends a string dictionary/list as a kStrings block
+  /// (u32 offsets[rows+1] + bytes): an arena already is that layout, so
+  /// this is two bulk copies.
+  void AddStrings(BlockId id, const StringArena& strings);
 
   /// Appends a non-decreasing sequence (CSR offsets) delta+varint-packed.
   void AddDeltaVarint(BlockId id, const std::vector<uint32_t>& values);

@@ -151,18 +151,18 @@ Status CheckIds(BlockId id, const PackedSpan& column, size_t limit,
   }
 }
 
-/// Re-interns dictionary entries in id order; fails on duplicates (which
-/// would silently renumber every reference on reload).
-Status FillInterner(const CorpusView& view, CorpusDict dict,
-                    const char* name, StringInterner* interner) {
-  const size_t n = view.dict_size(dict);
-  interner->Reserve(n);
-  for (uint32_t id = 0; id < n; ++id) {
-    if (interner->Intern(view.dict_entry(dict, id)) != id) {
-      return Status::InvalidArgument(
-          StrFormat("store: %s dictionary has a duplicate entry at id %u",
-                    name, id));
-    }
+/// Bulk-loads one kStrings dictionary into `interner` (entry i becomes id
+/// i); fails on duplicates, which would silently renumber every
+/// reference on reload.
+template <typename DictT>
+Status FillInterner(const DictT& dict, const char* name,
+                    StringInterner* interner) {
+  const uint32_t duplicate = interner->Assign(
+      dict.offsets.ptr, dict.offsets.size() - 1, dict.bytes);
+  if (duplicate != StringInterner::kInvalidId) {
+    return Status::InvalidArgument(
+        StrFormat("store: %s dictionary has a duplicate entry at id %u",
+                  name, duplicate));
   }
   return Status::OK();
 }
@@ -187,11 +187,7 @@ std::string WriteCorpus(const extract::TsvCorpus& corpus) {
       BlockId::kDictObjects,  BlockId::kDictExtractors,
       BlockId::kDictUrls,     BlockId::kDictSites};
   for (size_t d = 0; d < kNumCorpusDicts; ++d) {
-    const StringInterner* interner = interners[d];
-    builder.AddStrings(dict_blocks[d], interner->size(),
-                       [interner](size_t i) -> std::string_view {
-                         return interner->Get(static_cast<uint32_t>(i));
-                       });
+    builder.AddStrings(dict_blocks[d], interners[d]->strings());
   }
 
   {
@@ -318,10 +314,9 @@ std::string WriteCorpus(const extract::TsvCorpus& corpus) {
 
   {
     const std::vector<extract::ExtractorMeta>& metas = ds.extractors();
-    builder.AddStrings(BlockId::kExtractorName, metas.size(),
-                       [&metas](size_t i) -> std::string_view {
-                         return metas[i].name;
-                       });
+    StringArena names;
+    for (const extract::ExtractorMeta& meta : metas) names.Append(meta.name);
+    builder.AddStrings(BlockId::kExtractorName, names);
     std::vector<uint8_t> content(metas.size()), has_conf(metas.size());
     std::vector<uint32_t> framework(metas.size()), linkage(metas.size());
     for (size_t i = 0; i < metas.size(); ++i) {
@@ -513,18 +508,21 @@ Result<CorpusView> CorpusView::Parse(std::string_view bytes) {
 
 Result<extract::TsvCorpus> CorpusView::Materialize() const {
   extract::TsvCorpus corpus;
-  KF_RETURN_IF_ERROR(FillInterner(*this, CorpusDict::kSubjects, "subject",
+  const auto dict = [this](CorpusDict d) -> const Dict& {
+    return dicts_[static_cast<size_t>(d)];
+  };
+  KF_RETURN_IF_ERROR(FillInterner(dict(CorpusDict::kSubjects), "subject",
                                   &corpus.subjects));
-  KF_RETURN_IF_ERROR(FillInterner(*this, CorpusDict::kPredicates,
+  KF_RETURN_IF_ERROR(FillInterner(dict(CorpusDict::kPredicates),
                                   "predicate", &corpus.predicates));
-  KF_RETURN_IF_ERROR(FillInterner(*this, CorpusDict::kObjects, "object",
+  KF_RETURN_IF_ERROR(FillInterner(dict(CorpusDict::kObjects), "object",
                                   &corpus.objects));
-  KF_RETURN_IF_ERROR(FillInterner(*this, CorpusDict::kExtractors,
+  KF_RETURN_IF_ERROR(FillInterner(dict(CorpusDict::kExtractors),
                                   "extractor", &corpus.extractors));
   KF_RETURN_IF_ERROR(
-      FillInterner(*this, CorpusDict::kUrls, "url", &corpus.urls));
+      FillInterner(dict(CorpusDict::kUrls), "url", &corpus.urls));
   KF_RETURN_IF_ERROR(
-      FillInterner(*this, CorpusDict::kSites, "site", &corpus.sites));
+      FillInterner(dict(CorpusDict::kSites), "site", &corpus.sites));
 
   corpus.values.Reserve(value_kind_.size());
   for (size_t v = 0; v < value_kind_.size(); ++v) {
@@ -702,82 +700,45 @@ Result<CorpusMmapView> CorpusMmapView::Open(const std::string& path) {
 
 // ---- fused KB --------------------------------------------------------
 
-std::string WriteFusedKb(const extract::FusedKbTsv& kb) {
+std::string WriteFusedKb(const FusedKbColumns& kb) {
+  const size_t n = kb.num_triples();
+  const size_t num_provs = kb.num_provenances();
+  KF_CHECK(kb.triple_predicate.size() == n && kb.triple_object.size() == n &&
+           kb.probability.size() == n && kb.calibrated.size() == n &&
+           kb.triple_flags.size() == n && kb.support_offsets.size() == n + 1 &&
+           kb.support_offsets[n] == kb.supporters.size());
+  KF_CHECK(kb.prov_descriptions.size() == num_provs &&
+           kb.prov_evaluated.size() == num_provs &&
+           kb.prov_claims.size() == num_provs);
+
   BlockBuilder builder;
-  builder.AddStrings(BlockId::kKbMethod, 1,
-                     [&kb](size_t) -> std::string_view { return kb.method; });
+  StringArena method;
+  method.Append(kb.method);
+  builder.AddStrings(BlockId::kKbMethod, method);
   const uint64_t meta[1] = {kb.num_rounds};
   builder.AddRaw(BlockId::kKbMeta, meta, sizeof(meta), 1);
 
-  {
-    const std::vector<extract::FusedKbProvRow>& provs = kb.provenances;
-    builder.AddStrings(BlockId::kProvDescription, provs.size(),
-                       [&provs](size_t i) -> std::string_view {
-                         return provs[i].description;
-                       });
-    std::vector<double> accuracy(provs.size());
-    std::vector<uint8_t> evaluated(provs.size());
-    std::vector<uint32_t> claims(provs.size());
-    for (size_t i = 0; i < provs.size(); ++i) {
-      accuracy[i] = provs[i].accuracy;
-      evaluated[i] = provs[i].evaluated ? 1 : 0;
-      claims[i] = provs[i].num_claims;
-    }
-    builder.AddColumn(BlockId::kProvAccuracy, accuracy);
-    builder.AddColumn(BlockId::kProvEvaluated, evaluated);
-    builder.AddPacked(BlockId::kProvClaims, claims);
-  }
+  builder.AddStrings(BlockId::kProvDescription, kb.prov_descriptions);
+  builder.AddColumn(BlockId::kProvAccuracy, kb.prov_accuracy);
+  builder.AddColumn(BlockId::kProvEvaluated, kb.prov_evaluated);
+  builder.AddPacked(BlockId::kProvClaims, kb.prov_claims);
 
-  {
-    const size_t n = kb.triples.size();
-    StringInterner subjects, predicates, objects;
-    std::vector<uint32_t> subject(n), predicate(n), object(n);
-    std::vector<double> probability(n), calibrated(n);
-    std::vector<uint8_t> flags(n);
-    std::vector<uint32_t> offsets{0};
-    std::vector<uint32_t> supporters;
-    offsets.reserve(n + 1);
-    for (size_t t = 0; t < n; ++t) {
-      const extract::FusedKbTripleRow& row = kb.triples[t];
-      subject[t] = subjects.Intern(row.subject);
-      predicate[t] = predicates.Intern(row.predicate);
-      object[t] = objects.Intern(row.object);
-      probability[t] = row.probability;
-      calibrated[t] = row.calibrated;
-      flags[t] = static_cast<uint8_t>((row.has_probability ? 1 : 0) |
-                                      (row.from_fallback ? 2 : 0) |
-                                      (row.winner ? 4 : 0));
-      supporters.insert(supporters.end(), row.supporters.begin(),
-                        row.supporters.end());
-      // The CSR offsets are u32 on disk; abort on overflow rather than
-      // serialize a silently wrapped supporter list.
-      KF_CHECK(supporters.size() <= 0xffffffffull);
-      offsets.push_back(static_cast<uint32_t>(supporters.size()));
-    }
-    auto add_dict = [&builder](BlockId id, const StringInterner& interner) {
-      builder.AddStrings(id, interner.size(),
-                         [&interner](size_t i) -> std::string_view {
-                           return interner.Get(static_cast<uint32_t>(i));
-                         });
-    };
-    add_dict(BlockId::kKbDictSubjects, subjects);
-    add_dict(BlockId::kKbDictPredicates, predicates);
-    add_dict(BlockId::kKbDictObjects, objects);
-    builder.AddPacked(BlockId::kKbTripleSubject, subject);
-    builder.AddPacked(BlockId::kKbTriplePredicate, predicate);
-    builder.AddPacked(BlockId::kKbTripleObject, object);
-    builder.AddColumn(BlockId::kKbProbability, probability);
-    builder.AddColumn(BlockId::kKbCalibrated, calibrated);
-    builder.AddColumn(BlockId::kKbTripleFlags, flags);
-    builder.AddDeltaVarint(BlockId::kKbSupportOffsets, offsets);
-    builder.AddVarintLists(BlockId::kKbSupporters, offsets, supporters);
-  }
-
+  builder.AddStrings(BlockId::kKbDictSubjects, kb.subjects.strings());
+  builder.AddStrings(BlockId::kKbDictPredicates, kb.predicates.strings());
+  builder.AddStrings(BlockId::kKbDictObjects, kb.objects.strings());
+  builder.AddPacked(BlockId::kKbTripleSubject, kb.triple_subject);
+  builder.AddPacked(BlockId::kKbTriplePredicate, kb.triple_predicate);
+  builder.AddPacked(BlockId::kKbTripleObject, kb.triple_object);
+  builder.AddColumn(BlockId::kKbProbability, kb.probability);
+  builder.AddColumn(BlockId::kKbCalibrated, kb.calibrated);
+  builder.AddColumn(BlockId::kKbTripleFlags, kb.triple_flags);
+  builder.AddDeltaVarint(BlockId::kKbSupportOffsets, kb.support_offsets);
+  builder.AddVarintLists(BlockId::kKbSupporters, kb.support_offsets,
+                         kb.supporters);
   return builder.Finish(ContentKind::kFusedKb);
 }
 
-Status WriteFusedKbFile(const extract::FusedKbTsv& kb,
-                        const std::string& path) {
+Status WriteFusedKbFile(const FusedKbColumns& kb, const std::string& path) {
   return AtomicWriteFile(path, WriteFusedKb(kb));
 }
 
@@ -869,46 +830,52 @@ Result<FusedKbView> FusedKbView::Parse(std::string_view bytes) {
   return view;
 }
 
-Result<extract::FusedKbTsv> FusedKbView::Materialize() const {
-  extract::FusedKbTsv kb;
+Result<FusedKbColumns> FusedKbView::Materialize() const {
+  FusedKbColumns kb;
   kb.method = std::string(method());
-  kb.num_rounds = static_cast<size_t>(num_rounds());
-  kb.provenances.resize(num_provenances());
-  for (size_t p = 0; p < kb.provenances.size(); ++p) {
-    extract::FusedKbProvRow& row = kb.provenances[p];
-    row.description = std::string(prov_description(static_cast<uint32_t>(p)));
-    row.accuracy = prov_accuracy_[p];
-    row.evaluated = prov_evaluated_[p] != 0;
-    row.num_claims = static_cast<uint32_t>(prov_claims_[p]);
+  kb.num_rounds = num_rounds();
+  KF_RETURN_IF_ERROR(FillInterner(subjects_, "subject", &kb.subjects));
+  KF_RETURN_IF_ERROR(FillInterner(predicates_, "predicate", &kb.predicates));
+  KF_RETURN_IF_ERROR(FillInterner(objects_, "object", &kb.objects));
+
+  const size_t num_provs = num_provenances();
+  kb.prov_descriptions.Assign(prov_description_.offsets.ptr, num_provs,
+                              prov_description_.bytes);
+  kb.prov_accuracy.assign(prov_accuracy_.begin(), prov_accuracy_.end());
+  kb.prov_evaluated.resize(num_provs);
+  kb.prov_claims.resize(num_provs);
+  for (size_t p = 0; p < num_provs; ++p) {
+    kb.prov_evaluated[p] = prov_evaluated_[p] != 0 ? 1 : 0;
+    kb.prov_claims[p] = static_cast<uint32_t>(prov_claims_[p]);
   }
-  kb.triples.resize(num_triples());
-  for (size_t t = 0; t < kb.triples.size(); ++t) {
-    extract::FusedKbTripleRow& row = kb.triples[t];
-    const uint32_t id = static_cast<uint32_t>(t);
-    row.subject = std::string(subject(id));
-    row.predicate = std::string(predicate(id));
-    row.object = std::string(object(id));
-    row.probability = probability_[t];
-    row.calibrated = calibrated_[t];
-    row.has_probability = (triple_flag_[t] & 1) != 0;
-    row.from_fallback = (triple_flag_[t] & 2) != 0;
-    row.winner = (triple_flag_[t] & 4) != 0;
-    Span<const uint32_t> supp = supporters(id);
-    row.supporters.assign(supp.begin(), supp.end());
-  }
+
+  const auto widen = [](PackedSpan column, std::vector<uint32_t>* out) {
+    out->resize(column.size());
+    for (size_t i = 0; i < column.size(); ++i) {
+      (*out)[i] = static_cast<uint32_t>(column[i]);
+    }
+  };
+  widen(t_subject_, &kb.triple_subject);
+  widen(t_predicate_, &kb.triple_predicate);
+  widen(t_object_, &kb.triple_object);
+  kb.probability.assign(probability_.begin(), probability_.end());
+  kb.calibrated.assign(calibrated_.begin(), calibrated_.end());
+  kb.triple_flags.assign(triple_flag_.begin(), triple_flag_.end());
+  kb.support_offsets = support_offsets_;
+  kb.supporters = supporters_;
   return kb;
 }
 
-Result<extract::FusedKbTsv> LoadFusedKb(std::string_view bytes) {
+Result<FusedKbColumns> LoadFusedKb(std::string_view bytes) {
   Result<FusedKbView> view = FusedKbView::Parse(bytes);
   if (!view.ok()) return view.status();
   return view->Materialize();
 }
 
-Result<extract::FusedKbTsv> LoadFusedKbFile(const std::string& path) {
+Result<FusedKbColumns> LoadFusedKbFile(const std::string& path) {
   Result<std::string> bytes = extract::ReadFile(path);
   if (!bytes.ok()) return bytes.status();  // already names the path
-  Result<extract::FusedKbTsv> kb = LoadFusedKb(*bytes);
+  Result<FusedKbColumns> kb = LoadFusedKb(*bytes);
   if (!kb.ok()) return PrefixPath(path, kb.status());
   return kb;
 }

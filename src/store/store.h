@@ -3,7 +3,7 @@
 //
 //   corpus    extract::TsvCorpus — the six interner dictionaries, the
 //             value table, item/triple/record columns, extractor metas
-//   fused-kb  the extract::FusedKbTsv schema (M/P/T) — dictionaries,
+//   fused-kb  FusedKbColumns (the FusedKB's own layout) — dictionaries,
 //             probability columns, delta+varint supporter CSR
 //
 // Both kinds read two ways:
@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/interner.h"
 #include "common/status.h"
 #include "extract/tsv_io.h"
 #include "store/format.h"
@@ -168,18 +169,62 @@ class CorpusMmapView {
 
 // ---- fused KB --------------------------------------------------------
 
-/// Serializes a fused KB (schema form) into the binary fused-KB format.
-std::string WriteFusedKb(const extract::FusedKbTsv& kb);
+/// kKbTripleFlags bits.
+inline constexpr uint8_t kKbHasProbability = 1;
+inline constexpr uint8_t kKbFromFallback = 2;
+inline constexpr uint8_t kKbWinner = 4;
 
-Status WriteFusedKbFile(const extract::FusedKbTsv& kb,
-                        const std::string& path);
+/// A fused KB in the store's layout: one member per fused-KB block, ids
+/// and encodings aside. kf::FusedKB keeps its data in exactly this form,
+/// so WriteFusedKb encodes straight from it and LoadFusedKb fills it
+/// straight from the file. The container checks nothing about the KB
+/// itself (supporter order, winner flags, duplicate triples) — FusedKB
+/// validates those on import.
+struct FusedKbColumns {
+  std::string method;       // kKbMethod
+  uint64_t num_rounds = 0;  // kKbMeta
 
-/// Owning load of the M/P/T rows; same validation guarantees as
-/// LoadCorpus. Supporter indices are range-checked against the
-/// provenance table.
-Result<extract::FusedKbTsv> LoadFusedKb(std::string_view bytes);
+  // Provenance table, one row per provenance.
+  StringArena prov_descriptions;       // kProvDescription
+  std::vector<double> prov_accuracy;   // kProvAccuracy
+  std::vector<uint8_t> prov_evaluated;  // kProvEvaluated (0/1)
+  std::vector<uint32_t> prov_claims;   // kProvClaims
 
-Result<extract::FusedKbTsv> LoadFusedKbFile(const std::string& path);
+  // Dictionaries (kKbDict*): deduplicated, referenced by id below.
+  StringInterner subjects;
+  StringInterner predicates;
+  StringInterner objects;
+
+  // Triple columns, one row per triple.
+  std::vector<uint32_t> triple_subject;    // kKbTripleSubject
+  std::vector<uint32_t> triple_predicate;  // kKbTriplePredicate
+  std::vector<uint32_t> triple_object;     // kKbTripleObject
+  std::vector<double> probability;         // kKbProbability
+  std::vector<double> calibrated;          // kKbCalibrated
+  std::vector<uint8_t> triple_flags;       // kKbTripleFlags (kKb* bits)
+
+  // Supporter CSR: triple t's provenances are
+  // supporters[support_offsets[t], support_offsets[t + 1]).
+  std::vector<uint32_t> support_offsets{0};  // kKbSupportOffsets
+  std::vector<uint32_t> supporters;          // kKbSupporters
+
+  size_t num_triples() const { return triple_subject.size(); }
+  size_t num_provenances() const { return prov_accuracy.size(); }
+};
+
+/// Serializes fused-KB columns into the binary fused-KB format. Every
+/// column must have its block's row count.
+std::string WriteFusedKb(const FusedKbColumns& kb);
+
+Status WriteFusedKbFile(const FusedKbColumns& kb, const std::string& path);
+
+/// Owning load; same validation guarantees as LoadCorpus. Ids are
+/// range-checked against their dictionaries, supporters against the
+/// provenance table, and a dictionary entry repeated under two ids is
+/// rejected.
+Result<FusedKbColumns> LoadFusedKb(std::string_view bytes);
+
+Result<FusedKbColumns> LoadFusedKbFile(const std::string& path);
 
 /// Zero-copy view over a fused-KB image. String columns resolve through
 /// the on-file dictionaries; the varint-packed supporter CSR is decoded
@@ -208,22 +253,23 @@ class FusedKbView {
 
   Span<const double> probabilities() const { return probability_; }
   Span<const double> calibrated() const { return calibrated_; }
-  /// bit0 has_probability, bit1 from_fallback, bit2 winner.
+  /// kKbHasProbability | kKbFromFallback | kKbWinner.
   Span<const uint8_t> triple_flags() const { return triple_flag_; }
   Span<const double> prov_accuracies() const { return prov_accuracy_; }
 
-  /// Supporting provenance indices of triple `t` (ascending).
+  /// Supporting provenance indices of triple `t`, in file order.
   Span<const uint32_t> supporters(uint32_t t) const {
     return Span<const uint32_t>{
         supporters_.data() + support_offsets_[t],
         static_cast<size_t>(support_offsets_[t + 1] - support_offsets_[t])};
   }
 
-  Result<extract::FusedKbTsv> Materialize() const;
+  /// Copies the view into owning columns (the owning load is exactly
+  /// Parse + Materialize): dictionaries as bulk copies, id columns
+  /// widened from their packed width.
+  Result<FusedKbColumns> Materialize() const;
 
  private:
-  friend Result<extract::FusedKbTsv> LoadFusedKb(std::string_view bytes);
-
   struct Dict {
     Span<const uint32_t> offsets;
     std::string_view bytes;

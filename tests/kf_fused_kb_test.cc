@@ -9,13 +9,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "eval/calibration.h"
 #include "eval/gold_standard.h"
 #include "extract/tsv_io.h"
 #include "kf/session.h"
+#include "store/store.h"
 #include "synth/corpus.h"
 
 namespace kf {
@@ -94,7 +98,7 @@ TEST(FusedKbTest, SnapshotCountsMatchTheEngineState) {
   // engine's clamp range.
   size_t claims = 0;
   for (uint32_t p = 0; p < kb->num_provenances(); ++p) {
-    const extract::FusedKbProvRow& row = kb->provenance(p);
+    const KbProvenance row = kb->provenance(p);
     EXPECT_GT(row.num_claims, 0u);
     EXPECT_GE(row.accuracy, 0.0);
     EXPECT_LE(row.accuracy, 1.0);
@@ -327,9 +331,12 @@ TEST(FusedKbTest, BinaryExportImportRoundTripsToAnEqualKb) {
   ASSERT_TRUE(kb.ok());
 
   // In-memory: ToBinary/FromBinary is an identity, and agrees with TSV.
-  Result<FusedKB> via_bin = FusedKB::FromBinary(kb->ToBinary());
+  const std::string image = kb->ToBinary();
+  Result<FusedKB> via_bin = FusedKB::FromBinary(image);
   ASSERT_TRUE(via_bin.ok()) << via_bin.status().ToString();
   EXPECT_TRUE(*via_bin == *kb);
+  // Byte-stable: the imported KB re-exports the very same image.
+  EXPECT_TRUE(via_bin->ToBinary() == image);
 
   // On disk, and noticeably smaller than the TSV.
   std::string path = testing::TempDir() + "/fused_kb_roundtrip.kfs";
@@ -382,6 +389,19 @@ TEST(FusedKbTest, ImportRejectsMalformedTsv) {
                        "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t\n"
                        "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t\n")
           .ok());
+  // Supporters out of order, or one provenance listed twice (Explain
+  // would show it twice).
+  EXPECT_FALSE(
+      FusedKB::FromTsv("M\taccu\t3\n"
+                       "P\tsrc\t0.8\t1\t1\n"
+                       "P\tsrc2\t0.7\t1\t1\n"
+                       "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t1,0\n")
+          .ok());
+  EXPECT_FALSE(
+      FusedKB::FromTsv("M\taccu\t3\n"
+                       "P\tsrc\t0.8\t1\t2\n"
+                       "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t0,0\n")
+          .ok());
   // A consistent hand-written KB imports fine.
   Result<FusedKB> ok =
       FusedKB::FromTsv("M\taccu\t3\n"
@@ -394,7 +414,130 @@ TEST(FusedKbTest, ImportRejectsMalformedTsv) {
   EXPECT_EQ(ok->Lookup("s", "p")->object, "o1");
 }
 
+TEST(FusedKbTest, BinaryImportRejectsSupportersNotStrictlyAscending) {
+  // The container stores any supporter order (store_roundtrip_test pins
+  // that); the KB import is what enforces the ascending invariant.
+  Result<FusedKB> kb =
+      FusedKB::FromTsv("M\taccu\t3\n"
+                       "P\tsrc\t0.8\t1\t1\n"
+                       "P\tsrc2\t0.7\t1\t1\n"
+                       "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t0,1\n");
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  store::FusedKbColumns swapped =
+      std::move(store::LoadFusedKb(kb->ToBinary())).value();
+  std::swap(swapped.supporters[0], swapped.supporters[1]);
+  Result<FusedKB> back = FusedKB::FromBinary(store::WriteFusedKb(swapped));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().message().find("strictly ascending"),
+            std::string::npos)
+      << back.status().message();
+}
+
+TEST(FusedKbTest, QueryViewsSurviveMovingTheKb) {
+  // A one-triple KB: every string is short, exactly what an inline
+  // small-string buffer would have carried along on a move.
+  Result<FusedKB> one = FusedKB::FromTsv(
+      "M\taccu\t3\n"
+      "P\tsrc\t0.8\t1\t1\n"
+      "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t0\n");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  auto check = [](FusedKB kb) {
+    const KbVerdict v = kb.verdict(0);
+    const std::string subject(v.subject), object(v.object);
+    const std::vector<KbEvidence> why =
+        kb.Explain(v.subject, v.predicate, v.object);
+    ASSERT_FALSE(why.empty());
+    const std::string description(why[0].description);
+
+    FusedKB moved(std::move(kb));
+    FusedKB assigned;
+    assigned = std::move(moved);
+    // The views taken before the moves still read the same bytes, which
+    // the moved-to KB now owns.
+    EXPECT_EQ(v.subject, subject);
+    EXPECT_EQ(v.object, object);
+    EXPECT_EQ(why[0].description, description);
+    EXPECT_EQ(why[0].object, object);
+    EXPECT_EQ(assigned.verdict(0).subject.data(), v.subject.data());
+    EXPECT_TRUE(assigned.Lookup(subject, v.predicate).has_value());
+  };
+  check(std::move(one).value());
+  Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
+  ASSERT_TRUE(corpus.ok());
+  check(SnapshotTsv(&*corpus, "accu"));
+}
+
 // ---- error paths ----
+
+TEST(FusedKbTest, SnapshotRejectsNamingThatMergesDataItems) {
+  Session session = Session::Borrow(SmallCorpus().dataset);
+  ASSERT_TRUE(session.Fuse(fusion::FusionOptions::PopAccu()).ok());
+  SnapshotNaming naming;
+  naming.subject = [](kb::EntityId) { return std::string("same"); };
+  Result<FusedKB> kb = session.Snapshot(naming);
+  ASSERT_FALSE(kb.ok());
+  EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(kb.status().message().find("(same, p"), std::string::npos)
+      << kb.status().message();
+}
+
+TEST(FusedKbTest, SnapshotRejectsNamingThatMergesValuesOfOneItem) {
+  Session session = Session::Borrow(SmallCorpus().dataset);
+  ASSERT_TRUE(session.Fuse(fusion::FusionOptions::PopAccu()).ok());
+  // Distinct names that only sanitizing merges: every item with two
+  // values now has two triples rendered (s, p, "x y").
+  SnapshotNaming naming;
+  naming.object = [](kb::ValueId v) {
+    return std::string(v % 2 == 0 ? "x\ty" : "x y");
+  };
+  Result<FusedKB> kb = session.Snapshot(naming);
+  ASSERT_FALSE(kb.ok());
+  EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(kb.status().message().find("duplicate triple"),
+            std::string::npos)
+      << kb.status().message();
+  EXPECT_NE(kb.status().message().find("x y)"), std::string::npos);
+}
+
+TEST(FusedKbTest, SnapshotNamesEachDistinctIdOnce) {
+  Session session = Session::Borrow(SmallCorpus().dataset);
+  fusion::FusionOptions options = fusion::FusionOptions::PopAccu();
+  // Every naming hook feeds the provenance descriptions too.
+  options.granularity.use_site = true;
+  options.granularity.use_predicate = true;
+  options.granularity.use_pattern = true;
+  ASSERT_TRUE(session.Fuse(options).ok());
+
+  std::map<std::string, std::map<uint32_t, int>> calls;
+  auto counted = [&calls](const char* kind) {
+    return [&calls, kind](uint32_t id) {
+      ++calls[kind][id];
+      return std::string(kind) + std::to_string(id);
+    };
+  };
+  SnapshotNaming naming;
+  naming.subject = counted("s");
+  naming.predicate = counted("p");
+  naming.object = counted("o");
+  naming.url = counted("u");
+  naming.site = counted("w");
+  naming.pattern = counted("r");
+  Result<FusedKB> kb = session.Snapshot(naming);
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+
+  for (const char* kind : {"s", "p", "o", "u", "w", "r"}) {
+    ASSERT_FALSE(calls[kind].empty()) << kind;
+    for (const auto& [id, n] : calls[kind]) {
+      EXPECT_EQ(n, 1) << kind << id;
+    }
+  }
+  // Names still reach the KB: the synthesized ones of the default
+  // naming and these agree on subjects.
+  Result<FusedKB> synthesized = session.Snapshot();
+  ASSERT_TRUE(synthesized.ok());
+  EXPECT_EQ(kb->verdict(0).subject, synthesized->verdict(0).subject);
+}
 
 TEST(FusedKbTest, SnapshotBeforeFuseFails) {
   Session session = Session::Borrow(SmallCorpus().dataset);

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -273,6 +275,62 @@ TEST(KbServerTest, PublishOnEmptyDatasetFailsAndPublishesNothing) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(server.published_seqno(), 0u);
   EXPECT_EQ(server.Acquire(), nullptr);
+}
+
+TEST(KbServerTest, NamingCollisionFailsPublishAndKeepsLastGoodGeneration) {
+  // A pure naming whose one collision only shows up once a new data item
+  // arrives: subject id `fresh` renders like the subject of item 0, and
+  // the fresh item shares item 0's predicate.
+  extract::ExtractionDataset dataset = extract::CloneRecordPrefix(
+      SmallCorpus().dataset, SmallCorpus().dataset.num_records());
+  kb::EntityId fresh = 0;
+  for (const kb::DataItem& item : dataset.items()) {
+    fresh = std::max<kb::EntityId>(fresh, item.subject + 1);
+  }
+  const kb::DataItem victim = dataset.item(0);
+  KbServer::Options options = ServerOptions();
+  options.naming.subject = [fresh, victim](kb::EntityId e) {
+    return "s" + std::to_string(e == fresh ? victim.subject : e);
+  };
+  KbServer server(std::move(dataset), options);
+  ASSERT_TRUE(server.Publish().ok());
+  const std::string victim_name = "s" + std::to_string(victim.subject);
+  std::optional<ServedVerdict> before = server.Lookup(
+      victim_name, "p" + std::to_string(victim.predicate));
+  ASSERT_TRUE(before.has_value());
+
+  // One record of the fresh item, claimed by an existing provenance.
+  extract::ExtractionDataset& live = server.mutable_dataset();
+  extract::ExtractionRecord record;
+  for (const extract::ExtractionRecord& r : live.records()) {
+    if (live.triple(r.triple).item == 0) {
+      record = r;
+      break;
+    }
+  }
+  record.triple = live.InternTriple(kb::DataItem{fresh, victim.predicate},
+                                    live.triple(record.triple).object,
+                                    false, false);
+  Result<KbSnapshotStats> failed = server.AppendAndPublish({record});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(failed.status().message().find(victim_name), std::string::npos)
+      << failed.status().message();
+
+  // Nothing was published: readers stay on generation 1 and get its
+  // answers, and the failure is counted.
+  EXPECT_EQ(server.stats().publish_failures, 1u);
+  EXPECT_EQ(server.stats().publishes, 1u);
+  EXPECT_EQ(server.published_seqno(), 1u);
+  KbSnapshotRef snap = server.Acquire();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->stats().seqno, 1u);
+  std::optional<ServedVerdict> after = server.Lookup(
+      victim_name, "p" + std::to_string(victim.predicate));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->seqno, 1u);
+  EXPECT_EQ(after->object, before->object);
+  EXPECT_EQ(after->probability, before->probability);
 }
 
 TEST(KbServerDeathTest, NonEngineMethodIsRejectedAtConstruction) {

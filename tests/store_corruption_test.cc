@@ -263,13 +263,30 @@ TEST(StoreCorruptionTest, DictRowCountOverflowIsRejected) {
   }
 }
 
-TEST(StoreCorruptionTest, SupportOffsetRowInflationIsRejected) {
-  extract::FusedKbTsv kb;
+/// A one-triple "vote" KB over `num_provs` provenances ("a", "b", ...),
+/// supported by provenance `supporter`.
+FusedKbColumns OneTripleKb(uint32_t num_provs, uint32_t supporter) {
+  FusedKbColumns kb;
   kb.method = "vote";
-  kb.provenances.resize(1);
-  kb.provenances[0] = {"a", 0.5, false, 1};
-  kb.triples.resize(1);
-  kb.triples[0] = {"s", "p", "o", 0.5, 0.5, true, false, true, {0}};
+  for (uint32_t p = 0; p < num_provs; ++p) {
+    kb.prov_descriptions.Append(std::string(1, static_cast<char>('a' + p)));
+    kb.prov_accuracy.push_back(0.5);
+    kb.prov_evaluated.push_back(0);
+    kb.prov_claims.push_back(1);
+  }
+  kb.triple_subject.push_back(kb.subjects.Intern("s"));
+  kb.triple_predicate.push_back(kb.predicates.Intern("p"));
+  kb.triple_object.push_back(kb.objects.Intern("o"));
+  kb.probability.push_back(0.5);
+  kb.calibrated.push_back(0.5);
+  kb.triple_flags.push_back(kKbHasProbability | kKbWinner);
+  kb.supporters.push_back(supporter);
+  kb.support_offsets.push_back(1);
+  return kb;
+}
+
+TEST(StoreCorruptionTest, SupportOffsetRowInflationIsRejected) {
+  const FusedKbColumns kb = OneTripleKb(1, 0);
   // An inflated delta-varint row count is caught by the rows-vs-payload
   // bound, not by attempting a 2^62-entry allocation.
   std::string bytes = PatchTocRows(WriteFusedKb(kb),
@@ -280,14 +297,7 @@ TEST(StoreCorruptionTest, SupportOffsetRowInflationIsRejected) {
 }
 
 TEST(StoreCorruptionTest, FusedKbSupporterOutOfRangeIsRejected) {
-  extract::FusedKbTsv kb;
-  kb.method = "vote";
-  kb.provenances.resize(2);
-  kb.provenances[0] = {"a", 0.5, false, 1};
-  kb.provenances[1] = {"b", 0.5, false, 1};
-  kb.triples.resize(1);
-  kb.triples[0] = {"s", "p", "o", 0.5, 0.5, true, false, true, {1}};
-  std::string bytes = WriteFusedKb(kb);
+  std::string bytes = WriteFusedKb(OneTripleKb(2, 1));
 
   // Patch the single supporter varint (value 1, one byte) to 99 — still
   // one varint byte, but past the two provenances.

@@ -110,10 +110,9 @@ TEST(BlockFileTest, BuildsAndReadsTypedColumns) {
   const std::vector<double> probs = {0.25, 0.5};
   builder.AddColumn(BlockId::kRecordTriple, ids);
   builder.AddColumn(BlockId::kKbProbability, probs);
-  builder.AddStrings(BlockId::kDictSubjects, 3,
-                     [](size_t i) -> std::string_view {
-                       return i == 0 ? "" : (i == 1 ? "a" : "bcd");
-                     });
+  StringArena subjects;
+  for (const char* s : {"", "a", "bcd"}) subjects.Append(s);
+  builder.AddStrings(BlockId::kDictSubjects, subjects);
   const std::string bytes = builder.Finish(ContentKind::kCorpus);
 
   auto file = BlockFile::Parse(bytes, ContentKind::kCorpus);
@@ -227,10 +226,9 @@ std::string PatchFirstTocRows(std::string bytes, uint64_t rows) {
 
 TEST(BlockFileTest, StringRowCountOverflowIsRejected) {
   BlockBuilder builder;
-  builder.AddStrings(BlockId::kDictSubjects, 2,
-                     [](size_t i) -> std::string_view {
-                       return i == 0 ? "a" : "bc";
-                     });
+  StringArena subjects;
+  for (const char* s : {"a", "bc"}) subjects.Append(s);
+  builder.AddStrings(BlockId::kDictSubjects, subjects);
   const std::string bytes = builder.Finish(ContentKind::kCorpus);
   // rows = 2^62 - 1 wraps the (rows + 1) * 4 table sizing to 0 and
   // rows = UINT64_MAX wraps rows + 1 itself; both must fail the sizing

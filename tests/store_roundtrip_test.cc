@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "common/checksum.h"
 #include "extract/tsv_io.h"
 #include "kf/fused_kb.h"
 #include "kf/session.h"
@@ -167,38 +169,89 @@ TEST(StoreRoundtripTest, Scale1SynthCorpusIsLosslessAndSmaller) {
 
 // ---- fused KB --------------------------------------------------------
 
-extract::FusedKbTsv SampleKbRows() {
-  extract::FusedKbTsv kb;
+/// A hand-built fused KB in the store layout, column by column.
+FusedKbColumns SampleKb() {
+  FusedKbColumns kb;
   kb.method = "popaccu";
   kb.num_rounds = 7;
-  kb.provenances.resize(3);
-  kb.provenances[0] = {"dom@en.wikipedia.org", 0.9375, true, 12};
-  kb.provenances[1] = {"txt@www.imdb.com", 0.5, false, 3};
-  kb.provenances[2] = {"tbl@bad.example.com", 1.0 / 3.0, true, 1};
-  kb.triples.resize(3);
-  kb.triples[0] = {"TomCruise", "birth_date", "1962-07-03",
-                   0.99981232, 0.97,  true,  false, true, {0, 2}};
-  // Deliberately unsorted supporters: the varint-list encoding must not
-  // assume ascending ids.
-  kb.triples[1] = {"TomCruise", "birth_date", "1963-07-03",
-                   0.25, 0.25, true, false, false, {2, 0, 1}};
-  kb.triples[2] = {"TopGun", "release_year", "1986", 0.0, 0.0,
-                   false, true, false, {}};
+  struct Prov {
+    const char* description;
+    double accuracy;
+    uint8_t evaluated;
+    uint32_t claims;
+  };
+  for (const Prov& p : {Prov{"dom@en.wikipedia.org", 0.9375, 1, 12},
+                        Prov{"txt@www.imdb.com", 0.5, 0, 3},
+                        Prov{"tbl@bad.example.com", 1.0 / 3.0, 1, 1}}) {
+    kb.prov_descriptions.Append(p.description);
+    kb.prov_accuracy.push_back(p.accuracy);
+    kb.prov_evaluated.push_back(p.evaluated);
+    kb.prov_claims.push_back(p.claims);
+  }
+  struct Triple {
+    const char* subject;
+    const char* predicate;
+    const char* object;
+    double probability;
+    double calibrated;
+    uint8_t flags;
+    std::vector<uint32_t> supporters;
+  };
+  const Triple triples[] = {
+      {"TomCruise", "birth_date", "1962-07-03", 0.99981232, 0.97,
+       kKbHasProbability | kKbWinner, {0, 2}},
+      // Deliberately unsorted supporters: the varint-list encoding must
+      // not assume ascending ids.
+      {"TomCruise", "birth_date", "1963-07-03", 0.25, 0.25,
+       kKbHasProbability, {2, 0, 1}},
+      {"TopGun", "release_year", "1986", 0.0, 0.0, kKbFromFallback, {}},
+  };
+  for (const Triple& t : triples) {
+    kb.triple_subject.push_back(kb.subjects.Intern(t.subject));
+    kb.triple_predicate.push_back(kb.predicates.Intern(t.predicate));
+    kb.triple_object.push_back(kb.objects.Intern(t.object));
+    kb.probability.push_back(t.probability);
+    kb.calibrated.push_back(t.calibrated);
+    kb.triple_flags.push_back(t.flags);
+    kb.supporters.insert(kb.supporters.end(), t.supporters.begin(),
+                         t.supporters.end());
+    kb.support_offsets.push_back(
+        static_cast<uint32_t>(kb.supporters.size()));
+  }
   return kb;
 }
 
 TEST(StoreRoundtripTest, FusedKbRowsRoundTrip) {
-  const extract::FusedKbTsv kb = SampleKbRows();
+  const FusedKbColumns kb = SampleKb();
   auto back = LoadFusedKb(WriteFusedKb(kb));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->method, kb.method);
   EXPECT_EQ(back->num_rounds, kb.num_rounds);
-  EXPECT_EQ(back->provenances, kb.provenances);
-  EXPECT_EQ(back->triples, kb.triples);
+  // The provenance table.
+  ASSERT_EQ(back->num_provenances(), kb.num_provenances());
+  for (uint32_t p = 0; p < kb.num_provenances(); ++p) {
+    EXPECT_EQ(back->prov_descriptions.Get(p), kb.prov_descriptions.Get(p));
+  }
+  EXPECT_EQ(back->prov_accuracy, kb.prov_accuracy);
+  EXPECT_EQ(back->prov_evaluated, kb.prov_evaluated);
+  EXPECT_EQ(back->prov_claims, kb.prov_claims);
+  // The triples: same dictionaries and ids, bit-identical doubles, flags,
+  // and supporter lists in their written (unsorted) order.
+  ExpectInternerEq(back->subjects, kb.subjects);
+  ExpectInternerEq(back->predicates, kb.predicates);
+  ExpectInternerEq(back->objects, kb.objects);
+  EXPECT_EQ(back->triple_subject, kb.triple_subject);
+  EXPECT_EQ(back->triple_predicate, kb.triple_predicate);
+  EXPECT_EQ(back->triple_object, kb.triple_object);
+  EXPECT_EQ(back->probability, kb.probability);
+  EXPECT_EQ(back->calibrated, kb.calibrated);
+  EXPECT_EQ(back->triple_flags, kb.triple_flags);
+  EXPECT_EQ(back->support_offsets, kb.support_offsets);
+  EXPECT_EQ(back->supporters, kb.supporters);
 }
 
 TEST(StoreRoundtripTest, FusedKbViewServesColumns) {
-  const extract::FusedKbTsv kb = SampleKbRows();
+  const FusedKbColumns kb = SampleKb();
   const std::string path = testing::TempDir() + "store_rt_kb.kfs";
   ASSERT_TRUE(WriteFusedKbFile(kb, path).ok());
 
@@ -255,6 +308,43 @@ TEST(StoreRoundtripTest, FusedKbExportImportBinaryFile) {
   std::remove(path.c_str());
 }
 
+/// A hand-written fused KB: a contested item, an unpredicted fallback
+/// triple, and shared provenances.
+constexpr const char* kGoldenKbTsv =
+    "M\tpopaccu\t7\n"
+    "P\tdom@en.wikipedia.org\t0.9375\t1\t12\n"
+    "P\ttxt@www.imdb.com\t0.5\t0\t3\n"
+    "P\ttbl@bad.example.com\t0.33333333333333331\t1\t1\n"
+    "T\tTomCruise\tbirth_date\t1962-07-03\t0.99981232\t0.97\t1\t0\t1\t0,2\n"
+    "T\tTomCruise\tbirth_date\t1963-07-03\t0.25\t0.25\t1\t0\t0\t0,1,2\n"
+    "T\tTopGun\trelease_year\t1986\t0\t0\t0\t1\t0\t\n"
+    "T\tTopGun\tdirector\tTony Scott\t0.5\t0.5\t1\t0\t1\t1\n";
+
+TEST(StoreRoundtripTest, FusedKbImagesMatchTheFormatGolden) {
+  // Length and CRC-32 of two fixed KBs' images. A change to either is a
+  // change of the on-disk format (bump kFormatVersion), never a refactor.
+  struct Golden {
+    const char* name;
+    std::string image;
+    size_t size;
+    uint32_t crc;
+  };
+  Result<FusedKB> hand = FusedKB::FromTsv(kGoldenKbTsv);
+  ASSERT_TRUE(hand.ok()) << hand.status().ToString();
+  const Golden goldens[] = {
+      {"kTsv snapshot", SnapshotDemo().ToBinary(), 1280, 0x4d88c27du},
+      {"hand-written TSV", hand->ToBinary(), 1104, 0x7cdf6520u},
+  };
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(g.image.size(), g.size) << g.name;
+    EXPECT_EQ(Crc32(g.image), g.crc) << g.name;
+    // Byte stability: an imported image exports to the same bytes.
+    Result<FusedKB> back = FusedKB::FromBinary(g.image);
+    ASSERT_TRUE(back.ok()) << g.name << ": " << back.status().ToString();
+    EXPECT_TRUE(back->ToBinary() == g.image) << g.name;
+  }
+}
+
 TEST(StoreRoundtripTest, FileLoadErrorsNameThePath) {
   auto missing = LoadCorpusFile("/nonexistent/dir/corpus.kfs");
   ASSERT_FALSE(missing.ok());
@@ -262,7 +352,7 @@ TEST(StoreRoundtripTest, FileLoadErrorsNameThePath) {
             std::string::npos);
 
   const std::string path = testing::TempDir() + "store_rt_badkind.kfs";
-  ASSERT_TRUE(WriteFusedKbFile(SampleKbRows(), path).ok());
+  ASSERT_TRUE(WriteFusedKbFile(SampleKb(), path).ok());
   // A fused-KB image fed to the corpus loader: clean kind mismatch that
   // names the offending file.
   auto wrong_kind = LoadCorpusFile(path);
