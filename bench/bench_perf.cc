@@ -1,15 +1,17 @@
-// Performance microbenchmarks (google-benchmark): MapReduce engine
-// scaling, claim-graph construction, per-stage sweep costs, incremental
-// append, and end-to-end fusion throughput across corpus scales and worker
-// counts. The per-stage benchmarks exist to police the claim-graph
-// invariant: Stage I/II are sweeps over groupings built once, so one round
-// must cost a fraction of an end-to-end BM_FusePopAccu run — if a
-// per-round shuffle ever sneaks back in, these regress first.
+// Performance microbenchmarks (google-benchmark): claim-graph
+// construction, per-stage sweep costs, incremental append, and end-to-end
+// fusion throughput across corpus scales and worker counts. The per-stage
+// benchmarks exist to police the claim-graph invariant: Stage I/II are
+// sweeps over groupings built once, so one round must cost a fraction of
+// an end-to-end BM_FusePopAccu run — if a per-round shuffle ever sneaks
+// back in, these regress first.
 //
 // scripts/bench.sh runs this binary and records BENCH_perf.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <utility>
 
 #include "bench/bench_util.h"
@@ -18,7 +20,6 @@
 #include "fusion/claim_graph.h"
 #include "fusion/claims.h"
 #include "fusion/engine.h"
-#include "mr/mapreduce.h"
 #include "spill/spill.h"
 #include "synth/corpus.h"
 
@@ -46,33 +47,6 @@ fusion::FusionOptions PopAccuOpts(size_t workers) {
   bench::ValidateOrExit(opts);
   return opts;
 }
-
-void BM_MapReduceWordHistogram(benchmark::State& state) {
-  const size_t n = 1 << 20;
-  std::vector<uint32_t> inputs(n);
-  Rng rng(7);
-  for (auto& x : inputs) x = static_cast<uint32_t>(rng.NextBelow(65536));
-  mr::Options opts;
-  opts.num_workers = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto out = mr::Job<uint32_t, uint32_t, uint32_t, uint64_t>::Run(
-        inputs,
-        [](const uint32_t& x,
-           const std::function<void(const uint32_t&, uint32_t)>& emit) {
-          emit(x % 4096, 1);
-        },
-        [](const uint32_t&, std::vector<uint32_t>& values,
-           const std::function<void(uint64_t)>& emit) {
-          uint64_t sum = 0;
-          for (uint32_t v : values) sum += v;
-          emit(sum);
-        },
-        opts);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_MapReduceWordHistogram)->Arg(1)->Arg(4)->Arg(16);
 
 // Legacy flat claim construction, kept as the reference point for
 // BM_ClaimGraphBuild.

@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Smoke run of the end-to-end benchmark (perfbench/): builds kf_e2e in
+# Release through perfbench/run.py, then runs each workload for one second
+# with tracing on. Traced runs drive FusionEngine call by call (Prepare,
+# StageI, StageII, shard_sweep_micros) and check every build bit for bit
+# against Session and KbServer, so this catches engine API drift that no
+# other build target compiles. Fails unless each run's result line reports
+# "correct": true and "failed": 0.
+#
+#   ./scripts/perfbench_smoke.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+for workload in batch_tsv batch_bin_budget serve_stream; do
+  echo "== perfbench ${workload}"
+  # run.py keeps build output on stderr: the JSON result is the last
+  # stdout line.
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace 1 | tail -n 1 | python3 -c '
+import json
+import sys
+
+try:
+    result = json.loads(sys.stdin.read())
+except ValueError:
+    sys.exit(sys.argv[1] + ": no JSON result line")
+print("%s: correct=%s attempted=%s failed=%s" % (
+    sys.argv[1], result.get("correct"), result.get("attempted"),
+    result.get("failed")))
+sys.exit(0 if result.get("correct") is True and result.get("failed") == 0
+         else 1)
+' "${workload}"
+done

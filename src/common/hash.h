@@ -1,4 +1,4 @@
-// Small hashing utilities used for interning and MapReduce partitioning.
+// Small hashing utilities used for interning and shard partitioning.
 #ifndef KF_COMMON_HASH_H_
 #define KF_COMMON_HASH_H_
 

@@ -1,8 +1,7 @@
 // A fixed-size worker pool plus a deterministic ParallelFor. ParallelFor
 // runs on a lazily-created process-wide pool (ThreadPool::Global), so a
 // call costs a wake/wait handshake instead of N thread spawns — the engine
-// issues two calls per fusion round, and cold fuses run ~30+ rounds. The
-// MapReduce engine (mr/mapreduce.h) builds on ParallelFor.
+// issues two calls per fusion round, and cold fuses run ~30+ rounds.
 #ifndef KF_COMMON_THREADPOOL_H_
 #define KF_COMMON_THREADPOOL_H_
 

@@ -50,6 +50,28 @@ struct SampledClaim {
   double log_odds;
 };
 
+/// Round cap, stop epsilon, and Stage II step of one RunRounds call.
+struct RoundPolicy {
+  size_t max_rounds;
+  double epsilon;
+  double damping;
+  double quantile;
+};
+
+/// The one place warm_start is read: a warm run takes each override that
+/// is set (> 0) and inherits the cold value otherwise.
+RoundPolicy ResolveRoundPolicy(const FusionOptions& o, bool warm) {
+  RoundPolicy p{o.max_rounds, o.convergence_epsilon, o.accuracy_damping,
+                o.convergence_quantile};
+  if (!warm) return p;
+  const WarmStartOptions& w = o.warm_start;
+  if (w.max_rounds > 0) p.max_rounds = w.max_rounds;
+  if (w.epsilon > 0.0) p.epsilon = w.epsilon;
+  if (w.damping > 0.0) p.damping = w.damping;
+  if (w.quantile > 0.0) p.quantile = w.quantile;
+  return p;
+}
+
 }  // namespace
 
 double FusionResult::Coverage() const {
@@ -119,7 +141,6 @@ void FusionEngine::RebuildSweepSchedule() {
   if (sweep_task_offsets_.back() != num_shards) {
     sweep_task_offsets_.push_back(static_cast<uint32_t>(num_shards));
   }
-  shard_sweep_micros_.assign(num_shards, 0);
   sweep_schedule_stale_ = false;
 }
 
@@ -168,6 +189,7 @@ FusionResult FusionEngine::EmptyResult() const {
 FusionResult FusionEngine::Prepare(const std::vector<Label>* gold) {
   Refresh();
   InitAccuracies(gold);
+  rounds_run_ = 0;
   return EmptyResult();
 }
 
@@ -365,6 +387,8 @@ void FusionEngine::BeginStageI(size_t round, FusionResult* result) {
             0);
   std::fill(result->from_fallback.begin(), result->from_fallback.end(), 0);
   stage1_prefer_evaluated_ = options_.filter_by_coverage && round > 1;
+  // Every round sweeps every shard, one-shot or subset by subset.
+  shard_sweep_micros_.assign(graph_.num_shards(), 0);
 
   // Freeze the per-round tables. Accuracies do not change during a Stage I
   // sweep, so the scorer's per-claim log-odds term and the theta filter
@@ -409,12 +433,10 @@ void FusionEngine::SweepStageI(const std::vector<uint32_t>& shard_ids,
         const auto start = std::chrono::steady_clock::now();
         SweepShard(graph_.columns(s), theta, stage1_prefer_evaluated_,
                    stage1_in_place_, result);
-        if (s < shard_sweep_micros_.size()) {
-          shard_sweep_micros_[s] = static_cast<uint32_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-        }
+        shard_sweep_micros_[s] = static_cast<uint32_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
       },
       /*grain=*/1);
 }
@@ -612,27 +634,56 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
   return updated[k - 1];
 }
 
+Status FusionEngine::RunRounds(
+    Start start, FusionResult* result,
+    const std::vector<std::vector<uint32_t>>* subsets,
+    const ResidencyCallback& make_resident, const RoundCallback& callback) {
+  const bool warm = start == Start::kWarm;
+  const RoundPolicy policy = ResolveRoundPolicy(options_, warm);
+  const bool is_vote = options_.method == Method::kVote;
+  const size_t max_rounds = is_vote ? 1 : policy.max_rounds;
+
+  for (size_t round = 1; round <= max_rounds; ++round) {
+    const size_t global_round = ++rounds_run_;
+    if (subsets == nullptr) {
+      StageI(global_round, result);
+    } else {
+      // A shard's Stage II segments reference only that shard's triples,
+      // so each subset's accumulation rides its sweep instead of a second
+      // pass over the shard files.
+      BeginStageI(global_round, result);
+      if (!is_vote) BeginStageII(*result);
+      for (const std::vector<uint32_t>& subset : *subsets) {
+        KF_RETURN_IF_ERROR(make_resident(subset));
+        SweepStageI(subset, result);
+        if (!is_vote) AccumulateStageII(subset, *result);
+      }
+    }
+    result->num_rounds = round;
+    if (callback) {
+      callback(round, result->probability, result->has_probability);
+    }
+    if (is_vote) break;
+    const double delta =
+        subsets == nullptr
+            ? StageII(*result, policy.damping, policy.quantile)
+            : FinishStageII(policy.damping, policy.quantile);
+    if ((warm || round > 1) && delta < policy.epsilon) break;
+  }
+
+  result->num_unevaluated_provenances = 0;
+  for (uint8_t e : evaluated_) {
+    if (!e) ++result->num_unevaluated_provenances;
+  }
+  return Status::OK();
+}
+
 FusionResult FusionEngine::Run(const std::vector<Label>* gold,
                                const RoundCallback& callback) {
   FusionResult result = Prepare(gold);
-  const bool is_vote = options_.method == Method::kVote;
-  const size_t max_rounds = is_vote ? 1 : options_.max_rounds;
-
-  for (size_t round = 1; round <= max_rounds; ++round) {
-    StageI(round, &result);
-    result.num_rounds = round;
-    if (callback) {
-      callback(round, result.probability, result.has_probability);
-    }
-    if (is_vote) break;
-    double max_delta = StageII(result);
-    if (round > 1 && max_delta < options_.convergence_epsilon) break;
-  }
-
-  result.num_unevaluated_provenances = 0;
-  for (uint8_t e : evaluated_) {
-    if (!e) ++result.num_unevaluated_provenances;
-  }
+  // Resident rounds cannot fail: only a residency callback returns errors.
+  KF_CHECK_OK(RunRounds(Start::kCold, &result, nullptr,
+                        ResidencyCallback(), callback));
   return result;
 }
 

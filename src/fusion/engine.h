@@ -1,8 +1,9 @@
 // The knowledge-fusion engine: the three-stage architecture of Fig. 8 over
 // a sharded claim graph. Stage I sweeps the item-partitioned shards and
 // scores triples; Stage II sweeps the provenance cross-index and
-// re-evaluates accuracies; the two iterate up to R rounds (VOTE needs one
-// round). The item/provenance groupings are built ONCE
+// re-evaluates accuracies; RunRounds iterates the two up to R rounds (VOTE
+// needs one round) for every engine-method run — cold or warm, resident or
+// budgeted. The item/provenance groupings are built ONCE
 // (fusion/claim_graph.h) and swept every round — no per-round shuffle, no
 // per-claim std::function dispatch. Stage III deduplication is inherent
 // because claims reference interned unique triples.
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/label.h"
+#include "common/status.h"
 #include "extract/dataset.h"
 #include "fusion/claim_graph.h"
 #include "fusion/options.h"
@@ -50,36 +52,70 @@ struct FusionResult {
 class FusionEngine {
  public:
   /// Observes probabilities after each round's Stage I (Fig. 14 traces).
+  /// `round` counts from 1 within one RunRounds call.
   using RoundCallback = std::function<void(
       size_t round, const std::vector<double>& probability,
       const std::vector<uint8_t>& has_probability)>;
+  /// Makes one shard subset readable (resident or mapped) right before
+  /// RunRounds sweeps it; an error aborts the run with that Status.
+  using ResidencyCallback =
+      std::function<Status(const std::vector<uint32_t>& subset)>;
+
+  /// Stop policy of RunRounds. kCold: options.max_rounds, damping and
+  /// quantile, epsilon tested from round 2 (round 1 moves every accuracy
+  /// off its seed). kWarm: the options.warm_start overrides (0 inherits
+  /// the cold value), epsilon tested from round 1 — a small append barely
+  /// moves the converged accuracies.
+  enum class Start { kCold, kWarm };
 
   /// Builds the claim graph (options.num_shards shards; 0 = auto).
   FusionEngine(const extract::ExtractionDataset& dataset,
                const FusionOptions& options);
 
-  /// Runs fusion. `gold` (triple labels) is required when
-  /// options.init_accuracy_from_gold is set; otherwise it may be null.
-  /// Records appended to the dataset since construction (or the previous
-  /// Run) are ingested first via Refresh().
+  /// Runs fusion cold: Prepare(gold), then RunRounds(kCold). `gold`
+  /// (triple labels) is required when options.init_accuracy_from_gold is
+  /// set; otherwise it may be null. Records appended to the dataset since
+  /// construction (or the previous Run) are ingested first via Refresh().
   FusionResult Run(const std::vector<Label>* gold = nullptr,
                    const RoundCallback& callback = RoundCallback());
 
+  /// The round loop of every engine-method run: rounds of Stage I then
+  /// Stage II over `result` (sized by Prepare or PrepareWarm) until the
+  /// `start` policy stops them; VOTE runs one Stage I and no Stage II.
+  /// Stage I sees the global round number since the last Prepare, so a
+  /// warm run stays in the post-round-1 regimes (the coverage filter's
+  /// prefer-evaluated switch). Sets num_rounds (this call's rounds) and
+  /// num_unevaluated_provenances.
+  ///
+  /// Without `subsets` a round is StageI + StageII over the resident
+  /// graph, and the call always succeeds. With a subset plan (ordered
+  /// subsets partitioning the shard set; `make_resident` required) a
+  /// round is BeginStageI + BeginStageII, then per subset `make_resident`
+  /// + SweepStageI + AccumulateStageII, then FinishStageII — bit-identical
+  /// to the resident round. The first `make_resident` error is returned.
+  Status RunRounds(
+      Start start, FusionResult* result,
+      const std::vector<std::vector<uint32_t>>* subsets = nullptr,
+      const ResidencyCallback& make_resident = ResidencyCallback(),
+      const RoundCallback& callback = RoundCallback());
+
   // ---- single-stage entry points ----
-  // Building blocks of Run(), exposed for the per-stage benchmarks and for
-  // callers that drive rounds themselves (streaming re-fusion). Call
-  // Prepare() before StageI/StageII.
+  // Building blocks of RunRounds(), exposed for the per-stage benchmarks
+  // and for callers that time each call. Call Prepare() before
+  // StageI/StageII.
 
   /// Re-syncs the claim graph with the dataset, rebuilding only shards
   /// touched by appended records. Returns the number of shards rebuilt.
   size_t Refresh();
-  /// Ingests appended records, (re)initializes provenance accuracies, and
-  /// returns an empty result sized for the current dataset.
+  /// Ingests appended records, (re)initializes provenance accuracies,
+  /// restarts the global round numbering, and returns an empty result
+  /// sized for the current dataset.
   FusionResult Prepare(const std::vector<Label>* gold = nullptr);
   /// Warm-start companion to Prepare(): re-syncs the graph but KEEPS the
   /// current provenance accuracies (appended provenances enter at the
-  /// default accuracy) instead of re-initializing them. The streaming
-  /// re-fusion entry point (Fuser::Refuse / kf::Session::Refuse).
+  /// default accuracy) and the round numbering. The streaming re-fusion
+  /// entry point (Fuser::Refuse / kf::Session::Refuse), followed by
+  /// RunRounds(kWarm).
   FusionResult PrepareWarm();
   /// One Stage I sweep: scores every qualified item group into `result`.
   void StageI(size_t round, FusionResult* result);
@@ -95,17 +131,18 @@ class FusionEngine {
   double StageII(const FusionResult& result, double damping,
                  double quantile);
 
-  // ---- out-of-core decompositions (spill::OutOfCoreFuser) ----
+  // ---- out-of-core decompositions (RunRounds with a subset plan) ----
   // StageI == BeginStageI + SweepStageI over all shards; StageII ==
   // BeginStageII + AccumulateStageII over all shards + FinishStageII.
-  // Budgeted drivers call the Begin step once per round, then sweep /
-  // accumulate each resident shard subset as the spill manager schedules
-  // it. Every triple lives in one shard and every accumulator slot
+  // A budgeted round calls the Begin steps once, then sweeps /
+  // accumulates each shard subset once the residency callback made it
+  // readable. Every triple lives in one shard and every accumulator slot
   // belongs to one segment, so any disjoint subset decomposition — like
   // any worker count — produces bits identical to the one-shot sweep.
 
   /// Freezes the per-round Stage I tables (log-odds, theta mask, the
-  /// round's filter regime) and clears the result masks.
+  /// round's filter regime), clears the result masks, and zeroes the
+  /// per-shard sweep times.
   void BeginStageI(size_t round, FusionResult* result);
   /// Sweeps the given shards (each must be resident or mapped). Subsets
   /// across one round must partition the shard set.
@@ -148,12 +185,12 @@ class FusionEngine {
   const std::vector<uint32_t>& provenance_claims() const {
     return graph_.prov_claims();
   }
-  /// Wall-clock micros the last StageI spent sweeping each shard
-  /// (indexed by shard id; 0 before the first sweep). Shards are hash
-  /// partitions of the data items, so claim counts — and these times —
-  /// can be heavily skewed; the sweep schedule orders shards largest-
-  /// first so the skew costs wall-clock only once, and this vector makes
-  /// it observable.
+  /// Wall-clock micros the last Stage I — one-shot or subset-at-a-time —
+  /// spent sweeping each shard (indexed by shard id; empty before the
+  /// first sweep). Shards are hash partitions of the data items, so claim
+  /// counts — and these times — can be heavily skewed; the sweep schedule
+  /// orders shards largest-first so the skew costs wall-clock only once,
+  /// and this vector makes it observable.
   const std::vector<uint32_t>& shard_sweep_micros() const {
     return shard_sweep_micros_;
   }
@@ -216,6 +253,9 @@ class FusionEngine {
   std::vector<uint32_t> sweep_task_offsets_;  // CSR into sweep_order_
   std::vector<uint32_t> shard_sweep_micros_;  // by shard id, last sweep
   bool sweep_schedule_stale_ = true;
+
+  /// Rounds RunRounds swept since the last Prepare (global numbering).
+  size_t rounds_run_ = 0;
 };
 
 /// Convenience wrapper: construct + run.

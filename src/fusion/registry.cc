@@ -10,10 +10,7 @@
 #include "fusion/ext/extensions.h"
 
 namespace kf::fusion {
-namespace {
 
-/// Shared gold-label checks: required (and correctly sized) when the
-/// options ask for gold-standard accuracy initialization.
 Status CheckGold(const extract::ExtractionDataset& dataset,
                  const FusionOptions& options, const FuseContext& ctx,
                  bool gold_required) {
@@ -30,6 +27,8 @@ Status CheckGold(const extract::ExtractionDataset& dataset,
   }
   return Status::OK();
 }
+
+namespace {
 
 /// Strips the registry routing so nested engine construction (hierarchy /
 /// confidence_weighted wrap the base engine) never sees a non-engine
@@ -51,7 +50,7 @@ class EngineFuser : public Fuser {
   Status ValidateContext(const extract::ExtractionDataset& dataset,
                          const FusionOptions& options,
                          const FuseContext& ctx) const override {
-    return CheckGold(dataset, options, ctx, /*gold_required=*/false);
+    return CheckGold(dataset, options, ctx);
   }
 
   Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
@@ -61,9 +60,7 @@ class EngineFuser : public Fuser {
     opts.method = method_;
     engine_.emplace(dataset, opts);
     dataset_ = &dataset;
-    FusionResult result = engine_->Run(ctx.gold);
-    rounds_run_ = result.num_rounds;
-    return result;
+    return engine_->Run(ctx.gold);
   }
 
   bool SupportsWarmStart() const override { return true; }
@@ -78,40 +75,11 @@ class EngineFuser : public Fuser {
       return Status::FailedPrecondition(
           "Refuse() needs a prior Run() over the same dataset");
     }
-    const FusionOptions& opts = engine_->options();
-    const size_t max_rounds = opts.warm_start.max_rounds > 0
-                                  ? opts.warm_start.max_rounds
-                                  : opts.max_rounds;
-    const double epsilon = opts.warm_start.epsilon > 0.0
-                               ? opts.warm_start.epsilon
-                               : opts.convergence_epsilon;
-    const double damping = opts.warm_start.damping > 0.0
-                               ? opts.warm_start.damping
-                               : opts.accuracy_damping;
-    const double quantile = opts.warm_start.quantile > 0.0
-                                ? opts.warm_start.quantile
-                                : opts.convergence_quantile;
     // Ingest appended records incrementally and keep the converged
     // accuracies — the warm seed. New provenances enter at the default.
     FusionResult result = engine_->PrepareWarm();
-    const bool is_vote = method_ == Method::kVote;
-    for (size_t round = 1; round <= max_rounds; ++round) {
-      // Continue the global round numbering so round-dependent behavior
-      // (the coverage filter's prefer-evaluated switch) stays in its
-      // post-round-1 regime.
-      engine_->StageI(rounds_run_ + round, &result);
-      result.num_rounds = round;
-      if (is_vote) break;
-      double delta = engine_->StageII(result, damping, quantile);
-      // Unlike a cold Run, convergence counts from round 1: a small append
-      // barely moves the accuracies, so one sweep often suffices.
-      if (delta < epsilon) break;
-    }
-    rounds_run_ += result.num_rounds;
-    result.num_unevaluated_provenances = 0;
-    for (uint8_t e : engine_->provenance_evaluated()) {
-      if (!e) ++result.num_unevaluated_provenances;
-    }
+    KF_RETURN_IF_ERROR(
+        engine_->RunRounds(FusionEngine::Start::kWarm, &result));
     return result;
   }
 
@@ -119,8 +87,6 @@ class EngineFuser : public Fuser {
   Method method_;
   std::optional<FusionEngine> engine_;
   const extract::ExtractionDataset* dataset_ = nullptr;
-  /// Total Stage I sweeps across Run + Refuse calls (round numbering).
-  size_t rounds_run_ = 0;
 };
 
 // ---- stateless wrappers over the baseline / extension free functions ---
@@ -216,7 +182,7 @@ Status ValidateHierarchy(const extract::ExtractionDataset& dataset,
         "the hierarchy method requires a value hierarchy "
         "(Session::SetHierarchy / FuseContext::hierarchy)");
   }
-  return CheckGold(dataset, options, ctx, /*gold_required=*/false);
+  return CheckGold(dataset, options, ctx);
 }
 
 FusionResult RunHierarchyFromOptions(

@@ -51,6 +51,14 @@ class Registry {
 /// names.
 bool ParseEngineMethod(const std::string& name, Method* method);
 
+/// The gold-label check of every fuser's ValidateContext, resident or
+/// budgeted: labels must be present when `gold_required` or
+/// options.init_accuracy_from_gold asks for them, and when present must
+/// cover every triple of the dataset.
+Status CheckGold(const extract::ExtractionDataset& dataset,
+                 const FusionOptions& options, const FuseContext& ctx,
+                 bool gold_required = false);
+
 }  // namespace kf::fusion
 
 #endif  // KF_FUSION_REGISTRY_H_

@@ -1,7 +1,6 @@
-// Sharding primitives shared by the MapReduce engine (mr/mapreduce.h) and
-// the sharded claim graph (fusion/claim_graph.h): a deterministic hash
-// partitioner, CSR offset construction, and a per-shard reduction that is
-// bit-reproducible regardless of worker count.
+// Sharding primitives of the sharded claim graph (fusion/claim_graph.h): a
+// deterministic hash partitioner, the shard-count policy, and CSR offset
+// construction.
 #ifndef KF_MR_PARTITIONER_H_
 #define KF_MR_PARTITIONER_H_
 
@@ -11,7 +10,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/threadpool.h"
 
 namespace kf::mr {
 
@@ -34,9 +32,8 @@ class Partitioner {
   size_t num_shards_ = 1;
 };
 
-/// Shard count for a structure expected to hold `num_groups` groups. Same
-/// policy as SuggestPartitions (a few thousand groups per shard, clamped),
-/// exposed separately so callers can tune them independently later.
+/// Shard count for a structure expected to hold `num_groups` groups: a few
+/// thousand groups per shard, clamped to [16, 1024].
 size_t SuggestShards(size_t num_groups);
 
 /// Prefix-sums per-bucket counts into CSR offsets (size counts.size() + 1).
@@ -46,26 +43,6 @@ inline std::vector<uint32_t> CsrOffsets(const std::vector<uint32_t>& counts) {
     offsets[i + 1] = offsets[i] + counts[i];
   }
   return offsets;
-}
-
-/// Runs `fn(shard, &outputs)` for every shard on up to `num_workers`
-/// threads (the persistent global pool — common/threadpool.h) and
-/// concatenates the per-shard outputs in shard order. Each shard's output
-/// vector is private to its invocation, so the concatenated result is
-/// identical for any worker count.
-template <typename O, typename Fn>
-std::vector<O> ReduceShards(size_t num_shards, size_t num_workers, Fn&& fn) {
-  std::vector<std::vector<O>> per_shard(num_shards);
-  ParallelFor(num_shards, num_workers,
-              [&](size_t s) { fn(s, &per_shard[s]); });
-  std::vector<O> outputs;
-  size_t total = 0;
-  for (const auto& shard : per_shard) total += shard.size();
-  outputs.reserve(total);
-  for (auto& shard : per_shard) {
-    for (auto& o : shard) outputs.push_back(std::move(o));
-  }
-  return outputs;
 }
 
 }  // namespace kf::mr

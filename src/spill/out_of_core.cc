@@ -1,11 +1,11 @@
 // spill::OutOfCoreFuser — the budgeted counterpart of the registry's
-// EngineFuser. Same engine, same rounds, same convergence tests; the
-// only difference is that each round's Stage I sweep and Stage II
-// accumulation run subset-at-a-time under the spill manager, through
-// the engine's out-of-core decomposition (fusion/engine.h). Because
-// those primitives are bit-identical to the one-shot sweeps for any
-// disjoint subset decomposition, the fuser's results are bit-identical
-// to EngineFuser's for every budget and worker count.
+// EngineFuser. Same engine, same round loop (FusionEngine::RunRounds);
+// this fuser only owns residency: the spill manager's lifecycle, the
+// subset plan, and the hook that makes each subset readable before the
+// engine sweeps it. Because the engine's subset decomposition is
+// bit-identical to the one-shot sweeps for any disjoint subset plan, the
+// fuser's results are bit-identical to EngineFuser's for every budget
+// and worker count.
 #include <functional>
 #include <optional>
 
@@ -21,6 +21,7 @@ namespace kf::spill {
 namespace {
 
 using fusion::FuseContext;
+using fusion::FusionEngine;
 using fusion::FusionOptions;
 using fusion::FusionResult;
 
@@ -35,15 +36,7 @@ class OutOfCoreFuser : public fusion::Fuser, public OutOfCoreIntrospection {
   Status ValidateContext(const extract::ExtractionDataset& dataset,
                          const FusionOptions& options,
                          const FuseContext& ctx) const override {
-    if (options.init_accuracy_from_gold && ctx.gold == nullptr) {
-      return Status::InvalidArgument(
-          "init_accuracy_from_gold requires gold labels");
-    }
-    if (ctx.gold != nullptr && ctx.gold->size() != dataset.num_triples()) {
-      return Status::InvalidArgument(StrFormat(
-          "gold labels cover %zu triples but the dataset has %zu",
-          ctx.gold->size(), dataset.num_triples()));
-    }
+    KF_RETURN_IF_ERROR(fusion::CheckGold(dataset, options, ctx));
     if (options.memory_budget_bytes == 0) {
       return Status::InvalidArgument(
           "out-of-core fusion requires memory_budget_bytes > 0");
@@ -78,33 +71,13 @@ class OutOfCoreFuser : public fusion::Fuser, public OutOfCoreIntrospection {
         ShardSpillManager::Create(&engine_->mutable_graph(), mo);
     if (!mgr.ok()) return mgr.status();
     manager_ = std::move(*mgr);
-    plan_ = PlanSubsets(engine_->graph(), opts.memory_budget_bytes);
-
-    PeakRssTracker rss;
-    const bool is_vote = method_ == fusion::Method::kVote;
-    const size_t max_rounds = is_vote ? 1 : opts.max_rounds;
-    for (size_t round = 1; round <= max_rounds; ++round) {
-      KF_RETURN_IF_ERROR(RunRound(round, is_vote, &result, &rss));
-      result.num_rounds = round;
-      if (is_vote) break;
-      const double delta = engine_->FinishStageII(
-          opts.accuracy_damping, opts.convergence_quantile);
-      if (round > 1 && delta < opts.convergence_epsilon) break;
-    }
-    result.num_unevaluated_provenances = CountUnevaluated();
-    // End state: every shard on disk and mapped, so Snapshot /
-    // ForEachClaim read zero-copy while the columns stay reclaimable
-    // (or fully resident when the run degraded).
-    KF_RETURN_IF_ERROR(manager_->MapAll());
-    rss.Sample();
-    peak_rss_ = rss.PeakBytes();
-    rounds_run_ = result.num_rounds;
+    KF_RETURN_IF_ERROR(RunBudgetedRounds(FusionEngine::Start::kCold, &result));
     return result;
   }
 
   bool SupportsWarmStart() const override { return true; }
 
-  const fusion::FusionEngine* engine() const override {
+  const FusionEngine* engine() const override {
     return engine_ ? &*engine_ : nullptr;
   }
 
@@ -114,48 +87,13 @@ class OutOfCoreFuser : public fusion::Fuser, public OutOfCoreIntrospection {
       return Status::FailedPrecondition(
           "Refuse() needs a prior Run() over the same dataset");
     }
-    // Same warm-start override resolution as the resident EngineFuser —
-    // the two must make identical convergence decisions.
-    const FusionOptions& opts = engine_->options();
-    const size_t max_rounds = opts.warm_start.max_rounds > 0
-                                  ? opts.warm_start.max_rounds
-                                  : opts.max_rounds;
-    const double epsilon = opts.warm_start.epsilon > 0.0
-                               ? opts.warm_start.epsilon
-                               : opts.convergence_epsilon;
-    const double damping = opts.warm_start.damping > 0.0
-                               ? opts.warm_start.damping
-                               : opts.accuracy_damping;
-    const double quantile = opts.warm_start.quantile > 0.0
-                                ? opts.warm_start.quantile
-                                : opts.convergence_quantile;
     // PrepareWarm ingests the appended records: dirty shards come back
     // resident (rebuilt from the always-resident record lists — no disk
     // reads), then the manager invalidates their stale files and the
     // plan is recut for the new shard sizes.
     FusionResult result = engine_->PrepareWarm();
     manager_->Reconcile();
-    plan_ = PlanSubsets(engine_->graph(), opts.memory_budget_bytes);
-
-    PeakRssTracker rss;
-    const bool is_vote = method_ == fusion::Method::kVote;
-    for (size_t round = 1; round <= max_rounds; ++round) {
-      // Continue the global round numbering so round-dependent behavior
-      // (the coverage filter's prefer-evaluated switch) stays in its
-      // post-round-1 regime.
-      KF_RETURN_IF_ERROR(RunRound(rounds_run_ + round, is_vote, &result, &rss));
-      result.num_rounds = round;
-      if (is_vote) break;
-      const double delta = engine_->FinishStageII(damping, quantile);
-      // Warm re-fusion converges from round 1 (a small append barely
-      // moves the accuracies), exactly like EngineFuser::Refuse.
-      if (delta < epsilon) break;
-    }
-    rounds_run_ += result.num_rounds;
-    result.num_unevaluated_provenances = CountUnevaluated();
-    KF_RETURN_IF_ERROR(manager_->MapAll());
-    rss.Sample();
-    peak_rss_ = rss.PeakBytes();
+    KF_RETURN_IF_ERROR(RunBudgetedRounds(FusionEngine::Start::kWarm, &result));
     return result;
   }
 
@@ -183,43 +121,41 @@ class OutOfCoreFuser : public fusion::Fuser, public OutOfCoreIntrospection {
     };
   }
 
-  /// One budgeted round: freeze the Stage I tables, then sweep and (for
-  /// iterative methods) accumulate Stage II subset-by-subset. A shard's
-  /// Stage II segments reference only that shard's triples, so the
-  /// accumulation can ride each subset's sweep instead of a second pass
-  /// over the shard files. An error means the manager's degradation
-  /// ladder ran dry — the run cannot produce a result.
-  Status RunRound(size_t round, bool is_vote, FusionResult* result,
-                  PeakRssTracker* rss) {
-    engine_->BeginStageI(round, result);
-    if (!is_vote) engine_->BeginStageII(*result);
-    for (const std::vector<uint32_t>& subset : plan_.subsets) {
-      KF_RETURN_IF_ERROR(manager_->EnsureOnly(subset));
-      engine_->SweepStageI(subset, result);
-      if (!is_vote) engine_->AccumulateStageII(subset, *result);
-      rss->Sample();
-    }
+  /// Cuts the subset plan for the current shard sizes and runs the
+  /// engine's round loop over it, each subset made readable by the
+  /// manager right before its sweep. Ends with every shard on disk and
+  /// mapped, so Snapshot / ForEachClaim read zero-copy while the columns
+  /// stay reclaimable (or fully resident when the run degraded). An
+  /// error means the manager's degradation ladder ran dry — the run
+  /// cannot produce a result.
+  Status RunBudgetedRounds(FusionEngine::Start start, FusionResult* result) {
+    plan_ = PlanSubsets(engine_->graph(),
+                        engine_->options().memory_budget_bytes);
+    // Constructed here, after the plan and before round 1: the tracker
+    // resets the kernel's RSS high-water mark, so the peak covers the
+    // round loop and not the graph build.
+    PeakRssTracker rss;
+    KF_RETURN_IF_ERROR(engine_->RunRounds(
+        start, result, &plan_.subsets,
+        [&](const std::vector<uint32_t>& subset) {
+          const Status made = manager_->EnsureOnly(subset);
+          rss.Sample();
+          return made;
+        }));
+    KF_RETURN_IF_ERROR(manager_->MapAll());
+    rss.Sample();
+    peak_rss_ = rss.PeakBytes();
     return Status::OK();
   }
 
-  size_t CountUnevaluated() const {
-    size_t n = 0;
-    for (uint8_t e : engine_->provenance_evaluated()) {
-      if (!e) ++n;
-    }
-    return n;
-  }
-
   fusion::Method method_;
-  std::optional<fusion::FusionEngine> engine_;
+  std::optional<FusionEngine> engine_;
   /// Declared after engine_: destroyed first, detaching its mappings
   /// from the graph before the graph goes away.
   std::unique_ptr<ShardSpillManager> manager_;
   const extract::ExtractionDataset* dataset_ = nullptr;
   SpillPlan plan_;
   size_t peak_rss_ = 0;
-  /// Total Stage I sweeps across Run + Refuse calls (round numbering).
-  size_t rounds_run_ = 0;
 };
 
 }  // namespace

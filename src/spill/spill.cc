@@ -411,7 +411,7 @@ Status ShardSpillManager::MapAll() {
   // came back resident with no current file — re-spill and re-attach it
   // so the end state is uniformly mapped. A second quarantine of the
   // same freshly-written file leaves the shard resident (columns still
-  // readable; only MergeTo insists on files).
+  // readable).
   for (uint32_t s = 0; s < n; ++s) {
     if (graph_->shard_residency(s) == fusion::ShardResidency::kResident &&
         !file_valid_[s]) {
@@ -441,26 +441,6 @@ void ShardSpillManager::Reconcile() {
   // Rebuilt shards are resident until the next EnsureOnly — the
   // PrepareWarm phase, excluded from the round-loop high-water.
   RecountAccounted(/*update_high_water=*/false);
-}
-
-Status ShardSpillManager::MergeTo(const std::string& path) {
-  if (degraded_) {
-    return Status::FailedPrecondition(
-        "spill: the run degraded to fully-resident execution (spill "
-        "destination unusable); no shard files exist to merge");
-  }
-  std::vector<std::string> inputs;
-  inputs.reserve(graph_->num_shards());
-  for (uint32_t s = 0; s < graph_->num_shards(); ++s) {
-    if (!file_valid_[s]) {
-      return Status::FailedPrecondition(
-          StrFormat("spill: shard %u has no current file; call MapAll() "
-                    "before MergeTo()",
-                    s));
-    }
-    inputs.push_back(ShardPath(s));
-  }
-  return store::ConcatShardFiles(inputs, path);
 }
 
 void ShardSpillManager::RecountAccounted(bool update_high_water) {

@@ -143,17 +143,11 @@ class ShardSpillManager {
   /// invalidated and any mapping dropped. Call right after PrepareWarm.
   void Reconcile();
 
-  /// Concatenates every shard's file into one kShardBundle container at
-  /// `path` (store::ConcatShardFiles — no decode/re-encode). Requires
-  /// every shard file to be on disk and current, i.e. call after
-  /// MapAll().
-  Status MergeTo(const std::string& path);
-
   const SpillStats& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
   /// True after the manager waived the budget (see
   /// SpillStats::resident_fallback): every shard is resident, EnsureOnly
-  /// and MapAll are no-ops, MergeTo is a FailedPrecondition.
+  /// and MapAll are no-ops.
   bool degraded() const { return degraded_; }
 
  private:

@@ -26,8 +26,7 @@ size_t AlignUp(size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
 // ---- BlockBuilder ----
 
 void BlockBuilder::AddEncoded(BlockId id, Encoding encoding,
-                              std::string_view payload, uint64_t rows,
-                              uint32_t member_tag) {
+                              std::string_view payload, uint64_t rows) {
   payloads_.resize(AlignUp(payloads_.size()), '\0');
   BlockEntry entry;
   entry.id = static_cast<uint32_t>(id);
@@ -36,19 +35,7 @@ void BlockBuilder::AddEncoded(BlockId id, Encoding encoding,
   entry.offset = payloads_.size();  // relative until Finish()
   entry.size = payload.size();
   entry.crc32 = Crc32(payload);
-  entry.reserved = member_tag;
-  payloads_.append(payload.data(), payload.size());
-  toc_.push_back(entry);
-}
-
-void BlockBuilder::AddVerbatim(const BlockEntry& source,
-                               std::string_view payload,
-                               uint32_t member_tag) {
-  KF_CHECK(payload.size() == source.size);
-  payloads_.resize(AlignUp(payloads_.size()), '\0');
-  BlockEntry entry = source;  // keeps id, encoding, rows, and crc32
-  entry.offset = payloads_.size();  // relative until Finish()
-  entry.reserved = member_tag;
+  entry.reserved = 0;
   payloads_.append(payload.data(), payload.size());
   toc_.push_back(entry);
 }
@@ -168,7 +155,7 @@ Result<BlockFile> BlockFile::Parse(std::string_view file,
   if (header.content_kind != static_cast<uint32_t>(expected)) {
     return Status::InvalidArgument(
         StrFormat("store: content kind %u, expected %u (corpus=1, "
-                  "fused-kb=2, claim-shard=3, shard-bundle=4)",
+                  "fused-kb=2, claim-shard=3)",
                   header.content_kind,
                   static_cast<uint32_t>(expected)));
   }
@@ -218,17 +205,6 @@ Result<BlockFile> BlockFile::Parse(std::string_view file,
 const BlockEntry* BlockFile::Find(BlockId id) const {
   for (const BlockEntry& entry : toc_) {
     if (entry.id == static_cast<uint32_t>(id)) return &entry;
-  }
-  return nullptr;
-}
-
-const BlockEntry* BlockFile::FindTagged(BlockId id,
-                                        uint32_t member_tag) const {
-  for (const BlockEntry& entry : toc_) {
-    if (entry.id == static_cast<uint32_t>(id) &&
-        entry.reserved == member_tag) {
-      return &entry;
-    }
   }
   return nullptr;
 }

@@ -51,11 +51,7 @@ enum class ContentKind : uint32_t {
   // One claim-graph shard's spillable columns (spill::ShardSpillManager).
   // All blocks are kRaw so a mapped file serves the columns in place.
   kClaimShard = 3,
-  // Concatenation of kClaimShard members into one container: each
-  // member's blocks keep their ids and payload bytes (BlockEntry.reserved
-  // carries the 1-based member ordinal), plus one bundle-level directory
-  // block. Produced by ConcatShardFiles without decode/re-encode.
-  kShardBundle = 4,
+  // 4 is retired (a bundle of claim shards); never reuse it.
 };
 
 enum class Encoding : uint32_t {
@@ -122,7 +118,7 @@ enum class BlockId : uint32_t {
   kKbSupportOffsets = 55,  // kDeltaVarint, rows = triples + 1
   kKbSupporters = 56,      // kVarintList over the offsets above
 
-  // ---- claim-shard sections (kClaimShard / kShardBundle members) ----
+  // ---- claim-shard sections (kClaimShard) ----
   // All kRaw: the spill layer reads these zero-copy off a mapping.
   kShardMeta = 70,        // kRaw u64[3]: shard_id, num_items, num_claims
   kShardItems = 71,       // kRaw u32 (DataItemId), per item group
@@ -133,10 +129,7 @@ enum class BlockId : uint32_t {
   kShardClaimProv = 76,     // kRaw u32, per claim
   kShardClaimConfidence = 77,  // kRaw f32, per claim
   kShardProvTriples = 78,   // kRaw u32 (TripleId), local prov cross-index
-  // Bundle-level only (BlockEntry.reserved == 0): u64[2] per member —
-  // shard_id, 1-based member ordinal (the `reserved` tag of the member's
-  // blocks). Ordered by member ordinal.
-  kShardDirectory = 79,
+  // 79 is retired (the shard-bundle directory); never reuse it.
 };
 
 /// On-disk file header (40 bytes, little-endian).
@@ -159,8 +152,8 @@ struct BlockEntry {
   uint64_t offset;    // absolute payload offset, 8-aligned
   uint64_t size;      // payload bytes
   uint32_t crc32;     // CRC-32 of the payload bytes
-  // Zero in every kind except kShardBundle, where it carries the 1-based
-  // member ordinal (0 = a bundle-level block such as kShardDirectory).
+  // Always zero; the claim-shard reader rejects a nonzero value (the
+  // retired content kind 4 stored member tags here).
   uint32_t reserved;
 };
 static_assert(sizeof(BlockEntry) == 40, "BlockEntry layout is part of the format");
@@ -248,20 +241,12 @@ class BlockBuilder {
   void AddVarintLists(BlockId id, const std::vector<uint32_t>& offsets,
                       const std::vector<uint32_t>& values);
 
-  /// Re-appends an already-encoded block verbatim: the payload bytes are
-  /// copied as-is and `entry`'s id/encoding/rows/crc32 are reused (no
-  /// decode, no re-encode, no re-checksum — the source Parse validated
-  /// the CRC). `member_tag` lands in BlockEntry.reserved; nonzero tags
-  /// are how kShardBundle distinguishes its members' blocks.
-  void AddVerbatim(const BlockEntry& entry, std::string_view payload,
-                   uint32_t member_tag = 0);
-
   /// Assembles the final file. The builder is consumed.
   std::string Finish(ContentKind kind);
 
  private:
   void AddEncoded(BlockId id, Encoding encoding, std::string_view payload,
-                  uint64_t rows, uint32_t member_tag = 0);
+                  uint64_t rows);
 
   std::string payloads_;  // block bytes, each 8-aligned relative to 0
   std::vector<BlockEntry> toc_;  // offsets relative to payloads_ until Finish
@@ -277,13 +262,6 @@ class BlockFile {
   static Result<BlockFile> Parse(std::string_view file, ContentKind expected);
 
   const BlockEntry* Find(BlockId id) const;
-  /// Find restricted to blocks whose reserved tag matches: the lookup for
-  /// kShardBundle members (tag = 1-based ordinal; 0 = bundle level).
-  const BlockEntry* FindTagged(BlockId id, uint32_t member_tag) const;
-
-  /// The validated TOC, in file order (ConcatShardFiles and the bundle
-  /// reader walk it directly).
-  const std::vector<BlockEntry>& blocks() const { return toc_; }
 
   /// Raw payload bytes of `entry` (bounds were validated in Parse).
   std::string_view Payload(const BlockEntry& entry) const {

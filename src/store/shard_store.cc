@@ -1,6 +1,5 @@
 #include "store/shard_store.h"
 
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,40 +11,32 @@ namespace kf::store {
 
 namespace {
 
-/// The column blocks of one shard, in fixed write order. Shared by the
-/// writer, the reader, and the bundle concatenator so the three can
-/// never disagree about what a member contains.
-constexpr BlockId kShardColumnBlocks[] = {
-    BlockId::kShardMeta,          BlockId::kShardItems,
-    BlockId::kShardItemOffsets,   BlockId::kShardItemMulti,
-    BlockId::kShardItemDistinct,  BlockId::kShardClaimTriple,
-    BlockId::kShardClaimProv,     BlockId::kShardClaimConfidence,
-    BlockId::kShardProvTriples,
-};
-constexpr size_t kNumShardBlocks =
-    sizeof(kShardColumnBlocks) / sizeof(kShardColumnBlocks[0]);
-
 template <typename T>
 void AddSpan(BlockBuilder* builder, BlockId id, Span<const T> span) {
   builder->AddRaw(id, span.ptr, span.count * sizeof(T), span.count);
 }
 
 template <typename T>
-Status LoadColumn(const BlockFile& file, BlockId id, uint32_t member_tag,
-                  uint64_t expected_rows, Span<const T>* out) {
-  const BlockEntry* entry = file.FindTagged(id, member_tag);
+Status LoadColumn(const BlockFile& file, BlockId id, uint64_t expected_rows,
+                  Span<const T>* out) {
+  const BlockEntry* entry = file.Find(id);
   if (entry == nullptr) {
+    return Status::InvalidArgument(StrFormat(
+        "store: shard: missing block %u", static_cast<uint32_t>(id)));
+  }
+  // BlockEntry.reserved is always zero in a claim shard; a tag means the
+  // block belongs to some other layout.
+  if (entry->reserved != 0) {
     return Status::InvalidArgument(
-        StrFormat("store: shard member %u: missing block %u", member_tag,
-                  static_cast<uint32_t>(id)));
+        StrFormat("store: shard: block %u carries nonzero member tag %u",
+                  static_cast<uint32_t>(id), entry->reserved));
   }
   Result<Span<const T>> column = file.ColumnAt<T>(*entry);
   if (!column.ok()) return column.status();
   if (column->size() != expected_rows) {
     return Status::InvalidArgument(
-        StrFormat("store: shard member %u: block %u has %zu rows, "
-                  "expected %llu",
-                  member_tag, static_cast<uint32_t>(id), column->size(),
+        StrFormat("store: shard: block %u has %zu rows, expected %llu",
+                  static_cast<uint32_t>(id), column->size(),
                   static_cast<unsigned long long>(expected_rows)));
   }
   *out = *column;
@@ -84,11 +75,9 @@ Status WriteShardFile(const ShardFileColumns& cols,
   return AtomicWriteFile(path, BuildShardFile(cols));
 }
 
-Result<ShardFileColumns> ReadShardColumns(const BlockFile& file,
-                                          uint32_t member_tag) {
+Result<ShardFileColumns> ReadShardColumns(const BlockFile& file) {
   Span<const uint64_t> meta;
-  KF_RETURN_IF_ERROR(
-      LoadColumn(file, BlockId::kShardMeta, member_tag, 3, &meta));
+  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardMeta, 3, &meta));
   ShardFileColumns cols;
   cols.shard_id = meta[0];
   const uint64_t num_items = meta[1];
@@ -100,27 +89,22 @@ Result<ShardFileColumns> ReadShardColumns(const BlockFile& file,
     return Status::InvalidArgument(
         "store: shard meta counts exceed 32 bits");
   }
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardItems, member_tag,
-                                num_items, &cols.items));
+  KF_RETURN_IF_ERROR(
+      LoadColumn(file, BlockId::kShardItems, num_items, &cols.items));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardItemOffsets,
-                                member_tag, num_items + 1,
-                                &cols.item_offsets));
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardItemMulti, member_tag,
-                                num_items, &cols.item_multi));
+                                num_items + 1, &cols.item_offsets));
+  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardItemMulti, num_items,
+                                &cols.item_multi));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardItemDistinct,
-                                member_tag, num_items,
-                                &cols.item_distinct));
+                                num_items, &cols.item_distinct));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardClaimTriple,
-                                member_tag, num_claims,
-                                &cols.claim_triple));
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardClaimProv, member_tag,
-                                num_claims, &cols.claim_prov));
+                                num_claims, &cols.claim_triple));
+  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardClaimProv, num_claims,
+                                &cols.claim_prov));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardClaimConfidence,
-                                member_tag, num_claims,
-                                &cols.claim_confidence));
+                                num_claims, &cols.claim_confidence));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardProvTriples,
-                                member_tag, num_claims,
-                                &cols.prov_triples));
+                                num_claims, &cols.prov_triples));
   // The CSR must cover the claim columns exactly: Stage I walks
   // item_offsets straight into the claim arrays off the mapping.
   if (cols.item_offsets[0] != 0 ||
@@ -154,128 +138,6 @@ Result<ShardMmapView> ShardMmapView::Open(const std::string& path) {
                   path + ": " + cols.status().message());
   }
   view.cols_ = *cols;
-  return view;
-}
-
-Result<std::string> BuildShardBundle(
-    const std::vector<std::string_view>& shard_files) {
-  BlockBuilder builder;
-  std::vector<uint64_t> directory;  // shard_id, ordinal pairs
-  directory.reserve(shard_files.size() * 2);
-  std::set<uint64_t> seen_ids;
-  for (size_t m = 0; m < shard_files.size(); ++m) {
-    const uint32_t ordinal = static_cast<uint32_t>(m + 1);
-    // Parse validates the header, the TOC, and every block CRC — the
-    // bundle only ever contains bytes that verified.
-    Result<BlockFile> member =
-        BlockFile::Parse(shard_files[m], ContentKind::kClaimShard);
-    if (!member.ok()) {
-      return Status(member.status().code(),
-                    StrFormat("store: bundle input %zu: %s", m,
-                              member.status().message().c_str()));
-    }
-    Result<ShardFileColumns> cols = ReadShardColumns(*member);
-    if (!cols.ok()) {
-      return Status(cols.status().code(),
-                    StrFormat("store: bundle input %zu: %s", m,
-                              cols.status().message().c_str()));
-    }
-    if (!seen_ids.insert(cols->shard_id).second) {
-      return Status::InvalidArgument(
-          StrFormat("store: bundle inputs repeat shard id %llu",
-                    static_cast<unsigned long long>(cols->shard_id)));
-    }
-    // Verbatim transplant: payload bytes and CRCs are reused; only the
-    // offsets move (Finish rewrites them) and the member tag is set.
-    for (BlockId id : kShardColumnBlocks) {
-      const BlockEntry* entry = member->Find(id);
-      KF_CHECK(entry != nullptr);  // ReadShardColumns proved presence
-      builder.AddVerbatim(*entry, member->Payload(*entry), ordinal);
-    }
-    directory.push_back(cols->shard_id);
-    directory.push_back(ordinal);
-  }
-  builder.AddRaw(BlockId::kShardDirectory, directory.data(),
-                 directory.size() * sizeof(uint64_t), directory.size());
-  return builder.Finish(ContentKind::kShardBundle);
-}
-
-Status ConcatShardFiles(const std::vector<std::string>& input_paths,
-                        const std::string& out_path) {
-  // Keep every mapping alive until the bundle bytes are assembled.
-  std::vector<MmapFile> maps;
-  maps.reserve(input_paths.size());
-  std::vector<std::string_view> images;
-  images.reserve(input_paths.size());
-  for (const std::string& path : input_paths) {
-    Result<MmapFile> map = MmapFile::Open(path);
-    if (!map.ok()) return map.status();
-    maps.push_back(std::move(*map));
-    images.push_back(maps.back().data());
-  }
-  Result<std::string> bundle = BuildShardBundle(images);
-  if (!bundle.ok()) return bundle.status();
-  return AtomicWriteFile(out_path, *bundle);
-}
-
-Result<ShardBundleView> ShardBundleView::Parse(std::string_view bytes) {
-  Result<BlockFile> blocks =
-      BlockFile::Parse(bytes, ContentKind::kShardBundle);
-  if (!blocks.ok()) return blocks.status();
-  ShardBundleView view;
-  view.blocks_ = std::move(*blocks);
-  Result<Span<const uint64_t>> directory =
-      view.blocks_.Column<uint64_t>(BlockId::kShardDirectory);
-  if (!directory.ok()) return directory.status();
-  if (directory->size() % 2 != 0) {
-    return Status::InvalidArgument(
-        "store: bundle directory must hold (shard id, ordinal) pairs");
-  }
-  const size_t members = directory->size() / 2;
-  view.shard_ids_.reserve(members);
-  for (size_t m = 0; m < members; ++m) {
-    const uint64_t ordinal = (*directory)[m * 2 + 1];
-    if (ordinal != m + 1) {
-      return Status::InvalidArgument(
-          "store: bundle directory ordinals must be 1..N in order");
-    }
-    view.shard_ids_.push_back((*directory)[m * 2]);
-  }
-  // Validate every member eagerly: Parse-then-serve, like every other
-  // view in the store (accessors after a successful Parse cannot fail
-  // structurally, only return the per-member Status again).
-  for (size_t m = 0; m < members; ++m) {
-    Result<ShardFileColumns> cols =
-        ReadShardColumns(view.blocks_, static_cast<uint32_t>(m + 1));
-    if (!cols.ok()) return cols.status();
-    if (cols->shard_id != view.shard_ids_[m]) {
-      return Status::InvalidArgument(
-          StrFormat("store: bundle member %zu: meta shard id %llu "
-                    "disagrees with the directory (%llu)",
-                    m, static_cast<unsigned long long>(cols->shard_id),
-                    static_cast<unsigned long long>(view.shard_ids_[m])));
-    }
-  }
-  return view;
-}
-
-Result<ShardFileColumns> ShardBundleView::member(size_t m) const {
-  KF_CHECK(m < shard_ids_.size());
-  return ReadShardColumns(blocks_, static_cast<uint32_t>(m + 1));
-}
-
-Result<ShardBundleMmapView> ShardBundleMmapView::Open(
-    const std::string& path) {
-  Result<MmapFile> map = MmapFile::Open(path);
-  if (!map.ok()) return map.status();
-  ShardBundleMmapView view;
-  view.map_ = std::move(*map);
-  Result<ShardBundleView> parsed = ShardBundleView::Parse(view.map_.data());
-  if (!parsed.ok()) {
-    return Status(parsed.status().code(),
-                  path + ": " + parsed.status().message());
-  }
-  view.view_ = std::move(*parsed);
   return view;
 }
 

@@ -1,16 +1,7 @@
 // Claim-shard files: the on-disk schema spill::ShardSpillManager writes
-// one claim-graph shard's spillable columns into, plus the bundle
-// concatenation that merges many shard files into one container WITHOUT
-// decoding or re-encoding a single payload byte.
-//
-// Two content kinds (store/format.h):
-//   claim-shard   one shard: meta + eight kRaw columns, all 8-aligned so
-//                 a mapped file serves ShardFileColumns in place
-//   shard-bundle  N claim-shard members concatenated verbatim — every
-//                 member block keeps its id, rows, payload bytes, and
-//                 CRC-32; BlockEntry.reserved carries the 1-based member
-//                 ordinal, and one bundle-level kShardDirectory block
-//                 maps ordinals to shard ids
+// one claim-graph shard's spillable columns into (content kind
+// claim-shard, store/format.h): meta + eight kRaw columns, all 8-aligned
+// so a mapped file serves ShardFileColumns in place.
 //
 // The layer speaks plain u32/u8/f32 spans (kb::TripleId and friends are
 // uint32_t typedefs), so store stays independent of fusion; the spill
@@ -20,8 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "store/format.h"
@@ -54,14 +43,11 @@ std::string BuildShardFile(const ShardFileColumns& cols);
 /// BuildShardFile straight to a file.
 Status WriteShardFile(const ShardFileColumns& cols, const std::string& path);
 
-/// Resolves the shard columns out of a parsed container, zero-copy: the
-/// spans point into the bytes `file` was parsed from. `member_tag` 0
-/// reads a standalone kClaimShard file; a 1-based tag reads that member
-/// of a kShardBundle. Every structural lie a crafted file can tell —
-/// missing blocks, wrong encodings, disagreeing lengths — is a clean
-/// Status.
-Result<ShardFileColumns> ReadShardColumns(const BlockFile& file,
-                                          uint32_t member_tag = 0);
+/// Resolves the shard columns out of a parsed kClaimShard container,
+/// zero-copy: the spans point into the bytes `file` was parsed from.
+/// Every structural lie a crafted file can tell — missing blocks, tagged
+/// blocks, wrong encodings, disagreeing lengths — is a clean Status.
+Result<ShardFileColumns> ReadShardColumns(const BlockFile& file);
 
 /// A claim-shard file bound to a live memory mapping: open, validate,
 /// serve the columns in place.
@@ -74,47 +60,6 @@ class ShardMmapView {
  private:
   MmapFile map_;
   ShardFileColumns cols_;
-};
-
-/// Concatenates kClaimShard images into one kShardBundle image. Each
-/// input's blocks are appended verbatim (payload bytes and CRCs reused,
-/// no decode/re-encode) under the 1-based member ordinal, and the
-/// bundle directory records ordinal -> shard id. Inputs are validated
-/// (Parse checks every CRC); duplicate shard ids are rejected.
-Result<std::string> BuildShardBundle(
-    const std::vector<std::string_view>& shard_files);
-
-/// Reads `input_paths` (each a kClaimShard file), bundles them, and
-/// writes the bundle to `out_path`.
-Status ConcatShardFiles(const std::vector<std::string>& input_paths,
-                        const std::string& out_path);
-
-/// A parsed kShardBundle: enumerates members and serves each member's
-/// columns zero-copy off the backing bytes.
-class ShardBundleView {
- public:
-  static Result<ShardBundleView> Parse(std::string_view bytes);
-
-  size_t num_members() const { return shard_ids_.size(); }
-  uint64_t shard_id(size_t m) const { return shard_ids_[m]; }
-  /// Columns of member `m` (0-based position in the directory).
-  Result<ShardFileColumns> member(size_t m) const;
-
- private:
-  BlockFile blocks_;
-  std::vector<uint64_t> shard_ids_;
-};
-
-/// A shard bundle bound to a live memory mapping.
-class ShardBundleMmapView {
- public:
-  static Result<ShardBundleMmapView> Open(const std::string& path);
-
-  const ShardBundleView& view() const { return view_; }
-
- private:
-  MmapFile map_;
-  ShardBundleView view_;
 };
 
 }  // namespace kf::store

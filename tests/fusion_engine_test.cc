@@ -5,6 +5,7 @@
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "eval/gold_standard.h"
+#include "spill/spill.h"
 #include "synth/corpus.h"
 
 namespace kf::fusion {
@@ -203,6 +204,15 @@ TEST(EngineTest, ShardSweepMicrosCoversEveryShard) {
   EXPECT_TRUE(engine.shard_sweep_micros().empty());  // no sweep yet
   engine.Run();
   EXPECT_EQ(engine.shard_sweep_micros().size(), engine.graph().num_shards());
+
+  // A budgeted run sweeps subset by subset (one shard per subset at a
+  // 1-byte budget) and must time every shard all the same.
+  opts.memory_budget_bytes = 1;
+  std::unique_ptr<Fuser> budgeted = spill::MakeOutOfCoreFuser(opts.method);
+  ASSERT_TRUE(budgeted->ValidateContext(corpus.dataset, opts, {}).ok());
+  ASSERT_TRUE(budgeted->Run(corpus.dataset, opts, {}).ok());
+  EXPECT_EQ(budgeted->engine()->shard_sweep_micros().size(),
+            budgeted->engine()->graph().num_shards());
 }
 
 // Granularity sweep on a real corpus: engine must produce valid

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 namespace kf::mr {
 namespace {
 
@@ -48,29 +46,6 @@ TEST(CsrOffsetsTest, Empty) {
   std::vector<uint32_t> offsets = CsrOffsets({});
   ASSERT_EQ(offsets.size(), 1u);
   EXPECT_EQ(offsets[0], 0u);
-}
-
-TEST(ReduceShardsTest, ConcatenatesInShardOrder) {
-  auto out = ReduceShards<int>(4, 2, [](size_t s, std::vector<int>* o) {
-    o->push_back(static_cast<int>(s) * 10);
-    o->push_back(static_cast<int>(s) * 10 + 1);
-  });
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 10, 11, 20, 21, 30, 31}));
-}
-
-TEST(ReduceShardsTest, IdenticalAcrossWorkerCounts) {
-  auto run = [](size_t workers) {
-    return ReduceShards<uint64_t>(
-        64, workers, [](size_t s, std::vector<uint64_t>* o) {
-          // Unequal shard workloads so scheduling actually varies.
-          for (size_t i = 0; i < (s % 7) + 1; ++i) {
-            o->push_back(Mix64(s * 1000 + i));
-          }
-        });
-  };
-  auto base = run(1);
-  EXPECT_EQ(base, run(4));
-  EXPECT_EQ(base, run(16));
 }
 
 TEST(SuggestShardsTest, Clamped) {

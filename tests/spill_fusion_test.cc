@@ -4,8 +4,8 @@
 // and every worker count — while the accounted spillable bytes stay
 // within the scheduler's plan. Plus the subsystem's edges: incremental
 // Append+Refuse over spilled dirty shards, Session routing and its
-// budget/method rejections, spill-directory failure handling (clean
-// Status, no leaked temp dirs), and the MapAll+MergeTo bundle export.
+// budget/method rejections, and spill-directory failure handling (clean
+// Status, no leaked temp dirs).
 //
 // KF_SPILL_FORCE_TINY_BUDGET=1 (set by the ASan CI job) forces every
 // budgeted run in this suite down to a 1-byte budget — every shard its
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -27,7 +28,6 @@
 #include "fusion/registry.h"
 #include "kf/session.h"
 #include "spill/spill.h"
-#include "store/shard_store.h"
 #include "synth/corpus.h"
 
 namespace kf::spill {
@@ -261,47 +261,87 @@ TEST(SpillFusionTest, UnconstrainedBudgetSpillsNothingDuringRounds) {
 
 // ---- incremental: Append + Refuse over spilled dirty shards -----------
 
+// Every warm path of the round loop, resident vs budgeted: each engine
+// method plus the coverage-filtered stack (whose prefer-evaluated switch
+// reads the global round number), with warm settings inherited and with
+// warm_start overriding the round cap, damping, and quantile, across two
+// Append + Refuse cycles.
 TEST(SpillFusionTest, WarmRefuseBitIdenticalToResident) {
   const auto& src = GetWorkload().corpus.dataset;
   const size_t base = src.num_records() * 2 / 3;
-  FusionOptions opts = FusionOptions::PopAccu();
-  opts.num_shards = 8;
-  const GraphBytes g = MeasureGraph(src, opts);
+  const size_t mid = (base + src.num_records()) / 2;
+  // Cycle 1 appends records [base, mid), cycle 2 appends [mid, end).
+  const extract::ExtractionDataset mid_src = CloneRecordPrefix(src, mid);
+  const extract::ExtractionDataset* const tail_src[] = {&mid_src, &src};
+  const size_t tail_begin[] = {base, mid};
 
-  // Resident reference: registry EngineFuser, Run then Append + Refuse.
-  extract::ExtractionDataset resident = CloneRecordPrefix(src, base);
-  auto created = fusion::Registry::Create("popaccu");
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<fusion::Fuser> ref_fuser = std::move(*created);
-  fusion::FuseContext ctx;
-  opts.num_workers = 1;
-  KF_CHECK_OK(ref_fuser->Run(resident, opts, ctx).status());
-  KF_CHECK_OK(resident.Append(ReinternTail(src, base, &resident)));
-  auto ref_warm = ref_fuser->Refuse(resident);
-  ASSERT_TRUE(ref_warm.ok());
+  fusion::WarmStartOptions tuned;
+  tuned.max_rounds = 2;
+  tuned.damping = 0.5;
+  tuned.quantile = 0.98;
+  const std::pair<const char*, FusionOptions> stacks[] = {
+      {"vote", FusionOptions::Vote()},
+      {"accu", FusionOptions::Accu()},
+      {"popaccu", FusionOptions::PopAccu()},
+      {"popaccu+unsup", FusionOptions::PopAccuPlusUnsup()},
+  };
+  for (const auto& [stack, stack_opts] : stacks) {
+    for (const bool inherit : {true, false}) {
+      SCOPED_TRACE(std::string(stack) +
+                   (inherit ? " inherited warm_start" : " tuned warm_start"));
+      FusionOptions opts = stack_opts;
+      opts.num_shards = 8;
+      if (!inherit) opts.warm_start = tuned;
+      const GraphBytes g = MeasureGraph(src, opts);
 
-  // Budgeted run: same record sequence, dirty shards spilled between
-  // the cold Run and the Refuse.
-  for (size_t workers : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    extract::ExtractionDataset budgeted = CloneRecordPrefix(src, base);
-    FusionOptions bopts = opts;
-    bopts.num_workers = workers;
-    bopts.memory_budget_bytes = OneBudget(g);
-    std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(Method::kPopAccu);
-    KF_CHECK_OK(fuser->ValidateContext(budgeted, bopts, ctx));
-    KF_CHECK_OK(fuser->Run(budgeted, bopts, ctx).status());
-    KF_CHECK_OK(budgeted.Append(ReinternTail(src, base, &budgeted)));
-    auto warm = fuser->Refuse(budgeted);
-    ASSERT_TRUE(warm.ok());
-    EXPECT_EQ(warm->probability, ref_warm->probability);
-    EXPECT_EQ(warm->has_probability, ref_warm->has_probability);
-    EXPECT_EQ(warm->from_fallback, ref_warm->from_fallback);
-    EXPECT_EQ(warm->num_rounds, ref_warm->num_rounds);
-    EXPECT_EQ(fuser->engine()->provenance_accuracy(),
-              ref_fuser->engine()->provenance_accuracy());
-    EXPECT_EQ(fuser->engine()->provenance_claims(),
-              ref_fuser->engine()->provenance_claims());
+      // Resident reference: registry EngineFuser, Run then two Append +
+      // Refuse cycles.
+      extract::ExtractionDataset resident = CloneRecordPrefix(src, base);
+      auto created =
+          fusion::Registry::Create(fusion::Registry::NameOf(opts.method));
+      ASSERT_TRUE(created.ok());
+      std::unique_ptr<fusion::Fuser> ref_fuser = std::move(*created);
+      fusion::FuseContext ctx;
+      opts.num_workers = 1;
+      KF_CHECK_OK(ref_fuser->Run(resident, opts, ctx).status());
+      std::vector<Capture> ref_warm;
+      for (size_t cycle = 0; cycle < 2; ++cycle) {
+        KF_CHECK_OK(resident.Append(
+            ReinternTail(*tail_src[cycle], tail_begin[cycle], &resident)));
+        auto warm = ref_fuser->Refuse(resident);
+        ASSERT_TRUE(warm.ok());
+        ref_warm.push_back({std::move(warm).value(),
+                            ref_fuser->engine()->provenance_accuracy(),
+                            ref_fuser->engine()->provenance_claims()});
+      }
+
+      // Budgeted run: same record sequence, dirty shards spilled between
+      // the cold Run and each Refuse.
+      for (size_t workers : {size_t{1}, size_t{8}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        extract::ExtractionDataset budgeted = CloneRecordPrefix(src, base);
+        FusionOptions bopts = opts;
+        bopts.num_workers = workers;
+        bopts.memory_budget_bytes = OneBudget(g);
+        std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(opts.method);
+        KF_CHECK_OK(fuser->ValidateContext(budgeted, bopts, ctx));
+        KF_CHECK_OK(fuser->Run(budgeted, bopts, ctx).status());
+        for (size_t cycle = 0; cycle < 2; ++cycle) {
+          SCOPED_TRACE("cycle=" + std::to_string(cycle + 1));
+          KF_CHECK_OK(budgeted.Append(
+              ReinternTail(*tail_src[cycle], tail_begin[cycle], &budgeted)));
+          auto warm = fuser->Refuse(budgeted);
+          ASSERT_TRUE(warm.ok());
+          const Capture& ref = ref_warm[cycle];
+          EXPECT_EQ(warm->probability, ref.result.probability);
+          EXPECT_EQ(warm->has_probability, ref.result.has_probability);
+          EXPECT_EQ(warm->from_fallback, ref.result.from_fallback);
+          EXPECT_EQ(warm->num_rounds, ref.result.num_rounds);
+          EXPECT_EQ(fuser->engine()->provenance_accuracy(), ref.accuracies);
+          EXPECT_EQ(fuser->engine()->provenance_claims(), ref.prov_claims);
+        }
+      }
+    }
   }
 }
 
@@ -422,37 +462,6 @@ TEST(SpillFusionTest, ManagerRemovesItsOwnedTempDir) {
   // shard is resident again or rebuildable (nothing dangles mapped).
   struct stat st;
   EXPECT_NE(::stat(dir.c_str(), &st), 0);
-}
-
-// ---- MapAll + MergeTo: the bundle export ------------------------------
-
-TEST(SpillFusionTest, MergeToWritesAReadableBundle) {
-  if (fault::AnyArmed()) GTEST_SKIP() << "no recovery hook; faults armed";
-  const auto& dataset = GetWorkload().corpus.dataset;
-  FusionOptions opts = FusionOptions::PopAccu();
-  opts.num_shards = 8;
-  opts.num_workers = 1;
-  FusionEngine engine(dataset, opts);
-  engine.Prepare();
-  ShardSpillManager::Options mo;
-  mo.budget_bytes = 1;
-  auto mgr = ShardSpillManager::Create(&engine.mutable_graph(), mo);
-  ASSERT_TRUE(mgr.ok());
-  const std::string out = ::testing::TempDir() + "spill_merged.kfs";
-  // Before MapAll some shards have no current file: a clean refusal.
-  Status early = (*mgr)->MergeTo(out);
-  ASSERT_FALSE(early.ok());
-  EXPECT_EQ(early.code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE((*mgr)->MapAll().ok());
-  ASSERT_TRUE((*mgr)->MergeTo(out).ok());
-  auto bundle = store::ShardBundleMmapView::Open(out);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().message();
-  EXPECT_EQ(bundle->view().num_members(), engine.graph().num_shards());
-  for (size_t m = 0; m < bundle->view().num_members(); ++m) {
-    EXPECT_EQ(bundle->view().shard_id(m), m);
-    EXPECT_TRUE(bundle->view().member(m).ok());
-  }
-  ::remove(out.c_str());
 }
 
 }  // namespace

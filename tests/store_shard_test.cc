@@ -1,10 +1,8 @@
-// Claim-shard files and shard bundles (store/shard_store.h): the
-// round-trip contract (columns in == columns out, standalone and
-// mmap-backed), the concat-without-re-encode contract (a bundle member's
-// payload bytes and CRCs are byte-identical to the standalone file's),
-// and the hostile-input contract for the merged-TOC path — every
-// corruption of a bundle (directory lies, member bit flips, truncation
-// at any byte) loads to a clean Status, never a crash.
+// Claim-shard files (store/shard_store.h): the round-trip contract
+// (columns in == columns out, in memory and mmap-backed) and the
+// hostile-input contract — every crafted lie in a shard file (row counts,
+// offsets, meta counts, member tags) loads to a clean Status, never a
+// crash.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -44,7 +42,7 @@ struct OwnedShard {
 };
 
 /// A deterministic shard with `items` items and 2 claims per item,
-/// parameterized by `shard_id` so bundle members are distinguishable.
+/// parameterized by `shard_id`.
 OwnedShard MakeShard(uint64_t shard_id, uint32_t items) {
   OwnedShard s;
   s.shard_id = shard_id;
@@ -124,20 +122,22 @@ TEST(ShardStoreTest, MmapViewServesColumnsInPlace) {
 
 TEST(ShardStoreTest, WrongContentKindIsRejected) {
   const std::string image = BuildShardFile(MakeShard(1, 2).Columns());
-  auto bundle = BlockFile::Parse(image, ContentKind::kShardBundle);
-  EXPECT_FALSE(bundle.ok());
+  auto corpus = BlockFile::Parse(image, ContentKind::kCorpus);
+  EXPECT_FALSE(corpus.ok());
 }
 
 // ---- crafted standalone corruption ------------------------------------
 
-/// Patches the TOC rows of block `id` (all matching entries) and
-/// re-stamps the TOC CRC so only semantic validation can object.
-std::string PatchTocRows(std::string bytes, BlockId id, uint64_t rows) {
+/// Applies `mutate` to the TOC entries of block `id` (all matching
+/// entries) and re-stamps the TOC CRC so only semantic validation can
+/// object.
+template <typename Mutate>
+std::string PatchToc(std::string bytes, BlockId id, Mutate mutate) {
   FileHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   BlockEntry* toc = reinterpret_cast<BlockEntry*>(&bytes[header.toc_offset]);
   for (uint32_t i = 0; i < header.toc_count; ++i) {
-    if (toc[i].id == static_cast<uint32_t>(id)) toc[i].rows = rows;
+    if (toc[i].id == static_cast<uint32_t>(id)) mutate(&toc[i]);
   }
   header.toc_crc32 = Crc32(&bytes[header.toc_offset],
                            header.toc_count * sizeof(BlockEntry));
@@ -171,11 +171,39 @@ Status ReadImage(const std::string& image) {
   return ReadShardColumns(*file).status();
 }
 
+TEST(ShardStoreCorruptionTest, TruncationAtEveryPrefixFailsCleanly) {
+  const std::string bytes = BuildShardFile(MakeShard(2, 6).Columns());
+  for (size_t len = 0; len < bytes.size(); len += 7) {
+    EXPECT_FALSE(ReadImage(bytes.substr(0, len)).ok());
+  }
+  EXPECT_FALSE(ReadImage(bytes.substr(0, bytes.size() - 1)).ok());
+  EXPECT_FALSE(ReadImage(bytes + "trailing garbage").ok());
+}
+
+TEST(ShardStoreCorruptionTest, PayloadBitFlipFailsTheChecksum) {
+  std::string bytes = BuildShardFile(MakeShard(2, 6).Columns());
+  bytes[sizeof(FileHeader)] ^= 0x01;  // first payload byte (the meta block)
+  Status st = ReadImage(bytes);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("checksum"), std::string::npos);
+}
+
+TEST(ShardStoreCorruptionTest, MissingBlockIsRejected) {
+  // Renumber the meta block to an id no reader asks for: every CRC stays
+  // consistent, so only the reader's presence check can object.
+  const std::string image = BuildShardFile(MakeShard(2, 4).Columns());
+  Status st = ReadImage(PatchToc(image, BlockId::kShardMeta,
+                                 [](BlockEntry* e) { e->id = 9999; }));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("missing block"), std::string::npos);
+}
+
 TEST(ShardStoreCorruptionTest, RowCountLieIsRejected) {
   // A rows lie breaks the rows x width == payload size invariant that
   // ColumnAt validates before anything reads the span.
   const std::string image = BuildShardFile(MakeShard(2, 4).Columns());
-  Status st = ReadImage(PatchTocRows(image, BlockId::kShardClaimProv, 3));
+  Status st = ReadImage(PatchToc(image, BlockId::kShardClaimProv,
+                                 [](BlockEntry* e) { e->rows = 3; }));
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("unexpected encoding or element width"),
             std::string::npos);
@@ -204,6 +232,17 @@ TEST(ShardStoreCorruptionTest, NonMonotoneOffsetsAreRejected) {
   EXPECT_NE(st.message().find("non-decreasing"), std::string::npos);
 }
 
+TEST(ShardStoreCorruptionTest, NonzeroMemberTagIsRejected) {
+  // BlockEntry.reserved is always zero in a claim shard: a block carrying
+  // a member tag (as retired content kind 4 wrote them) must not be read
+  // as one of this shard's columns, even with every CRC consistent.
+  const std::string image = BuildShardFile(MakeShard(2, 4).Columns());
+  Status st = ReadImage(PatchToc(image, BlockId::kShardClaimProv,
+                                 [](BlockEntry* e) { e->reserved = 1; }));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("member tag"), std::string::npos);
+}
+
 TEST(ShardStoreCorruptionTest, AbsurdMetaCountsAreRejected) {
   const std::string image = BuildShardFile(MakeShard(2, 4).Columns());
   Status st = ReadImage(PatchBlock(
@@ -214,192 +253,6 @@ TEST(ShardStoreCorruptionTest, AbsurdMetaCountsAreRejected) {
       }));
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("32 bits"), std::string::npos);
-}
-
-// ---- bundles: concat without re-encode --------------------------------
-
-std::vector<std::string> MakeShardImages() {
-  return {BuildShardFile(MakeShard(0, 3).Columns()),
-          BuildShardFile(MakeShard(1, 0).Columns()),
-          BuildShardFile(MakeShard(2, 6).Columns())};
-}
-
-TEST(ShardBundleTest, BundleRoundTripsEveryMember) {
-  const std::vector<std::string> images = MakeShardImages();
-  auto bundle = BuildShardBundle(
-      {images[0], images[1], images[2]});
-  ASSERT_TRUE(bundle.ok()) << bundle.status().message();
-  auto view = ShardBundleView::Parse(*bundle);
-  ASSERT_TRUE(view.ok()) << view.status().message();
-  ASSERT_EQ(view->num_members(), 3u);
-  EXPECT_EQ(view->shard_id(0), 0u);
-  EXPECT_EQ(view->shard_id(1), 1u);
-  EXPECT_EQ(view->shard_id(2), 2u);
-  auto m0 = view->member(0);
-  ASSERT_TRUE(m0.ok());
-  ExpectSameColumns(MakeShard(0, 3), *m0);
-  auto m2 = view->member(2);
-  ASSERT_TRUE(m2.ok());
-  ExpectSameColumns(MakeShard(2, 6), *m2);
-}
-
-TEST(ShardBundleTest, MemberPayloadsAreVerbatim) {
-  // The no-re-encode contract, checked byte for byte: every block of
-  // every member must carry exactly the payload bytes — and the CRC —
-  // of the standalone shard file it came from.
-  const std::vector<std::string> images = MakeShardImages();
-  auto bundle = BuildShardBundle({images[0], images[1], images[2]});
-  ASSERT_TRUE(bundle.ok());
-  auto bundle_file = BlockFile::Parse(*bundle, ContentKind::kShardBundle);
-  ASSERT_TRUE(bundle_file.ok());
-  for (size_t m = 0; m < images.size(); ++m) {
-    auto standalone = BlockFile::Parse(images[m], ContentKind::kClaimShard);
-    ASSERT_TRUE(standalone.ok());
-    for (const BlockEntry& entry : standalone->blocks()) {
-      const BlockEntry* in_bundle = bundle_file->FindTagged(
-          static_cast<BlockId>(entry.id), static_cast<uint32_t>(m + 1));
-      ASSERT_NE(in_bundle, nullptr);
-      EXPECT_EQ(in_bundle->rows, entry.rows);
-      EXPECT_EQ(in_bundle->encoding, entry.encoding);
-      EXPECT_EQ(in_bundle->crc32, entry.crc32);
-      EXPECT_EQ(bundle_file->Payload(*in_bundle),
-                standalone->Payload(entry));
-    }
-  }
-}
-
-TEST(ShardBundleTest, DuplicateShardIdsAreRejected) {
-  const std::string image = BuildShardFile(MakeShard(5, 2).Columns());
-  auto bundle = BuildShardBundle({image, image});
-  ASSERT_FALSE(bundle.ok());
-  EXPECT_NE(bundle.status().message().find("repeat shard id"),
-            std::string::npos);
-}
-
-TEST(ShardBundleTest, CorruptInputIsRejectedWithItsIndex) {
-  std::vector<std::string> images = MakeShardImages();
-  images[1][images[1].size() / 2] ^= 0x08;  // flip one payload bit
-  auto bundle = BuildShardBundle({images[0], images[1], images[2]});
-  ASSERT_FALSE(bundle.ok());
-  EXPECT_NE(bundle.status().message().find("bundle input 1"),
-            std::string::npos);
-}
-
-TEST(ShardBundleTest, ConcatShardFilesRoundTripsViaMmap) {
-  const std::string dir = ::testing::TempDir();
-  std::vector<std::string> paths;
-  for (int i = 0; i < 3; ++i) {
-    paths.push_back(dir + "shard_concat_" + std::to_string(i) + ".kfs");
-    ASSERT_TRUE(
-        WriteShardFile(MakeShard(i, 2 * i).Columns(), paths[i]).ok());
-  }
-  const std::string out = dir + "shard_concat_bundle.kfs";
-  ASSERT_TRUE(ConcatShardFiles(paths, out).ok());
-  auto view = ShardBundleMmapView::Open(out);
-  ASSERT_TRUE(view.ok()) << view.status().message();
-  ASSERT_EQ(view->view().num_members(), 3u);
-  for (size_t m = 0; m < 3; ++m) {
-    auto cols = view->view().member(m);
-    ASSERT_TRUE(cols.ok());
-    ExpectSameColumns(MakeShard(m, 2 * m), *cols);
-  }
-  for (const std::string& p : paths) ::remove(p.c_str());
-  ::remove(out.c_str());
-}
-
-// ---- merged-TOC corruption --------------------------------------------
-
-std::string ValidBundle() {
-  const std::vector<std::string> images = MakeShardImages();
-  auto bundle = BuildShardBundle({images[0], images[1], images[2]});
-  EXPECT_TRUE(bundle.ok());
-  return *bundle;
-}
-
-void ExpectCleanBundleFailure(const std::string& bytes) {
-  auto view = ShardBundleView::Parse(bytes);
-  EXPECT_FALSE(view.ok());
-  EXPECT_FALSE(view.status().message().empty());
-}
-
-TEST(ShardBundleCorruptionTest, TruncationAtEveryPrefixFailsCleanly) {
-  const std::string bytes = ValidBundle();
-  for (size_t len = 0; len < bytes.size(); len += 7) {
-    ExpectCleanBundleFailure(bytes.substr(0, len));
-  }
-  ExpectCleanBundleFailure(bytes.substr(0, bytes.size() - 1));
-  ExpectCleanBundleFailure(bytes + "trailing garbage");
-}
-
-TEST(ShardBundleCorruptionTest, MemberPayloadBitFlipFailsTheChecksum) {
-  std::string bytes = ValidBundle();
-  FileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  const BlockEntry* toc =
-      reinterpret_cast<const BlockEntry*>(&bytes[header.toc_offset]);
-  for (uint32_t i = 0; i < header.toc_count; ++i) {
-    if (toc[i].size > 0 && toc[i].reserved == 3) {  // a member-3 block
-      bytes[toc[i].offset] ^= 0x01;
-      break;
-    }
-  }
-  ExpectCleanBundleFailure(bytes);
-}
-
-TEST(ShardBundleCorruptionTest, DirectoryOrdinalLieIsRejected) {
-  Status st = ShardBundleView::Parse(PatchBlock(
-                  ValidBundle(), BlockId::kShardDirectory,
-                  [](char* payload, size_t size) {
-                    (void)size;
-                    uint64_t two = 2;  // first pair's ordinal: 1 -> 2
-                    std::memcpy(payload + sizeof(uint64_t), &two,
-                                sizeof(two));
-                  }))
-                  .status();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("ordinals"), std::string::npos);
-}
-
-TEST(ShardBundleCorruptionTest, DirectoryShardIdLieIsRejected) {
-  Status st = ShardBundleView::Parse(PatchBlock(
-                  ValidBundle(), BlockId::kShardDirectory,
-                  [](char* payload, size_t size) {
-                    (void)size;
-                    uint64_t wrong = 42;  // first pair's shard id
-                    std::memcpy(payload, &wrong, sizeof(wrong));
-                  }))
-                  .status();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("disagrees with the directory"),
-            std::string::npos);
-}
-
-TEST(ShardBundleCorruptionTest, OddDirectoryIsRejected) {
-  Status st = ShardBundleView::Parse(PatchTocRows(
-                  ValidBundle(), BlockId::kShardDirectory, 5))
-                  .status();
-  ASSERT_FALSE(st.ok());
-}
-
-TEST(ShardBundleCorruptionTest, MissingMemberBlockIsRejected) {
-  // Retag member 3's meta block as member 9: the directory still
-  // promises three members, so member 3 now misses its meta.
-  std::string bytes = ValidBundle();
-  FileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  BlockEntry* toc = reinterpret_cast<BlockEntry*>(&bytes[header.toc_offset]);
-  for (uint32_t i = 0; i < header.toc_count; ++i) {
-    if (toc[i].id == static_cast<uint32_t>(BlockId::kShardMeta) &&
-        toc[i].reserved == 3) {
-      toc[i].reserved = 9;
-    }
-  }
-  header.toc_crc32 = Crc32(&bytes[header.toc_offset],
-                           header.toc_count * sizeof(BlockEntry));
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  Status st = ShardBundleView::Parse(bytes).status();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("missing block"), std::string::npos);
 }
 
 }  // namespace
