@@ -18,7 +18,6 @@
 #include "common/logging.h"
 #include "eval/gold_standard.h"
 #include "fusion/claim_graph.h"
-#include "fusion/claims.h"
 #include "fusion/engine.h"
 #include "spill/spill.h"
 #include "synth/corpus.h"
@@ -47,20 +46,6 @@ fusion::FusionOptions PopAccuOpts(size_t workers) {
   bench::ValidateOrExit(opts);
   return opts;
 }
-
-// Legacy flat claim construction, kept as the reference point for
-// BM_ClaimGraphBuild.
-void BM_BuildClaims(benchmark::State& state) {
-  const auto& corpus = CorpusAtScale(1.0);
-  for (auto _ : state) {
-    auto set = fusion::BuildClaimSet(
-        corpus.dataset, extract::Granularity::ExtractorUrl());
-    benchmark::DoNotOptimize(set);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          corpus.dataset.num_records());
-}
-BENCHMARK(BM_BuildClaims);
 
 // ---- per-stage benchmarks (the claim-graph hot paths) ----
 
@@ -126,49 +111,58 @@ BENCHMARK(BM_StageIISweep)
 
 // ---- isolated scorer cost (the Stage I inner loop) ----
 
-// Every item group of the scale-1 claim graph, materialized once as
-// sorted ItemClaims buffers at the default accuracy. Scoring them all is
-// exactly Stage I's scorer work with the filtering/scatter stripped away,
-// so BM_ScorerOnly isolates the run-length scorer cost from the rest of
-// the sweep.
-const std::vector<fusion::ItemClaimsBuffer>& ScorerGroupsAtScale1() {
-  static const std::vector<fusion::ItemClaimsBuffer>& groups = *[] {
-    const auto& corpus = CorpusAtScale(1.0);
-    fusion::ClaimGraph graph(corpus.dataset,
-                             extract::Granularity::ExtractorUrl(),
-                             /*num_shards=*/64);
-    auto* out = new std::vector<fusion::ItemClaimsBuffer>();
-    for (size_t s = 0; s < graph.num_shards(); ++s) {
-      const fusion::ClaimGraph::Shard& sh = graph.shard(s);
-      for (size_t g = 0; g < sh.num_items(); ++g) {
-        fusion::ItemClaimsBuffer group;
-        for (uint32_t i = sh.item_offsets[g]; i < sh.item_offsets[g + 1];
-             ++i) {
-          group.push(sh.claim_triple[i], 0.8);
-        }
-        KF_CHECK(group.sorted());  // the shard sorted-group invariant
-        out->push_back(std::move(group));
+// Every item group of the scale-1 claim graph as a (triple, prov) span over
+// its shard's columns — the scorer input of Stage I's zero-copy path.
+// Scoring them all against a 0.8-accuracy log-odds table is exactly Stage
+// I's scorer work with the filtering/scatter stripped away, so
+// BM_ScorerOnly isolates the run-length scorer cost from the rest of the
+// sweep.
+struct ScorerGroups {
+  fusion::ClaimGraph graph;
+  std::vector<fusion::ItemClaims> groups;
+};
+
+const ScorerGroups& ScorerGroupsAtScale1() {
+  static const ScorerGroups& in = *[] {
+    auto* out = new ScorerGroups{
+        fusion::ClaimGraph(CorpusAtScale(1.0).dataset,
+                           extract::Granularity::ExtractorUrl(),
+                           /*num_shards=*/64),
+        {}};
+    for (size_t s = 0; s < out->graph.num_shards(); ++s) {
+      const fusion::ShardColumns c = out->graph.columns(s);
+      for (size_t g = 0; g < c.num_items; ++g) {
+        fusion::ItemClaims group;
+        group.triple = c.claim_triple + c.item_offsets[g];
+        group.prov = c.claim_prov + c.item_offsets[g];
+        group.count = c.item_offsets[g + 1] - c.item_offsets[g];
+        group.sorted = true;  // the shard sorted-group invariant
+        out->groups.push_back(group);
       }
     }
     return out;
   }();
-  return groups;
+  return in;
 }
 
 void BM_ScorerOnly(benchmark::State& state, const fusion::Scorer& scorer) {
-  const auto& groups = ScorerGroupsAtScale1();
+  const ScorerGroups& in = ScorerGroupsAtScale1();
+  std::vector<double> table;  // stays empty for VOTE
+  scorer.PrecomputeLogOdds(std::vector<double>(in.graph.num_provs(), 0.8),
+                           &table);
+  const double* prov_log_odds = table.empty() ? nullptr : table.data();
   fusion::TripleProbs probs;
-  int64_t claims = 0;
-  for (const auto& g : groups) claims += static_cast<int64_t>(g.size());
   for (auto _ : state) {
-    for (const auto& g : groups) {
+    for (fusion::ItemClaims g : in.groups) {
+      g.prov_log_odds = prov_log_odds;
       probs.clear();
-      scorer.Score(g.view(), &probs);
+      scorer.Score(g, &probs);
       benchmark::DoNotOptimize(probs.data());
     }
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * claims);
-  state.counters["groups"] = static_cast<double>(groups.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(in.graph.num_claims()));
+  state.counters["groups"] = static_cast<double>(in.groups.size());
 }
 // BENCHMARK_CAPTURE pastes the argument expression into the run lambda,
 // so these temporaries are constructed per run and live for the whole

@@ -5,9 +5,9 @@
 #include "fusion/scorer.h"
 
 namespace kf::fusion {
-namespace {
 
-// ACCU vote count of a source with accuracy A: ln(N * A / (1 - A)). The
+// ACCU vote count of a source with accuracy A: ln(N * A / (1 - A)), read
+// from the view's per-provenance table (PrecomputeLogOdds below). The
 // posterior of value v is exp(sum of vote counts of its claimants),
 // normalized over the observed values plus the (N + 1 - |V|) unobserved
 // candidates, each of which carries weight exp(0) = 1. Accuracies are
@@ -19,15 +19,9 @@ namespace {
 // place. Per-triple sums add the same claims in the same (stable) order
 // as the historical hash-map version, so run scores are bit-identical;
 // only the normalization's summation order (sorted vs hash order) moved.
-//
-// The per-claim vote count is supplied by `log_odds_at(i)` so the three
-// view representations (per-provenance table, per-claim column, inline
-// std::log from accuracies) share one sweep. The table forms store the
-// exact same expression the inline form evaluates, so their sums are
-// bit-identical — only the log evaluations move out of the inner loop.
-template <typename LogOddsAt>
-void ScoreAccuRuns(const ItemClaims& claims, double n_false_values,
-                   TripleProbs* out, const LogOddsAt& log_odds_at) {
+void AccuScorer::Score(const ItemClaims& claims, TripleProbs* out) const {
+  KF_CHECK(claims.sorted);  // O(1) flag read — enforced in release too
+  KF_DCHECK(claims.prov_log_odds != nullptr);
   const size_t base = out->size();
   double max_score = 0.0;  // the unobserved candidates carry score 0
   for (size_t i = 0; i < claims.size();) {
@@ -35,7 +29,7 @@ void ScoreAccuRuns(const ItemClaims& claims, double n_false_values,
     double s = 0.0;
     size_t j = i;
     for (; j < claims.size() && claims.triple[j] == t; ++j) {
-      s += log_odds_at(j);
+      s += claims.prov_log_odds[claims.prov[j]];
     }
     out->emplace_back(t, s);
     max_score = std::max(max_score, s);
@@ -43,7 +37,7 @@ void ScoreAccuRuns(const ItemClaims& claims, double n_false_values,
   }
   // Stabilize: normalize relative to the max exponent.
   const double distinct = static_cast<double>(out->size() - base);
-  double unobserved = std::max(0.0, n_false_values + 1.0 - distinct);
+  double unobserved = std::max(0.0, n_false_values_ + 1.0 - distinct);
   double total = unobserved * std::exp(-max_score);
   for (size_t k = base; k < out->size(); ++k) {
     total += std::exp((*out)[k].second - max_score);
@@ -53,31 +47,11 @@ void ScoreAccuRuns(const ItemClaims& claims, double n_false_values,
   }
 }
 
-}  // namespace
-
-void AccuScorer::Score(const ItemClaims& claims, TripleProbs* out) const {
-  KF_CHECK(claims.sorted);  // O(1) flag read — enforced in release too
-  if (claims.prov_log_odds != nullptr) {
-    ScoreAccuRuns(claims, n_false_values_, out, [&](size_t i) {
-      return claims.prov_log_odds[claims.prov[i]];
-    });
-  } else if (claims.log_odds != nullptr) {
-    ScoreAccuRuns(claims, n_false_values_, out,
-                  [&](size_t i) { return claims.log_odds[i]; });
-  } else {
-    ScoreAccuRuns(claims, n_false_values_, out, [&](size_t i) {
-      const double a = claims.accuracy[i];
-      return std::log(n_false_values_ * a / (1.0 - a));
-    });
-  }
-}
-
 bool AccuScorer::PrecomputeLogOdds(const std::vector<double>& accuracy,
                                    std::vector<double>* out) const {
   out->resize(accuracy.size());
   for (size_t p = 0; p < accuracy.size(); ++p) {
     const double a = accuracy[p];
-    // Must stay the exact inline expression above for bit-identity.
     (*out)[p] = std::log(n_false_values_ * a / (1.0 - a));
   }
   return true;

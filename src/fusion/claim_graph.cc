@@ -14,7 +14,7 @@ ClaimGraph::ClaimGraph(const extract::ExtractionDataset& dataset,
                        size_t num_records)
     : granularity_(granularity),
       partitioner_(num_shards > 0 ? num_shards
-                                  : mr::SuggestShards(dataset.num_items())),
+                                  : SuggestShards(dataset.num_items())),
       num_workers_(num_workers) {
   KF_CHECK(partitioner_.num_shards() <= kMaxClaimGraphShards);
   shards_.resize(partitioner_.num_shards());
@@ -118,7 +118,7 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
   }
 
   // Stable counting sort of the flat claims into item-grouped CSR columns.
-  shard->item_offsets = mr::CsrOffsets(group_counts);
+  shard->item_offsets = CsrOffsets(group_counts);
   const size_t num_claims = flat_triple.size();
   shard->claim_triple.resize(num_claims);
   shard->claim_prov.resize(num_claims);
@@ -272,7 +272,7 @@ void ClaimGraph::RebuildSegmentDirectory() {
     total_segments += sh.num_prov_segments();
     for (uint32_t p : sh.prov_ids) ++seg_counts[p];
   }
-  prov_seg_offsets_ = mr::CsrOffsets(seg_counts);
+  prov_seg_offsets_ = CsrOffsets(seg_counts);
   prov_segments_.resize(total_segments);
   std::vector<uint32_t> cursor(prov_seg_offsets_.begin(),
                                prov_seg_offsets_.end() - 1);

@@ -23,8 +23,8 @@
 #include "common/logging.h"
 #include "extract/dataset.h"
 #include "extract/provenance.h"
+#include "fusion/partitioner.h"
 #include "kb/ids.h"
-#include "mr/partitioner.h"
 
 namespace kf::fusion {
 
@@ -104,7 +104,7 @@ class ClaimGraph {
     std::vector<kb::TripleId> claim_triple;
     std::vector<uint32_t> claim_prov;
     /// Max confidence any record assigned to the claim, -1 when none had
-    /// one (same semantics as ClaimSet::confidence).
+    /// one.
     std::vector<float> claim_confidence;
 
     /// Local provenance cross-index: the shard's claims regrouped by
@@ -186,7 +186,7 @@ class ClaimGraph {
   ClaimGraph() = default;
 
   /// Builds the graph over the first `num_records` records of `dataset`
-  /// (all of them by default). `num_shards` 0 picks mr::SuggestShards of
+  /// (all of them by default). `num_shards` 0 picks SuggestShards of
   /// the item count; the shard count is then fixed for the lifetime of the
   /// graph. `num_workers` parallelizes shard construction (0 = hardware);
   /// the result does not depend on it.
@@ -321,7 +321,7 @@ class ClaimGraph {
   void RebuildSegmentDirectory();
 
   extract::Granularity granularity_;
-  mr::Partitioner partitioner_{1};
+  Partitioner partitioner_{1};
   size_t num_workers_ = 0;
 
   std::vector<Shard> shards_;

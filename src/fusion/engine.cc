@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/threadpool.h"
 #include "fusion/registry.h"
-#include "mr/reservoir.h"
+#include "fusion/reservoir.h"
 
 namespace kf::fusion {
 namespace {
@@ -33,22 +33,6 @@ std::unique_ptr<Scorer> MakeScorer(const FusionOptions& options) {
 /// Fixed block width for the Stage II provenance sweep; independent of the
 /// worker count so the reduction decomposition is reproducible.
 constexpr size_t kProvBlock = 256;
-
-/// Minimum claims per Stage I sweep task. Shards are hash partitions of
-/// the items, so their claim counts are skewed; tasks are cut along the
-/// largest-first shard order so every task carries at least this much
-/// work (big shards become singleton tasks, the small-shard tail is
-/// batched). Independent of the worker count, so the schedule — like the
-/// results — is reproducible; workers only affect who executes a task.
-constexpr size_t kMinSweepClaimsPerTask = 2048;
-
-/// One claim surviving the reservoir sample of an oversized group; keeps
-/// the (triple, accuracy, log-odds) columns aligned through the sample.
-struct SampledClaim {
-  kb::TripleId triple;
-  double accuracy;
-  double log_odds;
-};
 
 /// Round cap, stop epsilon, and Stage II step of one RunRounds call.
 struct RoundPolicy {
@@ -98,7 +82,6 @@ FusionEngine::FusionEngine(const extract::ExtractionDataset& dataset,
 
 size_t FusionEngine::Refresh() {
   size_t rebuilt = graph_.Update(dataset_);
-  if (rebuilt > 0) sweep_schedule_stale_ = true;
   // Streaming callers may sweep again without re-Preparing: provenances
   // introduced by the append enter at the default accuracy until Stage II
   // evaluates them (a fresh Prepare()/Run() re-initializes everything).
@@ -107,41 +90,6 @@ size_t FusionEngine::Refresh() {
     evaluated_.resize(graph_.num_provs(), 0);
   }
   return rebuilt;
-}
-
-void FusionEngine::RebuildSweepSchedule() {
-  const size_t num_shards = graph_.num_shards();
-  sweep_order_.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    sweep_order_[s] = static_cast<uint32_t>(s);
-  }
-  // Largest-first: the most loaded shard starts immediately, so one
-  // mega-shard overlaps everything else instead of being picked up last
-  // and serializing the tail of the sweep (LPT-style balance). Stable so
-  // equal-sized shards keep id order and the schedule is deterministic.
-  std::stable_sort(sweep_order_.begin(), sweep_order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return graph_.shard(a).num_claims() >
-                            graph_.shard(b).num_claims();
-                   });
-  // Cut tasks along the sorted order with a per-claim grain: accumulate
-  // shards until a task holds >= kMinSweepClaimsPerTask claims. Large
-  // shards become singleton tasks; the small-shard tail batches up so a
-  // 1M-shard graph does not mean 1M atomic handshakes per round.
-  sweep_task_offsets_.clear();
-  sweep_task_offsets_.push_back(0);
-  size_t task_claims = 0;
-  for (size_t k = 0; k < num_shards; ++k) {
-    task_claims += graph_.shard(sweep_order_[k]).num_claims();
-    if (task_claims >= kMinSweepClaimsPerTask) {
-      sweep_task_offsets_.push_back(static_cast<uint32_t>(k + 1));
-      task_claims = 0;
-    }
-  }
-  if (sweep_task_offsets_.back() != num_shards) {
-    sweep_task_offsets_.push_back(static_cast<uint32_t>(num_shards));
-  }
-  sweep_schedule_stale_ = false;
 }
 
 void FusionEngine::InitAccuracies(const std::vector<Label>* gold) {
@@ -211,85 +159,13 @@ void FusionEngine::SweepShard(const ShardColumns& cols, double theta,
   // into a run-length sweep or a sorted merge.
   ItemClaimsBuffer group;
   TripleProbs probs;
-  const bool table = !log_odds_.empty();
+  // The round's frozen log-odds table; null for VOTE, which has none.
+  const double* table = log_odds_.empty() ? nullptr : log_odds_.data();
 
   for (size_t g = 0; g < cols.num_items; ++g) {
     const uint32_t begin = cols.item_offsets[g];
     const uint32_t end = cols.item_offsets[g + 1];
-
-    // Zero-copy fast path: with no filter active every claim of the group
-    // survives assembly verbatim, so score the shard's columns in place —
-    // same claims, same order, same (table) log-odds values as the
-    // assembled buffer would carry, hence bit-identical probabilities.
-    // Groups above sample_cap still need the reservoir sample and fall
-    // through to the assembly path.
-    if (score_in_place && end - begin <= options_.sample_cap) {
-      probs.clear();
-      probs.reserve(cols.item_distinct[g]);
-      ItemClaims view;
-      view.triple = cols.claim_triple + begin;
-      view.count = end - begin;
-      view.sorted = true;
-      if (table) {
-        view.prov = cols.claim_prov + begin;
-        view.prov_log_odds = log_odds_.data();
-      }
-      scorer_->Score(view, &probs);
-      for (const auto& [t, p] : probs) {
-        result->probability[t] = p;
-        result->has_probability[t] = 1;
-        result->from_fallback[t] = 0;
-      }
-      continue;
-    }
-
-    // Coverage filter (Section 4.3.2): an item qualifies when some triple
-    // of it has >= 2 claims, or when a provenance with a data-driven
-    // accuracy (e.g. from gold initialization) claims it. The evaluated
-    // set grows as Stage II assigns accuracies, unlocking more items round
-    // over round. Unqualified items are never predicted — the paper
-    // reports 8.2% of triples losing their prediction this way.
-    if (options_.filter_by_coverage) {
-      bool qualified = cols.item_multi[g] != 0;
-      for (uint32_t i = begin; !qualified && i < end; ++i) {
-        qualified = evaluated_[cols.claim_prov[i]] != 0;
-      }
-      if (!qualified) continue;
-    }
-
-    // After round 1 the coverage filter ignores provenances still at the
-    // default accuracy, unless that would starve the item.
-    bool use_evaluated_only = false;
-    if (prefer_evaluated) {
-      for (uint32_t i = begin; i < end; ++i) {
-        uint32_t p = cols.claim_prov[i];
-        if (evaluated_[p] && (theta <= 0.0 || theta_pass_[p])) {
-          use_evaluated_only = true;
-          break;
-        }
-      }
-    }
-
-    // theta_pass_ is the frozen `accuracy_[p] >= theta` bit (built by
-    // StageI whenever theta > 0), so the filter is a byte test per claim.
-    // With a table, the frozen log-odds ride along in the buffer's third
-    // column and the scorer never touches std::log.
-    group.clear();
-    if (table) {
-      for (uint32_t i = begin; i < end; ++i) {
-        uint32_t p = cols.claim_prov[i];
-        if (theta > 0.0 && !theta_pass_[p]) continue;
-        if (use_evaluated_only && !evaluated_[p]) continue;
-        group.push(cols.claim_triple[i], accuracy_[p], log_odds_[p]);
-      }
-    } else {
-      for (uint32_t i = begin; i < end; ++i) {
-        uint32_t p = cols.claim_prov[i];
-        if (theta > 0.0 && !theta_pass_[p]) continue;
-        if (use_evaluated_only && !evaluated_[p]) continue;
-        group.push(cols.claim_triple[i], accuracy_[p]);
-      }
-    }
+    probs.clear();
 
     // Section 4.3.2's compensation: triples that lost every supporting
     // provenance to the accuracy filter receive the mean accuracy of their
@@ -322,49 +198,85 @@ void FusionEngine::SweepShard(const ShardColumns& cols, double theta,
       }
     };
 
-    probs.clear();
-    if (group.size() == 0) {
-      scatter_fallbacks();
-      continue;
-    }
-    if (group.size() > options_.sample_cap) {
-      // Reservoir-sample claims, keeping the two columns aligned, then
-      // re-establish the sorted invariant the scorer requires (the
-      // sample shuffles the order). Still deterministic — the rng seed
-      // depends only on (seed, item) — but note the sample is now drawn
-      // from triple-sorted claim order, so groups above sample_cap keep
-      // a different (equally random) subset than the pre-sorting
-      // implementation drew from first-seen order.
-      const bool has_lo = group.has_log_odds();
-      std::vector<SampledClaim> sample;
-      sample.reserve(group.size());
-      for (size_t i = 0; i < group.size(); ++i) {
-        sample.push_back({group.triples()[i], group.accuracies()[i],
-                          has_lo ? group.log_odds()[i] : 0.0});
+    ItemClaims view;
+    if (score_in_place && end - begin <= options_.sample_cap) {
+      // Zero-copy fast path: with no filter active every claim of the
+      // group survives assembly verbatim, so score the shard's (triple,
+      // prov) columns in place — the same claims in the same order as the
+      // assembled buffer would carry, hence bit-identical probabilities.
+      // Groups above sample_cap still need the reservoir sample and take
+      // the assembly path.
+      view.triple = cols.claim_triple + begin;
+      view.prov = cols.claim_prov + begin;
+      view.prov_log_odds = table;
+      view.count = end - begin;
+      view.sorted = true;
+    } else {
+      // Coverage filter (Section 4.3.2): an item qualifies when some
+      // triple of it has >= 2 claims, or when a provenance with a
+      // data-driven accuracy (e.g. from gold initialization) claims it.
+      // The evaluated set grows as Stage II assigns accuracies, unlocking
+      // more items round over round. Unqualified items are never
+      // predicted — the paper reports 8.2% of triples losing their
+      // prediction this way.
+      if (options_.filter_by_coverage) {
+        bool qualified = cols.item_multi[g] != 0;
+        for (uint32_t i = begin; !qualified && i < end; ++i) {
+          qualified = evaluated_[cols.claim_prov[i]] != 0;
+        }
+        if (!qualified) continue;
       }
-      Rng rng(HashCombine(HashCombine(options_.seed, 0x51), cols.items[g]));
-      mr::ReservoirSample(&sample, options_.sample_cap, &rng);
-      // Stable-sort the sample in place (rather than SortByTriple on the
-      // buffer) so this branch adds no allocations beyond `sample`; the
-      // re-push then records the buffer as born-sorted.
-      std::stable_sort(sample.begin(), sample.end(),
-                       [](const SampledClaim& a, const SampledClaim& b) {
-                         return a.triple < b.triple;
-                       });
+
+      // After round 1 the coverage filter ignores provenances still at
+      // the default accuracy, unless that would starve the item.
+      bool use_evaluated_only = false;
+      if (prefer_evaluated) {
+        for (uint32_t i = begin; i < end; ++i) {
+          uint32_t p = cols.claim_prov[i];
+          if (evaluated_[p] && (theta <= 0.0 || theta_pass_[p])) {
+            use_evaluated_only = true;
+            break;
+          }
+        }
+      }
+
+      // theta_pass_ is the frozen `accuracy_[p] >= theta` bit (built by
+      // BeginStageI whenever theta > 0), so the filter is a byte test per
+      // claim.
       group.clear();
-      if (has_lo) {
-        for (const auto& c : sample) group.push(c.triple, c.accuracy,
-                                                c.log_odds);
-      } else {
-        for (const auto& c : sample) group.push(c.triple, c.accuracy);
+      for (uint32_t i = begin; i < end; ++i) {
+        uint32_t p = cols.claim_prov[i];
+        if (theta > 0.0 && !theta_pass_[p]) continue;
+        if (use_evaluated_only && !evaluated_[p]) continue;
+        group.push(cols.claim_triple[i], p);
       }
-      KF_DCHECK(group.sorted());
+      if (group.size() == 0) {
+        scatter_fallbacks();
+        continue;
+      }
+      if (group.size() > options_.sample_cap) {
+        // Reservoir-sample the (triple, prov) pairs, then re-establish
+        // the sorted invariant the scorer requires (the sample shuffles
+        // the order). Deterministic: the sample is drawn from the sorted
+        // claim order with an rng seeded by (seed, item) only.
+        std::vector<std::pair<kb::TripleId, uint32_t>> sample;
+        sample.reserve(group.size());
+        for (size_t i = 0; i < group.size(); ++i) {
+          sample.emplace_back(group.triples()[i], group.provs()[i]);
+        }
+        Rng rng(HashCombine(HashCombine(options_.seed, 0x51), cols.items[g]));
+        ReservoirSample(&sample, options_.sample_cap, &rng);
+        group.clear();
+        for (const auto& [t, p] : sample) group.push(t, p);
+        group.SortByTriple();
+      }
+      view = group.view(table);
     }
 
     // One entry per distinct triple: reserving to the group's run count
     // keeps the scratch from reallocating even on the first large group.
     probs.reserve(cols.item_distinct[g]);
-    scorer_->Score(group.view(), &probs);
+    scorer_->Score(view, &probs);
     // Each triple belongs to exactly one item group of one shard, so the
     // dense scatters below race with nothing.
     for (const auto& [t, p] : probs) {
@@ -405,20 +317,18 @@ void FusionEngine::BeginStageI(size_t round, FusionResult* result) {
     theta_pass_.clear();
   }
   // With no filter active every group survives assembly verbatim, so the
-  // sweep can score the shard columns in place — needs the table (or VOTE,
-  // which reads only triples) since the columns carry no accuracies.
-  stage1_in_place_ =
-      !options_.filter_by_coverage && theta <= 0.0 &&
-      (!log_odds_.empty() || options_.method == Method::kVote);
+  // sweep can score the shard columns in place.
+  stage1_in_place_ = !options_.filter_by_coverage && theta <= 0.0;
 }
 
 void FusionEngine::SweepStageI(const std::vector<uint32_t>& shard_ids,
                                FusionResult* result) {
-  // Subset sweeps order their shards largest-first (stable, so equal
-  // sizes keep caller order) and schedule one shard per task: a spill
-  // subset is a handful of shards, so per-shard granularity beats the
-  // global schedule's claim-count batching. The decomposition never
-  // affects bits — Stage I writes disjoint per-triple slots.
+  // Largest shards first (stable, so equal sizes keep caller order), one
+  // shard per task, grain 1 so a free worker always takes the next shard:
+  // shards are hash partitions of the items and their claim counts are
+  // skewed, so the biggest one starts at once instead of serializing the
+  // tail of the sweep. The decomposition never affects bits — Stage I
+  // writes disjoint per-triple slots.
   std::vector<uint32_t> order = shard_ids;
   std::stable_sort(order.begin(), order.end(),
                    [this](uint32_t a, uint32_t b) {
@@ -443,30 +353,13 @@ void FusionEngine::SweepStageI(const std::vector<uint32_t>& shard_ids,
 
 void FusionEngine::StageI(size_t round, FusionResult* result) {
   BeginStageI(round, result);
-  if (sweep_schedule_stale_) RebuildSweepSchedule();
-  const double theta = options_.min_provenance_accuracy;
+  SweepStageI(AllShards(), result);
+}
 
-  // Tasks (not shards) are the scheduling unit: largest shards first, the
-  // small-shard tail batched (RebuildSweepSchedule), grain 1 so a free
-  // worker always takes exactly the next task. The schedule is fixed per
-  // graph, so results stay worker-independent; only wall-clock moves.
-  const size_t num_tasks = sweep_task_offsets_.size() - 1;
-  ParallelFor(
-      num_tasks, options_.num_workers,
-      [&](size_t task) {
-        for (uint32_t k = sweep_task_offsets_[task];
-             k < sweep_task_offsets_[task + 1]; ++k) {
-          const uint32_t s = sweep_order_[k];
-          const auto start = std::chrono::steady_clock::now();
-          SweepShard(graph_.columns(s), theta, stage1_prefer_evaluated_,
-                     stage1_in_place_, result);
-          shard_sweep_micros_[s] = static_cast<uint32_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-        }
-      },
-      /*grain=*/1);
+std::vector<uint32_t> FusionEngine::AllShards() const {
+  std::vector<uint32_t> all(graph_.num_shards());
+  for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<uint32_t>(s);
+  return all;
 }
 
 double FusionEngine::StageII(const FusionResult& result) {
@@ -477,9 +370,7 @@ double FusionEngine::StageII(const FusionResult& result) {
 double FusionEngine::StageII(const FusionResult& result, double damping,
                              double quantile) {
   BeginStageII(result);
-  std::vector<uint32_t> all(graph_.num_shards());
-  for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<uint32_t>(s);
-  AccumulateStageII(all, result);
+  AccumulateStageII(AllShards(), result);
   return FinishStageII(damping, quantile);
 }
 
@@ -577,7 +468,7 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
         if (values.size() > options_.sample_cap) {
           Rng rng(HashCombine(HashCombine(options_.seed, 0x52),
                               static_cast<uint64_t>(p)));
-          mr::ReservoirSample(&values, options_.sample_cap, &rng);
+          ReservoirSample(&values, options_.sample_cap, &rng);
         }
         for (float v : values) sum += v;
         cnt = values.size();

@@ -117,7 +117,8 @@ class FusionEngine {
   /// entry point (Fuser::Refuse / kf::Session::Refuse), followed by
   /// RunRounds(kWarm).
   FusionResult PrepareWarm();
-  /// One Stage I sweep: scores every qualified item group into `result`.
+  /// One Stage I sweep: scores every qualified item group into `result`
+  /// (BeginStageI + SweepStageI over all shards).
   void StageI(size_t round, FusionResult* result);
   /// One Stage II sweep: re-evaluates provenance accuracies against
   /// `result` under the options' accuracy_damping, and returns the
@@ -144,8 +145,8 @@ class FusionEngine {
   /// round's filter regime), clears the result masks, and zeroes the
   /// per-shard sweep times.
   void BeginStageI(size_t round, FusionResult* result);
-  /// Sweeps the given shards (each must be resident or mapped). Subsets
-  /// across one round must partition the shard set.
+  /// Sweeps the given shards (each must be resident or mapped), largest
+  /// first. Subsets across one round must partition the shard set.
   void SweepStageI(const std::vector<uint32_t>& shard_ids,
                    FusionResult* result);
   /// Sizes and zeroes the per-segment Stage II accumulators.
@@ -188,7 +189,7 @@ class FusionEngine {
   /// Wall-clock micros the last Stage I — one-shot or subset-at-a-time —
   /// spent sweeping each shard (indexed by shard id; empty before the
   /// first sweep). Shards are hash partitions of the data items, so claim
-  /// counts — and these times — can be heavily skewed; the sweep schedule
+  /// counts — and these times — can be heavily skewed; SweepStageI
   /// orders shards largest-first so the skew costs wall-clock only once,
   /// and this vector makes it observable.
   const std::vector<uint32_t>& shard_sweep_micros() const {
@@ -199,20 +200,16 @@ class FusionEngine {
   void InitAccuracies(const std::vector<Label>* gold);
   FusionResult EmptyResult() const;
   /// `score_in_place` requests the zero-copy path: item groups are scored
-  /// straight off the shard's columns (no ItemClaimsBuffer assembly).
-  /// Only valid when no filter is active (theta <= 0, no coverage
-  /// filter) and the scorer is table-driven or VOTE; oversized groups
-  /// (> sample_cap) still take the assembly path for reservoir sampling.
-  /// Reads the column view, so resident and mmap-backed shards score
-  /// through the same code.
+  /// straight off the shard's (triple, prov) columns (no ItemClaimsBuffer
+  /// assembly). Only valid when no filter is active (theta <= 0, no
+  /// coverage filter); oversized groups (> sample_cap) still take the
+  /// assembly path for reservoir sampling. Reads the column view, so
+  /// resident and mmap-backed shards score through the same code.
   void SweepShard(const ShardColumns& cols, double theta,
                   bool prefer_evaluated, bool score_in_place,
                   FusionResult* result) const;
-  /// Rebuilds the Stage I sweep schedule: shards ordered largest-first
-  /// (by claim count) and grouped into tasks of at least
-  /// kMinSweepClaimsPerTask claims, so scheduling granularity follows
-  /// claims instead of shard count. Deterministic and worker-independent.
-  void RebuildSweepSchedule();
+  /// Every shard id, ascending: the one-shot sweeps' subset.
+  std::vector<uint32_t> AllShards() const;
 
   const extract::ExtractionDataset& dataset_;
   FusionOptions options_;
@@ -235,6 +232,7 @@ class FusionEngine {
   /// path applies.
   bool stage1_prefer_evaluated_ = false;
   bool stage1_in_place_ = false;
+  std::vector<uint32_t> shard_sweep_micros_;  // by shard id, last sweep
 
   // ---- Stage II per-segment accumulators (BeginStageII..Finish) ----
   // Indexed by global segment id (ClaimGraph::prov_segments). The
@@ -247,12 +245,6 @@ class FusionEngine {
   /// exceeds sample_cap: their reservoir sample must be drawn from the
   /// full concatenated value sequence, not from partial sums.
   std::vector<std::vector<float>> seg_values_;
-
-  // ---- Stage I sweep schedule (skew-aware, rebuilt on graph change) ----
-  std::vector<uint32_t> sweep_order_;         // shard ids, most claims first
-  std::vector<uint32_t> sweep_task_offsets_;  // CSR into sweep_order_
-  std::vector<uint32_t> shard_sweep_micros_;  // by shard id, last sweep
-  bool sweep_schedule_stale_ = true;
 
   /// Rounds RunRounds swept since the last Prepare (global numbering).
   size_t rounds_run_ = 0;

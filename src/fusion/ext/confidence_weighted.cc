@@ -3,7 +3,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "fusion/claims.h"
+#include "fusion/claim_graph.h"
 #include "fusion/ext/extensions.h"
 
 namespace kf::fusion {
@@ -70,29 +70,37 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
     }
   }
 
-  // ---- weighted POPACCU over claims ----
-  // Claims keyed at the configured granularity carry a weight: the
-  // recalibrated confidence of the best supporting record (or the
-  // extractor-wide accuracy when no confidence is available).
-  ClaimSet set = BuildClaimSet(dataset, options.base.granularity);
-  // Recover a representative extractor per claim to map confidences:
-  // BuildClaimSet keeps the max confidence but not the extractor, so
-  // rebuild the per-claim weight from records directly.
+  // ---- weighted POPACCU over the claim graph ----
+  // Each claim carries a weight: the best recalibrated confidence among
+  // its records (the extractor-wide accuracy for a record without one).
+  // The graph's claim_confidence keeps only the max raw confidence, which
+  // loses the extractor whenever one provenance spans extractors, so the
+  // weights are keyed (dense prov id, triple) through record_provs().
+  const ClaimGraph graph(dataset, options.base.granularity,
+                         options.base.num_shards, options.base.num_workers);
+  const size_t num_provs = graph.num_provs();
+  auto pair_key = [](uint32_t prov, kb::TripleId triple) {
+    return (static_cast<uint64_t>(prov) << 32) | static_cast<uint64_t>(triple);
+  };
   std::unordered_map<uint64_t, double> pair_weight;
-  {
-    std::unordered_map<uint64_t, uint32_t> prov_index;
-    for (const extract::ExtractionRecord& r : dataset.records()) {
-      uint64_t key =
-          extract::ProvenanceKey(r.prov, options.base.granularity);
-      auto [pit, pnew] =
-          prov_index.emplace(key, static_cast<uint32_t>(prov_index.size()));
-      uint64_t pair_key = (static_cast<uint64_t>(pit->second) << 32) |
-                          static_cast<uint64_t>(r.triple);
-      double w = r.has_confidence
-                     ? recal[r.prov.extractor].Map(r.confidence, buckets)
-                     : recal[r.prov.extractor].fallback;
-      auto [it, inserted] = pair_weight.emplace(pair_key, w);
-      if (!inserted) it->second = std::max(it->second, w);
+  for (size_t i = 0; i < dataset.num_records(); ++i) {
+    const extract::ExtractionRecord& r = dataset.records()[i];
+    double w = r.has_confidence
+                   ? recal[r.prov.extractor].Map(r.confidence, buckets)
+                   : recal[r.prov.extractor].fallback;
+    auto [it, inserted] =
+        pair_weight.emplace(pair_key(graph.record_provs()[i], r.triple), w);
+    if (!inserted) it->second = std::max(it->second, w);
+  }
+  // Per shard, a weight column parallel to the claim columns.
+  std::vector<std::vector<double>> weight(graph.num_shards());
+  for (size_t s = 0; s < graph.num_shards(); ++s) {
+    const ShardColumns c = graph.columns(s);
+    weight[s].resize(c.num_claims);
+    for (uint32_t i = 0; i < c.num_claims; ++i) {
+      weight[s][i] = std::max(
+          options.min_weight,
+          pair_weight.at(pair_key(c.claim_prov[i], c.claim_triple[i])));
     }
   }
 
@@ -100,67 +108,67 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
   result.probability.assign(dataset.num_triples(), 0.0);
   result.has_probability.assign(dataset.num_triples(), 0);
   result.from_fallback.assign(dataset.num_triples(), 0);
-  result.num_provenances = set.num_provs;
+  result.num_provenances = num_provs;
 
   // Iterative weighted fusion: provenance accuracy = weighted mean triple
   // probability; triple score = sum of weighted log-odds (POPACCU-style
-  // popularity correction).
-  std::vector<double> accuracy(set.num_provs, options.base.default_accuracy);
-  std::vector<std::vector<uint32_t>> by_item(dataset.num_items());
-  for (uint32_t i = 0; i < set.claims.size(); ++i) {
-    by_item[set.claims[i].item].push_back(i);
-  }
-  std::vector<double> weight(set.claims.size(), options.min_weight);
-  for (uint32_t i = 0; i < set.claims.size(); ++i) {
-    const Claim& c = set.claims[i];
-    uint64_t pair_key = (static_cast<uint64_t>(c.prov) << 32) |
-                        static_cast<uint64_t>(c.triple);
-    auto it = pair_weight.find(pair_key);
-    if (it != pair_weight.end()) {
-      weight[i] = std::max(options.min_weight, it->second);
-    }
-  }
-
+  // popularity correction), one run-length sweep per item group.
+  std::vector<double> accuracy(num_provs, options.base.default_accuracy);
+  std::vector<double> log_odds(num_provs);
+  TripleProbs scores;
   const size_t rounds = std::max<size_t>(1, options.base.max_rounds);
   for (size_t round = 0; round < rounds; ++round) {
-    for (kb::DataItemId item = 0; item < dataset.num_items(); ++item) {
-      const auto& cl = by_item[item];
-      if (cl.empty()) continue;
-      std::unordered_map<kb::TripleId, double> logodds;
-      std::unordered_map<kb::TripleId, double> count;
-      double n = 0.0;
-      for (uint32_t ci : cl) {
-        const Claim& c = set.claims[ci];
-        double a = std::clamp(accuracy[c.prov], 0.01, 0.99);
-        logodds[c.triple] += weight[ci] * std::log(a / (1.0 - a));
-        count[c.triple] += weight[ci];
-        n += weight[ci];
-      }
-      double max_score = 0.0;
-      std::unordered_map<kb::TripleId, double> score;
-      for (const auto& [t, lo] : logodds) {
-        double c = count[t];
-        double s = lo - c * std::log(c / n);
-        if (n - c > 1e-12) s += (n - c) * std::log(n / (n - c));
-        score[t] = s;
-        max_score = std::max(max_score, s);
-      }
-      double total = std::exp(-max_score);
-      for (const auto& [t, s] : score) total += std::exp(s - max_score);
-      for (const auto& [t, s] : score) {
-        result.probability[t] = std::exp(s - max_score) / total;
-        result.has_probability[t] = 1;
+    for (size_t p = 0; p < num_provs; ++p) {
+      const double a = std::clamp(accuracy[p], 0.01, 0.99);
+      log_odds[p] = std::log(a / (1.0 - a));
+    }
+    for (size_t s = 0; s < graph.num_shards(); ++s) {
+      const ShardColumns c = graph.columns(s);
+      const double* w = weight[s].data();
+      for (size_t g = 0; g < c.num_items; ++g) {
+        const uint32_t b = c.item_offsets[g];
+        const uint32_t e = c.item_offsets[g + 1];
+        double n = 0.0;
+        for (uint32_t i = b; i < e; ++i) n += w[i];
+        scores.clear();
+        double max_score = 0.0;
+        for (uint32_t i = b; i < e;) {
+          const kb::TripleId t = c.claim_triple[i];
+          double lo = 0.0;
+          double count = 0.0;
+          for (; i < e && c.claim_triple[i] == t; ++i) {
+            lo += w[i] * log_odds[c.claim_prov[i]];
+            count += w[i];
+          }
+          double score = lo - count * std::log(count / n);
+          if (n - count > 1e-12) {
+            score += (n - count) * std::log(n / (n - count));
+          }
+          scores.emplace_back(t, score);
+          max_score = std::max(max_score, score);
+        }
+        double total = std::exp(-max_score);
+        for (const auto& [t, score] : scores) {
+          total += std::exp(score - max_score);
+        }
+        for (const auto& [t, score] : scores) {
+          result.probability[t] = std::exp(score - max_score) / total;
+          result.has_probability[t] = 1;
+        }
       }
     }
     // Re-evaluate provenance accuracies (weighted).
-    std::vector<double> acc_sum(set.num_provs, 0.0);
-    std::vector<double> acc_w(set.num_provs, 0.0);
-    for (uint32_t i = 0; i < set.claims.size(); ++i) {
-      const Claim& c = set.claims[i];
-      acc_sum[c.prov] += weight[i] * result.probability[c.triple];
-      acc_w[c.prov] += weight[i];
+    std::vector<double> acc_sum(num_provs, 0.0);
+    std::vector<double> acc_w(num_provs, 0.0);
+    for (size_t s = 0; s < graph.num_shards(); ++s) {
+      const ShardColumns c = graph.columns(s);
+      for (uint32_t i = 0; i < c.num_claims; ++i) {
+        const uint32_t p = c.claim_prov[i];
+        acc_sum[p] += weight[s][i] * result.probability[c.claim_triple[i]];
+        acc_w[p] += weight[s][i];
+      }
     }
-    for (size_t p = 0; p < set.num_provs; ++p) {
+    for (size_t p = 0; p < num_provs; ++p) {
       if (acc_w[p] > 0.0) {
         accuracy[p] = std::clamp(acc_sum[p] / acc_w[p], 0.01, 0.99);
       }

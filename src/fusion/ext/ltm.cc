@@ -1,8 +1,7 @@
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
-#include "fusion/claims.h"
+#include "fusion/claim_graph.h"
 #include "fusion/ext/extensions.h"
 
 namespace kf::fusion {
@@ -12,104 +11,100 @@ namespace kf::fusion {
 //                        * prod_{S covers item, no claim} ((1-se_S)/(1-fp_S))
 // where "covers item" means the provenance claimed some value for t's data
 // item. se and fp are re-estimated from the posterior each round.
+//
+// Both steps sweep the claim graph's item groups. A group's claims are
+// sorted by triple (stable in first-seen order), so every per-triple sum
+// is a run-length sweep, and the provenances covering the item are the
+// group's prov column sorted and deduplicated.
 FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
                             const LatentTruthOptions& options) {
-  ClaimSet set = BuildClaimSet(dataset, options.granularity);
+  const ClaimGraph graph(dataset, options.granularity);
+  const size_t num_provs = graph.num_provs();
   FusionResult result;
   result.probability.assign(dataset.num_triples(), 0.0);
   result.has_probability.assign(dataset.num_triples(), 0);
   result.from_fallback.assign(dataset.num_triples(), 0);
-  result.num_provenances = set.num_provs;
-
-  std::vector<uint8_t> claimed(dataset.num_triples(), 0);
-  for (const Claim& c : set.claims) claimed[c.triple] = 1;
-
-  // Index: claims grouped by item, and per provenance the set of items it
-  // covers (represented through its claims; a provenance covering an item
-  // without claiming triple t contributes absence evidence for t).
-  std::vector<std::vector<uint32_t>> item_claims(dataset.num_items());
-  for (uint32_t i = 0; i < set.claims.size(); ++i) {
-    item_claims[set.claims[i].item].push_back(i);
-  }
+  result.num_provenances = num_provs;
 
   std::vector<double> prob(dataset.num_triples(), options.prior_true);
-  std::vector<double> se(set.num_provs, options.init_sensitivity);
-  std::vector<double> fp(set.num_provs, options.init_false_pos);
+  std::vector<double> se(num_provs, options.init_sensitivity);
+  std::vector<double> fp(num_provs, options.init_false_pos);
   const double prior_logodds =
       std::log(options.prior_true / (1.0 - options.prior_true));
 
+  // Distinct provenances covering one item group, ascending.
+  std::vector<uint32_t> provs;
+  auto covering = [&provs](const ShardColumns& c, uint32_t b, uint32_t e) {
+    provs.assign(c.claim_prov + b, c.claim_prov + e);
+    std::sort(provs.begin(), provs.end());
+    provs.erase(std::unique(provs.begin(), provs.end()), provs.end());
+  };
+  std::vector<double> presence(num_provs);  // ln(se / fp)
+  std::vector<double> absence(num_provs);   // ln((1 - se) / (1 - fp))
+
   for (size_t round = 0; round < options.max_rounds; ++round) {
-    // E-step: per-triple posterior.
-    for (kb::DataItemId item = 0; item < dataset.num_items(); ++item) {
-      const auto& cl = item_claims[item];
-      if (cl.empty()) continue;
-      // Distinct provenances covering the item.
-      // For each claimed triple t of the item: claimants add the presence
-      // ratio; the other covering provenances add the absence ratio.
-      double absence_all = 0.0;
-      std::vector<uint32_t> provs;
-      provs.reserve(cl.size());
-      for (uint32_t ci : cl) {
-        uint32_t p = set.claims[ci].prov;
-        provs.push_back(p);
-      }
-      std::sort(provs.begin(), provs.end());
-      provs.erase(std::unique(provs.begin(), provs.end()), provs.end());
-      for (uint32_t p : provs) {
-        absence_all += std::log((1.0 - se[p]) / (1.0 - fp[p]));
-      }
-      // Group claims by triple.
-      std::unordered_map<kb::TripleId, double> presence;
-      std::unordered_map<kb::TripleId, double> absence_of_claimants;
-      for (uint32_t ci : cl) {
-        const Claim& c = set.claims[ci];
-        presence[c.triple] += std::log(se[c.prov] / fp[c.prov]);
-        absence_of_claimants[c.triple] +=
-            std::log((1.0 - se[c.prov]) / (1.0 - fp[c.prov]));
-      }
-      for (const auto& [t, pres] : presence) {
-        double logodds = prior_logodds + pres +
-                         (absence_all - absence_of_claimants[t]);
-        prob[t] = 1.0 / (1.0 + std::exp(-logodds));
+    // E-step: per-triple posterior. Claimants of t add the presence
+    // ratio; the other provenances covering the item add the absence
+    // ratio.
+    for (size_t p = 0; p < num_provs; ++p) {
+      presence[p] = std::log(se[p] / fp[p]);
+      absence[p] = std::log((1.0 - se[p]) / (1.0 - fp[p]));
+    }
+    for (size_t s = 0; s < graph.num_shards(); ++s) {
+      const ShardColumns c = graph.columns(s);
+      for (size_t g = 0; g < c.num_items; ++g) {
+        const uint32_t b = c.item_offsets[g];
+        const uint32_t e = c.item_offsets[g + 1];
+        covering(c, b, e);
+        double absence_all = 0.0;
+        for (uint32_t p : provs) absence_all += absence[p];
+        for (uint32_t i = b; i < e;) {
+          const kb::TripleId t = c.claim_triple[i];
+          double pres = 0.0;
+          double absence_of_claimants = 0.0;
+          for (; i < e && c.claim_triple[i] == t; ++i) {
+            pres += presence[c.claim_prov[i]];
+            absence_of_claimants += absence[c.claim_prov[i]];
+          }
+          double logodds =
+              prior_logodds + pres + (absence_all - absence_of_claimants);
+          prob[t] = 1.0 / (1.0 + std::exp(-logodds));
+        }
       }
     }
     // M-step: re-estimate sensitivity / false-positive rate per
     // provenance from expected counts over the items it covers.
-    std::vector<double> claim_true(set.num_provs, 0.0);
-    std::vector<double> claim_false(set.num_provs, 0.0);
-    std::vector<double> cover_true(set.num_provs, 0.0);
-    std::vector<double> cover_false(set.num_provs, 0.0);
+    std::vector<double> claim_true(num_provs, 0.0);
+    std::vector<double> claim_false(num_provs, 0.0);
+    std::vector<double> cover_true(num_provs, 0.0);
+    std::vector<double> cover_false(num_provs, 0.0);
     // A provenance covering item I is exposed to every claimed triple of
     // I; it claimed some subset of them.
-    for (kb::DataItemId item = 0; item < dataset.num_items(); ++item) {
-      const auto& cl = item_claims[item];
-      if (cl.empty()) continue;
-      double item_true_mass = 0.0;
-      double item_false_mass = 0.0;
-      std::unordered_map<kb::TripleId, uint8_t> seen;
-      for (uint32_t ci : cl) {
-        kb::TripleId t = set.claims[ci].triple;
-        if (seen.emplace(t, 1).second) {
-          item_true_mass += prob[t];
-          item_false_mass += 1.0 - prob[t];
+    for (size_t s = 0; s < graph.num_shards(); ++s) {
+      const ShardColumns c = graph.columns(s);
+      for (size_t g = 0; g < c.num_items; ++g) {
+        const uint32_t b = c.item_offsets[g];
+        const uint32_t e = c.item_offsets[g + 1];
+        double item_true_mass = 0.0;
+        double item_false_mass = 0.0;
+        for (uint32_t i = b; i < e; ++i) {
+          const kb::TripleId t = c.claim_triple[i];
+          if (i == b || t != c.claim_triple[i - 1]) {  // a run's first claim
+            item_true_mass += prob[t];
+            item_false_mass += 1.0 - prob[t];
+          }
+          claim_true[c.claim_prov[i]] += prob[t];
+          claim_false[c.claim_prov[i]] += 1.0 - prob[t];
+        }
+        covering(c, b, e);
+        for (uint32_t p : provs) {
+          cover_true[p] += item_true_mass;
+          cover_false[p] += item_false_mass;
         }
       }
-      std::vector<uint32_t> provs;
-      for (uint32_t ci : cl) provs.push_back(set.claims[ci].prov);
-      std::sort(provs.begin(), provs.end());
-      provs.erase(std::unique(provs.begin(), provs.end()), provs.end());
-      for (uint32_t p : provs) {
-        cover_true[p] += item_true_mass;
-        cover_false[p] += item_false_mass;
-      }
-      for (uint32_t ci : cl) {
-        const Claim& c = set.claims[ci];
-        claim_true[c.prov] += prob[c.triple];
-        claim_false[c.prov] += 1.0 - prob[c.triple];
-      }
     }
-    for (size_t p = 0; p < set.num_provs; ++p) {
-      if (set.prov_claims[p] < options.min_claims) continue;
+    for (size_t p = 0; p < num_provs; ++p) {
+      if (graph.prov_claims()[p] < options.min_claims) continue;
       if (cover_true[p] > 1e-9) {
         se[p] = std::clamp(claim_true[p] / cover_true[p], 0.05, 0.95);
       }
@@ -122,11 +117,10 @@ FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
     }
   }
 
-  for (kb::TripleId t = 0; t < dataset.num_triples(); ++t) {
-    if (!claimed[t]) continue;
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId t, uint32_t, float) {
     result.probability[t] = prob[t];
     result.has_probability[t] = 1;
-  }
+  });
   result.num_rounds = options.max_rounds;
   return result;
 }

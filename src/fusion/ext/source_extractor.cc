@@ -2,8 +2,8 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "common/hash.h"
 #include "fusion/ext/extensions.h"
+#include "fusion/partitioner.h"
 
 namespace kf::fusion {
 
@@ -24,15 +24,17 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
                                 const SourceExtractorOptions& options) {
   const size_t n_ext = dataset.num_extractors();
 
-  // Deduplicated (url, triple) pairs with their extractor sets (as masks;
-  // 12 extractors fit comfortably in 32 bits).
+  // Deduplicated (url, triple) pairs, and each pair's distinct extractor
+  // ids in ascending order (a CSR into claim_ext): extractor ids are
+  // interned strings, so their count is unbounded.
   struct UrlClaim {
     kb::TripleId triple;
     kb::DataItemId item;
     extract::UrlId url;
-    uint32_t extractor_mask;
   };
   std::vector<UrlClaim> claims;
+  std::vector<uint64_t> claim_ext_pairs;  // (claim << 32) | extractor
+  claim_ext_pairs.reserve(dataset.num_records());
   {
     std::unordered_map<uint64_t, uint32_t> index;
     for (const extract::ExtractionRecord& r : dataset.records()) {
@@ -41,16 +43,24 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
       auto [it, inserted] =
           index.emplace(key, static_cast<uint32_t>(claims.size()));
       if (inserted) {
-        UrlClaim c;
-        c.triple = r.triple;
-        c.item = dataset.triple(r.triple).item;
-        c.url = r.prov.url;
-        c.extractor_mask = 0;
-        claims.push_back(c);
+        claims.push_back(
+            UrlClaim{r.triple, dataset.triple(r.triple).item, r.prov.url});
       }
-      claims[it->second].extractor_mask |= 1u << r.prov.extractor;
+      claim_ext_pairs.push_back((static_cast<uint64_t>(it->second) << 32) |
+                                r.prov.extractor);
     }
   }
+  std::sort(claim_ext_pairs.begin(), claim_ext_pairs.end());
+  claim_ext_pairs.erase(
+      std::unique(claim_ext_pairs.begin(), claim_ext_pairs.end()),
+      claim_ext_pairs.end());
+  std::vector<uint32_t> ext_counts(claims.size(), 0);
+  std::vector<uint32_t> claim_ext(claim_ext_pairs.size());
+  for (size_t k = 0; k < claim_ext_pairs.size(); ++k) {
+    ++ext_counts[claim_ext_pairs[k] >> 32];
+    claim_ext[k] = static_cast<uint32_t>(claim_ext_pairs[k]);
+  }
+  const std::vector<uint32_t> ext_offsets = CsrOffsets(ext_counts);
 
   FusionResult result;
   result.probability.assign(dataset.num_triples(), 0.0);
@@ -66,10 +76,11 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
     by_item[claims[i].item].push_back(i);
   }
 
-  auto claim_weight = [&](const UrlClaim& c) {
+  // Multiplies in ascending extractor order, whatever the record order.
+  auto claim_weight = [&](uint32_t ci) {
     double miss = 1.0;
-    for (size_t e = 0; e < n_ext; ++e) {
-      if (c.extractor_mask & (1u << e)) miss *= 1.0 - q[e];
+    for (uint32_t k = ext_offsets[ci]; k < ext_offsets[ci + 1]; ++k) {
+      miss *= 1.0 - q[claim_ext[k]];
     }
     return 1.0 - miss;
   };
@@ -89,7 +100,7 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
       double n = 0.0;
       for (uint32_t ci : cl) {
         const UrlClaim& c = claims[ci];
-        double w = claim_weight(c);
+        double w = claim_weight(ci);
         double a = std::clamp(url_acc(c.url), options.accuracy_floor,
                               options.accuracy_ceiling);
         logodds[c.triple] += w * std::log(a / (1.0 - a));
@@ -121,12 +132,10 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
     // by the current mean URL accuracy to isolate the extractor's share.
     std::vector<double> q_sum(n_ext, 0.0);
     std::vector<double> q_cnt(n_ext, 0.0);
-    for (const UrlClaim& c : claims) {
-      for (size_t e = 0; e < n_ext; ++e) {
-        if (c.extractor_mask & (1u << e)) {
-          q_sum[e] += prob[c.triple];
-          q_cnt[e] += 1.0;
-        }
+    for (uint32_t ci = 0; ci < claims.size(); ++ci) {
+      for (uint32_t k = ext_offsets[ci]; k < ext_offsets[ci + 1]; ++k) {
+        q_sum[claim_ext[k]] += prob[claims[ci].triple];
+        q_cnt[claim_ext[k]] += 1.0;
       }
     }
     double mean_url_acc = 0.0;
@@ -146,8 +155,9 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
 
     // ---- re-estimate URL accuracy (weighted by claim reality) ----
     std::unordered_map<extract::UrlId, std::pair<double, double>> agg;
-    for (const UrlClaim& c : claims) {
-      double w = claim_weight(c);
+    for (uint32_t ci = 0; ci < claims.size(); ++ci) {
+      const UrlClaim& c = claims[ci];
+      double w = claim_weight(ci);
       auto& [sum, wsum] = agg[c.url];
       sum += w * prob[c.triple];
       wsum += w;

@@ -1,8 +1,8 @@
 // Sharding primitives of the sharded claim graph (fusion/claim_graph.h): a
 // deterministic hash partitioner, the shard-count policy, and CSR offset
 // construction.
-#ifndef KF_MR_PARTITIONER_H_
-#define KF_MR_PARTITIONER_H_
+#ifndef KF_FUSION_PARTITIONER_H_
+#define KF_FUSION_PARTITIONER_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -11,7 +11,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 
-namespace kf::mr {
+namespace kf::fusion {
 
 /// Assigns 64-bit keys to a fixed number of shards. The assignment depends
 /// only on (key, num_shards), never on worker count or insertion order, so
@@ -34,7 +34,12 @@ class Partitioner {
 
 /// Shard count for a structure expected to hold `num_groups` groups: a few
 /// thousand groups per shard, clamped to [16, 1024].
-size_t SuggestShards(size_t num_groups);
+inline size_t SuggestShards(size_t num_groups) {
+  const size_t shards = num_groups / 4096;
+  if (shards < 16) return 16;
+  if (shards > 1024) return 1024;
+  return shards;
+}
 
 /// Prefix-sums per-bucket counts into CSR offsets (size counts.size() + 1).
 inline std::vector<uint32_t> CsrOffsets(const std::vector<uint32_t>& counts) {
@@ -45,6 +50,6 @@ inline std::vector<uint32_t> CsrOffsets(const std::vector<uint32_t>& counts) {
   return offsets;
 }
 
-}  // namespace kf::mr
+}  // namespace kf::fusion
 
-#endif  // KF_MR_PARTITIONER_H_
+#endif  // KF_FUSION_PARTITIONER_H_

@@ -5,7 +5,6 @@
 #include "fusion/scorer.h"
 
 namespace kf::fusion {
-namespace {
 
 // POPACCU replaces ACCU's "N uniformly distributed false values" with the
 // empirical popularity of the observed values (Section 4.1; Dong et al.,
@@ -29,15 +28,13 @@ namespace {
 // calibration valleys).
 //
 // Run-length sweep over the sorted view: a run IS a candidate value — its
-// length is c(v) and its accuracy log-odds accumulate in claim order, so
-// no count/logodds hash maps are needed. `out` doubles as the scratch for
-// the max-exponent normalization, exactly as in accu.cc. The per-claim
-// ln(A/(1-A)) term comes through `log_odds_at(i)` so the table-driven
-// representations (per-provenance table / per-claim column) and the
-// accuracy fallback share one bit-identical sweep.
-template <typename LogOddsAt>
-void ScorePopAccuRuns(const ItemClaims& claims, TripleProbs* out,
-                      const LogOddsAt& log_odds_at) {
+// length is c(v) and its accuracy log-odds, read from the view's
+// per-provenance table (PrecomputeLogOdds below), accumulate in claim
+// order, so no count/logodds hash maps are needed. `out` doubles as the
+// scratch for the max-exponent normalization, exactly as in accu.cc.
+void PopAccuScorer::Score(const ItemClaims& claims, TripleProbs* out) const {
+  KF_CHECK(claims.sorted);  // O(1) flag read — enforced in release too
+  KF_DCHECK(claims.prov_log_odds != nullptr);
   const size_t base = out->size();
   const double n = static_cast<double>(claims.size());
   double max_score = 0.0;  // baseline candidate has score 0
@@ -46,7 +43,7 @@ void ScorePopAccuRuns(const ItemClaims& claims, TripleProbs* out,
     double lo = 0.0;
     size_t j = i;
     for (; j < claims.size() && claims.triple[j] == t; ++j) {
-      lo += log_odds_at(j);
+      lo += claims.prov_log_odds[claims.prov[j]];
     }
     const double c = static_cast<double>(j - i);
     double s = lo - c * std::log(c / n);
@@ -64,31 +61,11 @@ void ScorePopAccuRuns(const ItemClaims& claims, TripleProbs* out,
   }
 }
 
-}  // namespace
-
-void PopAccuScorer::Score(const ItemClaims& claims, TripleProbs* out) const {
-  KF_CHECK(claims.sorted);  // O(1) flag read — enforced in release too
-  if (claims.prov_log_odds != nullptr) {
-    ScorePopAccuRuns(claims, out, [&](size_t i) {
-      return claims.prov_log_odds[claims.prov[i]];
-    });
-  } else if (claims.log_odds != nullptr) {
-    ScorePopAccuRuns(claims, out,
-                     [&](size_t i) { return claims.log_odds[i]; });
-  } else {
-    ScorePopAccuRuns(claims, out, [&](size_t i) {
-      const double a = claims.accuracy[i];
-      return std::log(a / (1.0 - a));
-    });
-  }
-}
-
 bool PopAccuScorer::PrecomputeLogOdds(const std::vector<double>& accuracy,
                                       std::vector<double>* out) const {
   out->resize(accuracy.size());
   for (size_t p = 0; p < accuracy.size(); ++p) {
     const double a = accuracy[p];
-    // Must stay the exact inline expression above for bit-identity.
     (*out)[p] = std::log(a / (1.0 - a));
   }
   return true;

@@ -1,15 +1,15 @@
 // Reservoir sampling (algorithm R). Section 4.1: "we sample L triples each
 // time instead of using all triples for Bayesian analysis or source accuracy
 // evaluation" to bound reducer memory on skewed groups.
-#ifndef KF_MR_RESERVOIR_H_
-#define KF_MR_RESERVOIR_H_
+#ifndef KF_FUSION_RESERVOIR_H_
+#define KF_FUSION_RESERVOIR_H_
 
 #include <cstddef>
 #include <vector>
 
 #include "common/random.h"
 
-namespace kf::mr {
+namespace kf::fusion {
 
 /// Downsamples `items` in place to at most `cap` elements, each retained
 /// with equal probability. Keeps input order of the survivors stable only
@@ -25,6 +25,6 @@ void ReservoirSample(std::vector<T>* items, size_t cap, kf::Rng* rng) {
   *items = std::move(reservoir);
 }
 
-}  // namespace kf::mr
+}  // namespace kf::fusion
 
-#endif  // KF_MR_RESERVOIR_H_
+#endif  // KF_FUSION_RESERVOIR_H_

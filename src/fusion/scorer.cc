@@ -9,13 +9,9 @@ void ItemClaimsBuffer::SortByTriple() {
   std::vector<uint32_t> perm;
   StableSortPermutation(triple_.data(), triple_.size(), &perm);
   std::vector<kb::TripleId> triple_scratch;
-  std::vector<double> accuracy_scratch;
+  std::vector<uint32_t> prov_scratch;
   ApplyPermutation(perm, triple_.data(), &triple_scratch);
-  ApplyPermutation(perm, accuracy_.data(), &accuracy_scratch);
-  if (has_log_odds()) {
-    std::vector<double> log_odds_scratch;
-    ApplyPermutation(perm, log_odds_.data(), &log_odds_scratch);
-  }
+  ApplyPermutation(perm, prov_.data(), &prov_scratch);
   sorted_ = true;
 }
 

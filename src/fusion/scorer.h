@@ -1,12 +1,13 @@
 // Per-data-item truth scoring. Stage I of the engine sweeps the claim
 // graph's shards (fusion/claim_graph.h), hands each item group to a Scorer
-// as a lightweight columnar view, and scatters the resulting probabilities
-// into dense per-triple arrays. Because the view is non-owning, the same
-// scorer code runs unchanged over a full graph, a single shard, or an
-// assembled scratch buffer (filtered/sampled groups, tests). All three
-// scorers share the single-truth assumption of Section 4.1: probabilities
-// of the triples of one data item sum to at most 1, with the remainder
-// assigned to "some unobserved value".
+// as a (triple, provenance) span plus the round's per-provenance log-odds
+// table, and scatters the resulting probabilities into dense per-triple
+// arrays. Because the view is non-owning, the same scorer code runs
+// unchanged over a shard's columns or an assembled scratch buffer
+// (filtered/sampled groups, tests). All three scorers share the
+// single-truth assumption of Section 4.1: probabilities of the triples of
+// one data item sum to at most 1, with the remainder assigned to "some
+// unobserved value".
 //
 // Scoring is run-length based: Score() requires a triple-sorted view
 // (ItemClaims::sorted) and performs one linear sweep over the contiguous
@@ -27,105 +28,73 @@
 namespace kf::fusion {
 
 /// One data item's claims after filtering and sampling, as a non-owning
-/// columnar view: claim i says triple[i] with the claiming provenance's
-/// accuracy accuracy[i]. A (provenance, triple) pair appears at most once.
+/// columnar view: claim i says triple[i] on behalf of provenance prov[i].
+/// A (provenance, triple) pair appears at most once.
 ///
 /// `sorted` is the run-length guarantee: claims are in nondecreasing
 /// TripleId order, so equal triples form contiguous runs. Scorer::Score
 /// requires it; views over claim-graph shards carry it for free.
 ///
-/// Table-driven log-odds (the Stage I inner loop): accuracies are frozen
-/// during a sweep, so the engine precomputes each provenance's per-claim
-/// log-odds term once per round (Scorer::PrecomputeLogOdds) instead of
-/// paying a std::log per claim. A view can carry that table in one of two
-/// ways, checked in order by the scorers:
-/// - `prov` + `prov_log_odds`: claim i's term is prov_log_odds[prov[i]].
-///   This is the zero-copy form — Stage I points `triple`/`prov` straight
-///   into a shard's columns when no filter is active, skipping the
-///   ItemClaimsBuffer re-assembly entirely (`accuracy` may be null; only
-///   scorers that declare a log-odds table may be driven this way, plus
-///   VOTE, which reads nothing but `triple`).
-/// - `log_odds`: a per-claim column parallel to `triple`, gathered by the
-///   buffer path while filtering.
-/// With neither set, scorers fall back to computing the log from
-/// `accuracy` per claim (hand-built buffers, tests, external callers).
+/// `prov_log_odds` is the per-provenance table Scorer::PrecomputeLogOdds
+/// fills once per Stage I round (accuracies are frozen during a sweep):
+/// claim i's log-odds term is prov_log_odds[prov[i]], so the inner loop
+/// reads a table instead of paying a std::log per claim. ACCU and POPACCU
+/// require it; VOTE reads only `triple` and takes a null table. The same
+/// view form serves the engine's zero-copy spans straight into a shard's
+/// columns, its filtered ItemClaimsBuffer copies, and hand-built groups.
 struct ItemClaims {
   const kb::TripleId* triple = nullptr;
-  const double* accuracy = nullptr;
+  const uint32_t* prov = nullptr;
+  const double* prov_log_odds = nullptr;
   size_t count = 0;
   bool sorted = false;
-
-  const double* log_odds = nullptr;       // per-claim frozen log-odds
-  const uint32_t* prov = nullptr;         // per-claim provenance ids
-  const double* prov_log_odds = nullptr;  // per-provenance log-odds table
 
   size_t size() const { return count; }
 };
 
-/// Owning assembly buffer for an item group; reused across items by the
+/// Owning (triple, provenance) copy of an item group — the claims that
+/// survive Stage I's filters and sampling — reused across items by the
 /// shard sweep so steady-state scoring allocates nothing. Tracks whether
-/// the pushes arrived in triple order — filtered copies out of a sorted
-/// shard group stay sorted for free; hand-built buffers (tests, external
-/// callers) re-establish the order with SortByTriple() before scoring.
+/// the pushes arrived in triple order: filtered copies out of a sorted
+/// shard group stay sorted for free; reservoir samples and hand-built
+/// buffers re-establish the order with SortByTriple() before scoring.
 /// The columns are private so nothing can mutate them behind the
 /// tracking's back.
 class ItemClaimsBuffer {
  public:
   void clear() {
     triple_.clear();
-    accuracy_.clear();
-    log_odds_.clear();
+    prov_.clear();
     sorted_ = true;
-    has_log_odds_ = true;
   }
-  void push(kb::TripleId t, double a) {
+  void push(kb::TripleId t, uint32_t prov) {
     if (!triple_.empty() && triple_.back() > t) sorted_ = false;
     triple_.push_back(t);
-    accuracy_.push_back(a);
-    // A push without a log-odds term invalidates the column for this
-    // assembly (scorers fall back to computing logs from accuracies).
-    has_log_odds_ = false;
-    log_odds_.clear();
-  }
-  /// Push with the provenance's frozen log-odds term (the engine's
-  /// table-driven path). All pushes of one assembly must carry it for the
-  /// view to expose the column.
-  void push(kb::TripleId t, double a, double lo) {
-    if (!has_log_odds_) {
-      push(t, a);
-      return;
-    }
-    if (!triple_.empty() && triple_.back() > t) sorted_ = false;
-    triple_.push_back(t);
-    accuracy_.push_back(a);
-    log_odds_.push_back(lo);
+    prov_.push_back(prov);
   }
   size_t size() const { return triple_.size(); }
   const std::vector<kb::TripleId>& triples() const { return triple_; }
-  const std::vector<double>& accuracies() const { return accuracy_; }
-  const std::vector<double>& log_odds() const { return log_odds_; }
-  bool has_log_odds() const { return has_log_odds_ && !triple_.empty(); }
+  const std::vector<uint32_t>& provs() const { return prov_; }
   /// Whether the pushes so far arrived in nondecreasing triple order.
   bool sorted() const { return sorted_; }
   /// Stable-sorts the claims by triple (no-op when already sorted):
   /// equal triples keep their relative push order.
   void SortByTriple();
-  ItemClaims view() const {
+  /// The buffer as a scorer input over `prov_log_odds` (null for VOTE).
+  ItemClaims view(const double* prov_log_odds = nullptr) const {
     ItemClaims v;
     v.triple = triple_.data();
-    v.accuracy = accuracy_.data();
+    v.prov = prov_.data();
+    v.prov_log_odds = prov_log_odds;
     v.count = size();
     v.sorted = sorted_;
-    if (has_log_odds()) v.log_odds = log_odds_.data();
     return v;
   }
 
  private:
   std::vector<kb::TripleId> triple_;
-  std::vector<double> accuracy_;
-  std::vector<double> log_odds_;
+  std::vector<uint32_t> prov_;
   bool sorted_ = true;
-  bool has_log_odds_ = true;
 };
 
 /// Output: (triple, probability) for each distinct triple in the group.
@@ -147,10 +116,8 @@ class Scorer {
   /// a provenance of accuracy `accuracy[p]` and returns true, or returns
   /// false when the scorer has no such term (VOTE). The engine calls this
   /// once per Stage I round — accuracies are frozen during a sweep — and
-  /// hands the table back through ItemClaims::{log_odds,prov_log_odds},
-  /// turning the inner loop's std::log per claim into a table read. The
-  /// precomputed term is the exact expression Score() would evaluate, so
-  /// table-driven sums are bit-identical to the inline ones.
+  /// hands the table back through ItemClaims::prov_log_odds, so the inner
+  /// loop reads a table instead of paying a std::log per claim.
   virtual bool PrecomputeLogOdds(const std::vector<double>& accuracy,
                                  std::vector<double>* out) const {
     (void)accuracy;

@@ -5,9 +5,7 @@ namespace kf::fusion {
 
 // Run-length sweep over the sorted view: each contiguous run of one
 // triple is its vote count. O(claims), no hash map, no allocation. Only
-// the triple column is read, so VOTE accepts every ItemClaims
-// representation — including the engine's zero-copy shard-span views,
-// whose accuracy pointer is null.
+// the triple column is read, so VOTE takes a null log-odds table.
 void VoteScorer::Score(const ItemClaims& claims, TripleProbs* out) const {
   KF_CHECK(claims.sorted);  // O(1) flag read — enforced in release too
   const double n = static_cast<double>(claims.size());

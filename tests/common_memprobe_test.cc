@@ -4,23 +4,47 @@
 // report 0 — so every test first checks availability and only then
 // asserts the Linux behavior.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/memprobe.h"
 
 namespace kf {
 namespace {
 
-/// Touches `bytes` of fresh heap so the allocation is actually resident
-/// (RSS counts touched pages, not reservations). Returns the buffer so
-/// the optimizer cannot drop the allocation.
-std::unique_ptr<std::vector<char>> TouchBytes(size_t bytes) {
-  auto buf = std::make_unique<std::vector<char>>(bytes);
-  std::memset(buf->data(), 0x5a, bytes);
-  return buf;
+/// `bytes` of fresh anonymous pages, touched so they are actually
+/// resident (RSS counts touched pages, not reservations) and unmapped on
+/// destruction. Mapped directly rather than taken from the heap: an
+/// allocator, or a sanitizer's quarantine, may keep freed heap resident,
+/// and ResetPeakRebasesTheHighWater needs the pages gone once the buffer
+/// is.
+class TouchedPages {
+ public:
+  explicit TouchedPages(size_t bytes)
+      : bytes_(bytes),
+        data_(mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
+    if (data_ == MAP_FAILED) {
+      ADD_FAILURE() << "mmap of " << bytes << " bytes failed";
+      return;
+    }
+    std::memset(data_, 0x5a, bytes);
+  }
+  ~TouchedPages() {
+    if (data_ != MAP_FAILED) munmap(data_, bytes_);
+  }
+  TouchedPages(const TouchedPages&) = delete;
+  TouchedPages& operator=(const TouchedPages&) = delete;
+
+ private:
+  size_t bytes_;
+  void* data_;
+};
+
+std::unique_ptr<TouchedPages> TouchBytes(size_t bytes) {
+  return std::make_unique<TouchedPages>(bytes);
 }
 
 TEST(MemprobeTest, CurrentRssIsPositiveWhenAvailable) {

@@ -6,12 +6,202 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 
-#include "fusion/claims.h"
 #include "synth/corpus.h"
 
 namespace kf::fusion {
 namespace {
+
+// ---- the flat oracle ----
+//
+// The reference the graph is checked against: the records projected onto
+// deduplicated (provenance, triple) claims in one flat, record-order
+// list, with hash maps and no sharding. Provenance ids are interned in
+// record order, as the graph interns them.
+
+/// A deduplicated (provenance, triple) support pair.
+struct Claim {
+  kb::TripleId triple = 0;
+  kb::DataItemId item = 0;
+  uint32_t prov = 0;  // dense pseudo-source id under the granularity
+};
+
+struct ClaimSet {
+  std::vector<Claim> claims;
+  size_t num_provs = 0;
+  /// Claims per provenance.
+  std::vector<uint32_t> prov_claims;
+  /// Claims per data item.
+  std::vector<uint32_t> item_claims;
+  /// Max confidence any record assigned to the (prov, triple) pair, or -1
+  /// when no contributing record had a confidence.
+  std::vector<float> confidence;
+};
+
+ClaimSet BuildClaimSet(const extract::ExtractionDataset& dataset,
+                       const extract::Granularity& granularity) {
+  ClaimSet set;
+  std::unordered_map<uint64_t, uint32_t> prov_index;
+  std::unordered_map<uint64_t, uint32_t> pair_index;  // (prov, triple)
+  for (const extract::ExtractionRecord& r : dataset.records()) {
+    uint64_t key = extract::ProvenanceKey(r.prov, granularity);
+    uint32_t prov =
+        prov_index.emplace(key, static_cast<uint32_t>(prov_index.size()))
+            .first->second;
+    uint64_t pair_key =
+        (static_cast<uint64_t>(prov) << 32) | static_cast<uint64_t>(r.triple);
+    auto [it, inserted] = pair_index.emplace(
+        pair_key, static_cast<uint32_t>(set.claims.size()));
+    if (inserted) {
+      set.claims.push_back(
+          Claim{r.triple, dataset.triple(r.triple).item, prov});
+      set.confidence.push_back(r.has_confidence ? r.confidence : -1.0f);
+    } else if (r.has_confidence) {
+      float& conf = set.confidence[it->second];
+      conf = std::max(conf, r.confidence);
+    }
+  }
+  set.num_provs = prov_index.size();
+  set.prov_claims.assign(set.num_provs, 0);
+  set.item_claims.assign(dataset.num_items(), 0);
+  for (const Claim& c : set.claims) {
+    ++set.prov_claims[c.prov];
+    ++set.item_claims[c.item];
+  }
+  return set;
+}
+
+extract::ExtractionDataset TwoSiteDataset() {
+  extract::ExtractionDataset d;
+  d.SetExtractors({extract::ExtractorMeta{"E0", extract::ContentType::kTxt,
+                                          true, 0, 0},
+                   extract::ExtractorMeta{"E1", extract::ContentType::kDom,
+                                          false, 1, 0}});
+  d.SetUrlSites({0, 0, 1});
+  d.SetCounts(2, 2, 2);
+  auto add = [&](kb::ValueId o, uint32_t ext, uint32_t url, float conf,
+                 bool has_conf) {
+    kb::TripleId t = d.InternTriple(kb::DataItem{1, 0}, o, false, false);
+    extract::ExtractionRecord r;
+    r.triple = t;
+    r.prov.extractor = ext;
+    r.prov.url = url;
+    r.prov.site = d.site_of_url(url);
+    r.prov.pattern = ext;
+    r.prov.predicate = 0;
+    r.confidence = conf;
+    r.has_confidence = has_conf;
+    d.AddRecord(r);
+  };
+  add(10, 0, 0, 0.5f, true);
+  add(10, 0, 0, 0.9f, true);  // duplicate (prov, triple), higher conf
+  add(10, 0, 1, 0.4f, true);  // same extractor, other url, same site
+  add(11, 1, 2, 0.0f, false);
+  return d;
+}
+
+// The oracle's own cases on a hand-built dataset, each checked against the
+// graph as well.
+
+TEST(ClaimSetTest, DedupesAtUrlGranularity) {
+  auto d = TwoSiteDataset();
+  auto gran = extract::Granularity::ExtractorUrl();
+  ClaimSet set = BuildClaimSet(d, gran);
+  // (E0,url0,t10), (E0,url1,t10), (E1,url2,t11).
+  EXPECT_EQ(set.claims.size(), 3u);
+  EXPECT_EQ(set.num_provs, 3u);
+  ClaimGraph graph(d, gran, /*num_shards=*/4);
+  EXPECT_EQ(graph.num_claims(), 3u);
+  EXPECT_EQ(graph.num_provs(), 3u);
+}
+
+TEST(ClaimSetTest, DedupesAtSiteGranularity) {
+  auto d = TwoSiteDataset();
+  auto gran = extract::Granularity::ExtractorSite();
+  ClaimSet set = BuildClaimSet(d, gran);
+  // url0 and url1 share site 0, so E0's two claims on t10 collapse.
+  EXPECT_EQ(set.claims.size(), 2u);
+  EXPECT_EQ(set.num_provs, 2u);
+  ClaimGraph graph(d, gran, /*num_shards=*/4);
+  EXPECT_EQ(graph.num_claims(), 2u);
+  EXPECT_EQ(graph.num_provs(), 2u);
+}
+
+TEST(ClaimSetTest, KeepsMaxConfidence) {
+  auto d = TwoSiteDataset();
+  auto gran = extract::Granularity::ExtractorUrl();
+  const kb::TripleId t10 = d.FindTriple(kb::DataItem{1, 0}, 10);
+  ClaimSet set = BuildClaimSet(d, gran);
+  // The duplicate record had confidence 0.9 > 0.5.
+  bool found = false;
+  for (size_t i = 0; i < set.claims.size(); ++i) {
+    if (set.claims[i].triple == t10 && set.confidence[i] > 0.0f) {
+      EXPECT_GE(set.confidence[i], 0.4f);
+      if (set.confidence[i] == 0.9f) found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  std::multiset<float> graph_confidences;
+  ClaimGraph(d, gran, /*num_shards=*/4)
+      .ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
+                        float conf) {
+        if (triple == t10) graph_confidences.insert(conf);
+      });
+  EXPECT_EQ(graph_confidences, (std::multiset<float>{0.4f, 0.9f}));
+}
+
+TEST(ClaimSetTest, NoConfidenceIsMinusOne) {
+  auto d = TwoSiteDataset();
+  auto gran = extract::Granularity::ExtractorUrl();
+  kb::TripleId t11 = d.FindTriple(kb::DataItem{1, 0}, 11);
+  ClaimSet set = BuildClaimSet(d, gran);
+  for (size_t i = 0; i < set.claims.size(); ++i) {
+    if (set.claims[i].triple == t11) {
+      EXPECT_FLOAT_EQ(set.confidence[i], -1.0f);
+    }
+  }
+  ClaimGraph(d, gran, /*num_shards=*/4)
+      .ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
+                        float conf) {
+        if (triple == t11) {
+          EXPECT_FLOAT_EQ(conf, -1.0f);
+        }
+      });
+}
+
+TEST(ClaimSetTest, CountsPerProvenanceAndItem) {
+  auto d = TwoSiteDataset();
+  auto gran = extract::Granularity::ExtractorUrl();
+  ClaimSet set = BuildClaimSet(d, gran);
+  uint32_t total_prov = 0, total_item = 0;
+  for (uint32_t c : set.prov_claims) total_prov += c;
+  for (uint32_t c : set.item_claims) total_item += c;
+  EXPECT_EQ(total_prov, set.claims.size());
+  EXPECT_EQ(total_item, set.claims.size());
+  ClaimGraph graph(d, gran, /*num_shards=*/4);
+  EXPECT_EQ(graph.prov_claims(), set.prov_claims);
+  size_t graph_item_claims = 0;
+  for (size_t s = 0; s < graph.num_shards(); ++s) {
+    const ClaimGraph::Shard& sh = graph.shard(s);
+    for (size_t g = 0; g < sh.num_items(); ++g) {
+      graph_item_claims += sh.item_offsets[g + 1] - sh.item_offsets[g];
+    }
+  }
+  EXPECT_EQ(graph_item_claims, set.claims.size());
+}
+
+TEST(ClaimSetTest, EmptyDataset) {
+  extract::ExtractionDataset d;
+  ClaimSet set = BuildClaimSet(d, extract::Granularity::ExtractorUrl());
+  EXPECT_TRUE(set.claims.empty());
+  EXPECT_EQ(set.num_provs, 0u);
+  ClaimGraph graph(d, extract::Granularity::ExtractorUrl());
+  EXPECT_EQ(graph.num_claims(), 0u);
+  EXPECT_EQ(graph.num_provs(), 0u);
+}
+
+// ---- the graph on the synthetic corpus ----
 
 const synth::SynthCorpus& SmallCorpus() {
   static const synth::SynthCorpus& corpus = *new synth::SynthCorpus(

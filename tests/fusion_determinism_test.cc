@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 
+#include "common/checksum.h"
 #include "eval/gold_standard.h"
 #include "fusion/engine.h"
 #include "synth/corpus.h"
@@ -132,6 +134,73 @@ TEST(DeterminismTest, SampleCapReservoirIdenticalAcrossWorkerCounts) {
   opts.num_shards = 8;
   opts.sample_cap = 3;
   ExpectBitIdentical(RunWith(opts, 1), RunWith(opts, 4));
+}
+
+// ---- Engine output pinned across versions ----
+//
+// The sweeps above compare a build only with itself. This case pins each
+// Stage I regime's output to CRC-32 constants recorded from an earlier
+// implementation, so a refactor of the sweep or the scorers that moves a
+// single bit of any regime fails here. A deliberate change to the
+// engine's arithmetic re-records the constants.
+uint32_t OutputCrc(const Capture& c) {
+  uint32_t crc = 0;
+  auto add = [&crc](const auto& column) {
+    crc = Crc32(column.data(), column.size() * sizeof(column[0]), crc);
+  };
+  add(c.result.probability);
+  add(c.result.has_probability);
+  add(c.result.from_fallback);
+  add(c.accuracies);
+  return crc;
+}
+
+TEST(DeterminismTest, StageIRegimesMatchRecordedOutput) {
+  auto on8 = [](FusionOptions o, Method method) {
+    o.method = method;
+    o.num_shards = 8;
+    return o;
+  };
+  FusionOptions theta_only = FusionOptions::PopAccu();
+  theta_only.min_provenance_accuracy = 0.6;
+  FusionOptions gold_half = FusionOptions::PopAccuPlus();
+  gold_half.gold_sample_rate = 0.5;
+  FusionOptions sampled = FusionOptions::PopAccu();
+  sampled.sample_cap = 3;
+  const std::vector<Label>* gold = &GetWorkload().labels;
+  const struct {
+    const char* name;
+    FusionOptions opts;
+    const std::vector<Label>* gold;
+    uint32_t crc;
+  } regimes[] = {
+      // The zero-copy path: no filter, every group scored in place.
+      {"vote", on8(FusionOptions(), Method::kVote), nullptr, 0x1887a442u},
+      {"accu", on8(FusionOptions(), Method::kAccu), nullptr, 0xa8a5211bu},
+      {"popaccu", on8(FusionOptions(), Method::kPopAccu), nullptr,
+       0xba4a89e9u},
+      // The filtered buffer path, with and without a log-odds table.
+      {"popaccu+unsup", on8(FusionOptions::PopAccuPlusUnsup(),
+                            Method::kPopAccu), nullptr, 0x5d0d44bdu},
+      {"vote+unsup", on8(FusionOptions::PopAccuPlusUnsup(), Method::kVote),
+       nullptr, 0xf7e09356u},
+      {"theta 0.6", on8(theta_only, Method::kPopAccu), nullptr,
+       0xb67e2e95u},
+      {"popaccu+ gold 0.5", on8(gold_half, Method::kPopAccu), gold,
+       0x8baa5586u},
+      // The reservoir branch: groups above sample_cap are sampled.
+      {"sample_cap 3", on8(sampled, Method::kPopAccu), nullptr,
+       0x3b888d9fu},
+  };
+  for (const auto& r : regimes) {
+    for (size_t workers : {1, 4}) {
+      const uint32_t crc = OutputCrc(RunWith(r.opts, workers, r.gold));
+      std::ostringstream hex;
+      hex << std::hex << "0x" << crc;
+      EXPECT_EQ(crc, r.crc) << r.name << " at " << workers
+                            << " workers: got " << hex.str();
+    }
+  }
 }
 
 // ---- Skewed corpus: one mega-item dwarfing everything else ----

@@ -168,6 +168,53 @@ TEST_F(ExtensionsTest, SourceExtractorRewardsMultiExtractorSupport) {
   EXPECT_GT(result.probability[b], result.probability[a]);
 }
 
+TEST_F(ExtensionsTest, SourceExtractorHandlesExtractorIdsPast31) {
+  // TSV import interns extractor and pattern names into one id space, so
+  // extractor ids grow with the input. The same records under ids 32-34
+  // (ids 0-31 registered but unused) must fuse exactly as under ids 0-2.
+  auto build = [](uint32_t first) {
+    extract::ExtractionDataset d;
+    std::vector<extract::ExtractorMeta> metas;
+    for (uint32_t i = 0; i < first + 3; ++i) {
+      metas.push_back(extract::ExtractorMeta{"E" + std::to_string(i),
+                                             extract::ContentType::kTxt,
+                                             true, static_cast<int>(i), 0});
+    }
+    d.SetExtractors(std::move(metas));
+    d.SetUrlSites({0, 1, 2, 3});
+    d.SetCounts(4, first + 3, 1);
+    auto add = [&](kb::EntityId s, kb::ValueId v, uint32_t ext,
+                   uint32_t url) {
+      extract::ExtractionRecord r;
+      r.triple = d.InternTriple(kb::DataItem{s, 0}, v, false, false);
+      r.prov.extractor = first + ext;
+      r.prov.url = url;
+      r.prov.site = url;
+      d.AddRecord(r);
+    };
+    // Six triples on three items, each URL claim backed by one to three
+    // extractors.
+    add(1, 10, 0, 0);
+    add(1, 10, 1, 0);
+    add(1, 10, 2, 1);
+    add(1, 11, 0, 2);
+    add(2, 20, 1, 0);
+    add(2, 20, 2, 1);
+    add(2, 21, 0, 3);
+    add(2, 21, 1, 3);
+    add(3, 30, 0, 1);
+    add(3, 30, 1, 2);
+    add(3, 30, 2, 3);
+    add(3, 31, 2, 0);
+    return d;
+  };
+  const FusionResult low = RunSourceExtractor(build(0), {});
+  const FusionResult high = RunSourceExtractor(build(32), {});
+  ASSERT_EQ(low.probability.size(), 6u);
+  EXPECT_EQ(high.probability, low.probability);
+  EXPECT_EQ(high.has_probability, low.has_probability);
+}
+
 class LatentTruthRounds : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(LatentTruthRounds, StableAcrossRoundCounts) {

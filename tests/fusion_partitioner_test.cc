@@ -1,8 +1,8 @@
-#include "mr/partitioner.h"
+#include "fusion/partitioner.h"
 
 #include <gtest/gtest.h>
 
-namespace kf::mr {
+namespace kf::fusion {
 namespace {
 
 TEST(PartitionerTest, AssignmentInRangeAndStable) {
@@ -55,4 +55,4 @@ TEST(SuggestShardsTest, Clamped) {
 }
 
 }  // namespace
-}  // namespace kf::mr
+}  // namespace kf::fusion

@@ -1,10 +1,10 @@
-#include "mr/reservoir.h"
+#include "fusion/reservoir.h"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-namespace kf::mr {
+namespace kf::fusion {
 namespace {
 
 TEST(ReservoirTest, NoOpWhenUnderCap) {
@@ -62,4 +62,4 @@ TEST(ReservoirTest, ApproximatelyUniform) {
 }
 
 }  // namespace
-}  // namespace kf::mr
+}  // namespace kf::fusion

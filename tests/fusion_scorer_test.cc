@@ -12,23 +12,41 @@
 namespace kf::fusion {
 namespace {
 
-std::map<kb::TripleId, double> Score(const Scorer& scorer,
-                                     const ItemClaimsBuffer& claims) {
+// A hand-built item group: each claim gets its own provenance id, and
+// the scorer's log-odds table is built from those provenances' accuracies
+// with PrecomputeLogOdds — the form Stage I hands every scorer.
+struct Group {
+  ItemClaimsBuffer claims;
+  std::vector<double> accuracy;  // by provenance id
+
+  void push(kb::TripleId t, double a) {
+    claims.push(t, static_cast<uint32_t>(accuracy.size()));
+    accuracy.push_back(a);
+  }
+};
+
+TripleProbs ScoreGroup(const Scorer& scorer, const Group& group) {
+  std::vector<double> table;  // stays empty for VOTE
+  scorer.PrecomputeLogOdds(group.accuracy, &table);
   TripleProbs out;
-  scorer.Score(claims.view(), &out);
+  scorer.Score(group.claims.view(table.empty() ? nullptr : table.data()),
+               &out);
+  return out;
+}
+
+std::map<kb::TripleId, double> Score(const Scorer& scorer,
+                                     const Group& group) {
   std::map<kb::TripleId, double> result;
-  for (const auto& [t, p] : out) result[t] = p;
+  for (const auto& [t, p] : ScoreGroup(scorer, group)) result[t] = p;
   return result;
 }
 
-ItemClaimsBuffer Claims(std::vector<kb::TripleId> triples,
-                        std::vector<double> accuracies) {
-  ItemClaimsBuffer c;
-  for (size_t i = 0; i < triples.size(); ++i) {
-    c.push(triples[i], accuracies[i]);
-  }
-  c.SortByTriple();  // scorers require the sorted view
-  return c;
+Group Claims(std::vector<kb::TripleId> triples,
+             std::vector<double> accuracies) {
+  Group g;
+  for (size_t i = 0; i < triples.size(); ++i) g.push(triples[i], accuracies[i]);
+  g.claims.SortByTriple();  // scorers require the sorted view
+  return g;
 }
 
 // ---- VOTE ----
@@ -134,16 +152,14 @@ TEST(PopAccuTest, ProbabilitiesWithinUnitInterval) {
   Rng rng(3);
   for (int trial = 0; trial < 200; ++trial) {
     size_t n = 1 + rng.NextBelow(20);
-    ItemClaimsBuffer claims;
+    Group group;
     for (size_t i = 0; i < n; ++i) {
-      claims.push(static_cast<kb::TripleId>(rng.NextBelow(5)),
-                  rng.Uniform(0.01, 0.99));
+      group.push(static_cast<kb::TripleId>(rng.NextBelow(5)),
+                 rng.Uniform(0.01, 0.99));
     }
-    claims.SortByTriple();
-    TripleProbs out;
-    pop.Score(claims.view(), &out);
+    group.claims.SortByTriple();
     double sum = 0.0;
-    for (const auto& [t, p] : out) {
+    for (const auto& [t, p] : ScoreGroup(pop, group)) {
       EXPECT_GE(p, 0.0);
       EXPECT_LE(p, 1.0);
       sum += p;
@@ -167,14 +183,12 @@ TEST_P(ScorerMonotonicity, MoreSupportNeverLowersProbability) {
   // Fixed rival with 2 claims; grow support for triple 1.
   double prev = -1.0;
   for (int m = 1; m <= 8; ++m) {
-    ItemClaimsBuffer claims;
-    for (int i = 0; i < m; ++i) claims.push(1, accuracy);
-    claims.push(2, accuracy);
-    claims.push(2, accuracy);
-    TripleProbs out;
-    scorer->Score(claims.view(), &out);
+    Group group;
+    for (int i = 0; i < m; ++i) group.push(1, accuracy);
+    group.push(2, accuracy);
+    group.push(2, accuracy);
     double p1 = 0;
-    for (const auto& [t, p] : out) {
+    for (const auto& [t, p] : ScoreGroup(*scorer, group)) {
       if (t == 1) p1 = p;
     }
     EXPECT_GE(p1, prev - 1e-9) << "support " << m;
@@ -196,21 +210,21 @@ INSTANTIATE_TEST_SUITE_P(
 // is preserved by the stable sort; only the normalization's summation
 // order differs, so the probabilities may move in the last few ulps).
 
-std::map<kb::TripleId, double> ReferenceVote(const ItemClaims& claims) {
+std::map<kb::TripleId, double> ReferenceVote(const Group& g) {
   std::unordered_map<kb::TripleId, uint32_t> votes;
-  for (size_t i = 0; i < claims.size(); ++i) ++votes[claims.triple[i]];
-  const double n = static_cast<double>(claims.size());
+  for (kb::TripleId t : g.claims.triples()) ++votes[t];
+  const double n = static_cast<double>(g.claims.size());
   std::map<kb::TripleId, double> out;
   for (const auto& [t, m] : votes) out[t] = static_cast<double>(m) / n;
   return out;
 }
 
-std::map<kb::TripleId, double> ReferenceAccu(const ItemClaims& claims,
+std::map<kb::TripleId, double> ReferenceAccu(const Group& g,
                                              double n_false_values) {
   std::unordered_map<kb::TripleId, double> score;
-  for (size_t i = 0; i < claims.size(); ++i) {
-    double a = claims.accuracy[i];
-    score[claims.triple[i]] += std::log(n_false_values * a / (1.0 - a));
+  for (size_t i = 0; i < g.claims.size(); ++i) {
+    double a = g.accuracy[g.claims.provs()[i]];
+    score[g.claims.triples()[i]] += std::log(n_false_values * a / (1.0 - a));
   }
   double max_score = 0.0;
   for (const auto& [t, s] : score) max_score = std::max(max_score, s);
@@ -223,15 +237,15 @@ std::map<kb::TripleId, double> ReferenceAccu(const ItemClaims& claims,
   return out;
 }
 
-std::map<kb::TripleId, double> ReferencePopAccu(const ItemClaims& claims) {
+std::map<kb::TripleId, double> ReferencePopAccu(const Group& g) {
   std::unordered_map<kb::TripleId, double> logodds;
   std::unordered_map<kb::TripleId, double> count;
-  for (size_t i = 0; i < claims.size(); ++i) {
-    double a = claims.accuracy[i];
-    logodds[claims.triple[i]] += std::log(a / (1.0 - a));
-    count[claims.triple[i]] += 1.0;
+  for (size_t i = 0; i < g.claims.size(); ++i) {
+    double a = g.accuracy[g.claims.provs()[i]];
+    logodds[g.claims.triples()[i]] += std::log(a / (1.0 - a));
+    count[g.claims.triples()[i]] += 1.0;
   }
-  const double n = static_cast<double>(claims.size());
+  const double n = static_cast<double>(g.claims.size());
   std::unordered_map<kb::TripleId, double> score;
   double max_score = 0.0;
   for (const auto& [t, lo] : logodds) {
@@ -257,25 +271,24 @@ TEST(RunLengthEquivalenceTest, MatchesHashMapReferencesOnRandomGroups) {
     // Randomized group shapes: singletons, heavy agreement, wide conflict.
     size_t n = 1 + rng.NextBelow(30);
     size_t num_values = 1 + rng.NextBelow(8);
-    ItemClaimsBuffer claims;
+    Group group;
     for (size_t i = 0; i < n; ++i) {
-      claims.push(static_cast<kb::TripleId>(rng.NextBelow(num_values)),
-                  rng.Uniform(0.05, 0.95));
+      group.push(static_cast<kb::TripleId>(rng.NextBelow(num_values)),
+                 rng.Uniform(0.05, 0.95));
     }
-    // References consume the unsorted view (order-insensitive by
-    // construction) — evaluated before SortByTriple() reorders the
-    // columns underneath it.
+    // References consume the unsorted claims (order-insensitive by
+    // construction) — evaluated before SortByTriple() reorders them.
     const struct {
       const Scorer* scorer;
       std::map<kb::TripleId, double> expected;
     } cases[] = {
-        {&vote, ReferenceVote(claims.view())},
-        {&accu, ReferenceAccu(claims.view(), 100)},
-        {&pop, ReferencePopAccu(claims.view())},
+        {&vote, ReferenceVote(group)},
+        {&accu, ReferenceAccu(group, 100)},
+        {&pop, ReferencePopAccu(group)},
     };
-    claims.SortByTriple();
+    group.claims.SortByTriple();
     for (const auto& c : cases) {
-      auto probs = Score(*c.scorer, claims);
+      auto probs = Score(*c.scorer, group);
       ASSERT_EQ(probs.size(), c.expected.size());
       for (const auto& [t, p] : c.expected) {
         ASSERT_TRUE(probs.count(t));
@@ -290,12 +303,12 @@ TEST(RunLengthEquivalenceTest, MatchesHashMapReferencesOnRandomGroups) {
 TEST(ItemClaimsBufferTest, TracksSortednessAcrossPushes) {
   ItemClaimsBuffer claims;
   EXPECT_TRUE(claims.sorted());
-  claims.push(2, 0.8);
-  claims.push(2, 0.7);
-  claims.push(5, 0.6);
+  claims.push(2, 0);
+  claims.push(2, 1);
+  claims.push(5, 2);
   EXPECT_TRUE(claims.sorted());
   EXPECT_TRUE(claims.view().sorted);
-  claims.push(1, 0.9);  // out of order
+  claims.push(1, 3);  // out of order
   EXPECT_FALSE(claims.sorted());
   EXPECT_FALSE(claims.view().sorted);
   claims.clear();
@@ -304,16 +317,16 @@ TEST(ItemClaimsBufferTest, TracksSortednessAcrossPushes) {
 
 TEST(ItemClaimsBufferTest, SortByTripleIsStableWithinTriple) {
   ItemClaimsBuffer claims;
-  claims.push(3, 0.1);
-  claims.push(1, 0.2);
-  claims.push(3, 0.3);
-  claims.push(1, 0.4);
+  claims.push(3, 0);
+  claims.push(1, 1);
+  claims.push(3, 2);
+  claims.push(1, 3);
   ASSERT_FALSE(claims.sorted());
   claims.SortByTriple();
   ASSERT_TRUE(claims.sorted());
   EXPECT_EQ(claims.triples(), (std::vector<kb::TripleId>{1, 1, 3, 3}));
   // Equal triples keep their push order.
-  EXPECT_EQ(claims.accuracies(), (std::vector<double>{0.2, 0.4, 0.1, 0.3}));
+  EXPECT_EQ(claims.provs(), (std::vector<uint32_t>{1, 3, 0, 2}));
 }
 
 }  // namespace
