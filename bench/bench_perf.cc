@@ -447,28 +447,30 @@ void BM_OutOfCorePopAccu(benchmark::State& state) {
   }();
   opts.memory_budget_bytes =
       std::max<size_t>(1, total * static_cast<size_t>(state.range(0)) / 100);
-  std::unique_ptr<fusion::Fuser> fuser =
-      spill::MakeOutOfCoreFuser(fusion::Method::kPopAccu);
-  fusion::FuseContext ctx;
-  KF_CHECK_OK(fuser->ValidateContext(corpus.dataset, opts, ctx));
+  // One budgeted cold run per iteration, as kf::Session::Fuse drives it:
+  // graph build, Prepare, the manager's round loop.
+  spill::SpillStats stats;
+  size_t peak_rss = 0;
   for (auto _ : state) {
-    auto result = fuser->Run(corpus.dataset, opts, ctx);
-    KF_CHECK(result.ok());
+    fusion::FusionEngine engine(corpus.dataset, opts);
+    fusion::FusionResult result = engine.Prepare();
+    auto manager = spill::ShardSpillManager::Create(&engine);
+    KF_CHECK_OK(manager.status());
+    KF_CHECK_OK((*manager)->RunRounds(
+        &engine, fusion::FusionEngine::Start::kCold, &result));
     benchmark::DoNotOptimize(result);
+    stats = (*manager)->stats();
+    peak_rss = (*manager)->round_loop_peak_rss();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           corpus.dataset.num_records());
-  const auto* intro = dynamic_cast<spill::OutOfCoreIntrospection*>(fuser.get());
-  KF_CHECK(intro != nullptr);
   state.counters["budget_mb"] =
       static_cast<double>(opts.memory_budget_bytes) / (1 << 20);
   state.counters["hw_mb"] =
-      static_cast<double>(intro->spill_stats().accounted_high_water) /
-      (1 << 20);
-  state.counters["peak_rss_mb"] =
-      static_cast<double>(intro->round_loop_peak_rss()) / (1 << 20);
+      static_cast<double>(stats.accounted_high_water) / (1 << 20);
+  state.counters["peak_rss_mb"] = static_cast<double>(peak_rss) / (1 << 20);
   state.counters["spill_mb"] =
-      static_cast<double>(intro->spill_stats().bytes_written) / (1 << 20);
+      static_cast<double>(stats.bytes_written) / (1 << 20);
 }
 BENCHMARK(BM_OutOfCorePopAccu)
     ->Arg(25)

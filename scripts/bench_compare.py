@@ -12,7 +12,13 @@ CI / pre-commit gate:
     scripts/bench_compare.py old.json BENCH_perf.json --threshold 10
 
 Only per-iteration entries are compared (aggregate rows such as _mean /
-_stddev are skipped). Baseline benchmarks missing from the candidate also
+_stddev are skipped). Repetitions of one benchmark
+(--benchmark_repetitions) are merged by their median, so one slow
+repetition cannot fail a row. Each row also prints the baseline's
+interquartile range (IQR) across its repetitions, as a percent of the
+baseline median, and is tagged "noise" when the candidate median lies
+inside that range: such a delta is within the baseline's own spread.
+The tag is informational; the --threshold gate is unchanged. Baseline benchmarks missing from the candidate also
 fail the gate (a renamed or deleted bench must not silently drop out of
 comparison); benches only in the candidate are informational. A "debug"
 kf_build_type in either context block is reported loudly: debug numbers
@@ -40,7 +46,11 @@ relative to the baseline's efficiency at the same worker count.
 import argparse
 import json
 import re
+import statistics
 import sys
+
+MERGED_METRICS = ("real_time", "cpu_time", "items_per_second",
+                  "bytes_per_second")
 
 
 def load(path):
@@ -52,19 +62,33 @@ def load(path):
             continue  # skip _mean/_median/_stddev aggregates
         reps.setdefault(b["name"], []).append(b)
     # With --benchmark_repetitions every repetition shares one name;
-    # compare the mean over repetitions rather than whichever repetition
-    # happened to be listed last.
+    # compare the median over repetitions (a mean lets one slow
+    # repetition move the row) and keep the quartiles for the IQR.
     runs = {}
     for name, entries in reps.items():
         merged = dict(entries[0])
-        if len(entries) > 1:
-            for metric in ("real_time", "cpu_time", "items_per_second",
-                           "bytes_per_second"):
-                vals = [e[metric] for e in entries if metric in e]
-                if vals:
-                    merged[metric] = sum(vals) / len(vals)
+        merged["quartiles"] = {}
+        for metric in MERGED_METRICS:
+            vals = [e[metric] for e in entries if metric in e]
+            if not vals:
+                continue
+            merged[metric] = statistics.median(vals)
+            if len(vals) > 1:
+                q1, _, q3 = statistics.quantiles(vals, n=4,
+                                                 method="inclusive")
+                merged["quartiles"][metric] = (q1, q3)
         runs[name] = merged
     return doc.get("context", {}), runs
+
+
+def iqr_and_tag(old, new_value, metric):
+    """The baseline IQR as a percent of its median, and the row's tag."""
+    quartiles = old["quartiles"].get(metric)
+    if quartiles is None or not old[metric]:
+        return f"{'-':>7}", ""
+    q1, q3 = quartiles
+    iqr = (q3 - q1) / old[metric] * 100.0
+    return f"{iqr:>6.1f}%", "noise" if q1 <= new_value <= q3 else ""
 
 
 def build_type(context):
@@ -132,7 +156,8 @@ def main():
 
     names = sorted(set(old_runs) | set(new_runs))
     width = max((len(n) for n in names), default=4)
-    print(f"{'benchmark':<{width}}  {'old':>12}  {'new':>12}  {'delta':>8}")
+    print(f"{'benchmark':<{width}}  {'old':>12}  {'new':>12}  {'delta':>8}  "
+          f"{'old IQR':>7}")
     regressions = []
     vanished = []  # baseline benches absent from the candidate
     mismatched = []  # time-unit changes, incomparable
@@ -158,8 +183,9 @@ def main():
         unit = o.get("time_unit", "ns")
         ot, nt = o[args.metric], n[args.metric]
         delta = (nt - ot) / ot * 100.0 if ot else float("inf")
+        iqr, tag = iqr_and_tag(o, nt, args.metric)
         print(f"{name:<{width}}  {ot:>10.3f}{unit}  {nt:>10.3f}{unit}  "
-              f"{delta:>+7.1f}%")
+              f"{delta:>+7.1f}%  {iqr}  {tag}".rstrip())
         if delta > args.threshold:
             regressions.append((name, delta))
         # Throughput gates: items/sec (multi-threaded QPS benches) or

@@ -25,7 +25,12 @@ size_t ClaimGraph::Update(const extract::ExtractionDataset& dataset,
                           size_t num_records) {
   const size_t n = std::min(num_records, dataset.num_records());
   KF_CHECK(n >= num_records_indexed_);  // the dataset is append-only
-  if (n == num_records_indexed_) return 0;
+  if (n == num_records_indexed_) {
+    // Nothing rebuilt: a stale list would make the spill layer drop the
+    // mappings of shards that are still attached.
+    last_rebuilt_shards_.clear();
+    return 0;
+  }
   // A default-constructed graph is only a move-assignment placeholder; it
   // has no shards to route into.
   KF_CHECK(!shards_.empty());

@@ -363,15 +363,10 @@ std::vector<uint32_t> FusionEngine::AllShards() const {
 }
 
 double FusionEngine::StageII(const FusionResult& result) {
-  return StageII(result, options_.accuracy_damping,
-                 options_.convergence_quantile);
-}
-
-double FusionEngine::StageII(const FusionResult& result, double damping,
-                             double quantile) {
   BeginStageII(result);
   AccumulateStageII(AllShards(), result);
-  return FinishStageII(damping, quantile);
+  return FinishStageII(options_.accuracy_damping,
+                       options_.convergence_quantile);
 }
 
 void FusionEngine::BeginStageII(const FusionResult& result) {
@@ -533,32 +528,29 @@ Status FusionEngine::RunRounds(
   const RoundPolicy policy = ResolveRoundPolicy(options_, warm);
   const bool is_vote = options_.method == Method::kVote;
   const size_t max_rounds = is_vote ? 1 : policy.max_rounds;
+  // A resident run is the one-subset plan of every shard.
+  std::vector<std::vector<uint32_t>> resident_plan;
+  if (subsets == nullptr) resident_plan.push_back(AllShards());
+  const std::vector<std::vector<uint32_t>>& plan =
+      subsets == nullptr ? resident_plan : *subsets;
 
   for (size_t round = 1; round <= max_rounds; ++round) {
-    const size_t global_round = ++rounds_run_;
-    if (subsets == nullptr) {
-      StageI(global_round, result);
-    } else {
-      // A shard's Stage II segments reference only that shard's triples,
-      // so each subset's accumulation rides its sweep instead of a second
-      // pass over the shard files.
-      BeginStageI(global_round, result);
-      if (!is_vote) BeginStageII(*result);
-      for (const std::vector<uint32_t>& subset : *subsets) {
-        KF_RETURN_IF_ERROR(make_resident(subset));
-        SweepStageI(subset, result);
-        if (!is_vote) AccumulateStageII(subset, *result);
-      }
+    // A shard's Stage II segments reference only that shard's triples, so
+    // each subset's accumulation rides its sweep instead of a second pass
+    // over the shard files.
+    BeginStageI(++rounds_run_, result);
+    if (!is_vote) BeginStageII(*result);
+    for (const std::vector<uint32_t>& subset : plan) {
+      if (make_resident) KF_RETURN_IF_ERROR(make_resident(subset));
+      SweepStageI(subset, result);
+      if (!is_vote) AccumulateStageII(subset, *result);
     }
     result->num_rounds = round;
     if (callback) {
       callback(round, result->probability, result->has_probability);
     }
     if (is_vote) break;
-    const double delta =
-        subsets == nullptr
-            ? StageII(*result, policy.damping, policy.quantile)
-            : FinishStageII(policy.damping, policy.quantile);
+    const double delta = FinishStageII(policy.damping, policy.quantile);
     if ((warm || round > 1) && delta < policy.epsilon) break;
   }
 
@@ -596,9 +588,7 @@ FusionResult Fuse(const extract::ExtractionDataset& dataset,
     FuseContext ctx;
     ctx.gold = gold;
     KF_CHECK_OK((*fuser)->ValidateContext(dataset, options, ctx));
-    Result<FusionResult> result = (*fuser)->Run(dataset, options, ctx);
-    KF_CHECK_OK(result.status());
-    return std::move(result).value();
+    return (*fuser)->Run(dataset, options, ctx);
   }
   FusionEngine engine(dataset, options);
   return engine.Run(gold);

@@ -87,12 +87,12 @@ class FusionEngine {
   /// prefer-evaluated switch). Sets num_rounds (this call's rounds) and
   /// num_unevaluated_provenances.
   ///
-  /// Without `subsets` a round is StageI + StageII over the resident
-  /// graph, and the call always succeeds. With a subset plan (ordered
-  /// subsets partitioning the shard set; `make_resident` required) a
-  /// round is BeginStageI + BeginStageII, then per subset `make_resident`
-  /// + SweepStageI + AccumulateStageII, then FinishStageII — bit-identical
-  /// to the resident round. The first `make_resident` error is returned.
+  /// A round is BeginStageI + BeginStageII, then per subset of the plan
+  /// `make_resident` (when set) + SweepStageI + AccumulateStageII, then
+  /// FinishStageII. `subsets` (ordered subsets partitioning the shard set)
+  /// defaults to the one-subset plan of every shard, for a resident graph;
+  /// every plan gives the same bits. The first `make_resident` error is
+  /// returned; without one the call always succeeds.
   Status RunRounds(
       Start start, FusionResult* result,
       const std::vector<std::vector<uint32_t>>* subsets = nullptr,
@@ -114,8 +114,7 @@ class FusionEngine {
   /// Warm-start companion to Prepare(): re-syncs the graph but KEEPS the
   /// current provenance accuracies (appended provenances enter at the
   /// default accuracy) and the round numbering. The streaming re-fusion
-  /// entry point (Fuser::Refuse / kf::Session::Refuse), followed by
-  /// RunRounds(kWarm).
+  /// entry point (kf::Session::Refuse), followed by RunRounds(kWarm).
   FusionResult PrepareWarm();
   /// One Stage I sweep: scores every qualified item group into `result`
   /// (BeginStageI + SweepStageI over all shards).
@@ -125,18 +124,12 @@ class FusionEngine {
   /// options' convergence_quantile of the per-provenance accuracy changes
   /// (the largest change under the default quantile 1).
   double StageII(const FusionResult& result);
-  /// Same sweep with explicit damping/quantile — the warm re-fusion entry
-  /// point (WarmStartOptions may override both without rebuilding the
-  /// engine). Preconditions as Validate(): damping in (0,1], quantile in
-  /// (0,1].
-  double StageII(const FusionResult& result, double damping,
-                 double quantile);
 
-  // ---- out-of-core decompositions (RunRounds with a subset plan) ----
+  // ---- subset decompositions (the steps of a RunRounds round) ----
   // StageI == BeginStageI + SweepStageI over all shards; StageII ==
   // BeginStageII + AccumulateStageII over all shards + FinishStageII.
-  // A budgeted round calls the Begin steps once, then sweeps /
-  // accumulates each shard subset once the residency callback made it
+  // A round calls the Begin steps once, then sweeps / accumulates each
+  // shard subset of its plan once the residency callback (if any) made it
   // readable. Every triple lives in one shard and every accumulator slot
   // belongs to one segment, so any disjoint subset decomposition — like
   // any worker count — produces bits identical to the one-shot sweep.

@@ -176,7 +176,18 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
     if (result.has_probability[t]) result.probability[t] = prob[t];
   }
   result.num_rounds = options.max_rounds;
-  result.num_provenances = dataset.num_urls() + n_ext;
+  // The provenances are the URLs and extractors the records use; the
+  // dataset's extractor id space also holds TSV pattern strings.
+  auto count_distinct = [](std::vector<uint32_t> ids) {
+    std::sort(ids.begin(), ids.end());
+    return static_cast<size_t>(std::unique(ids.begin(), ids.end()) -
+                               ids.begin());
+  };
+  std::vector<uint32_t> urls;
+  urls.reserve(claims.size());
+  for (const UrlClaim& c : claims) urls.push_back(c.url);
+  result.num_provenances =
+      count_distinct(std::move(urls)) + count_distinct(claim_ext);
   return result;
 }
 

@@ -1,15 +1,16 @@
-// The uniform fusion-method interface behind kf::Session and the method
-// registry (fusion/registry.h). Every method — the three engine methods
-// (VOTE / ACCU / POPACCU), the four data-fusion baselines, and the
-// Section 5 extensions — runs behind this interface, so callers select
+// One row of the method registry (fusion/registry.h): a fusion method's
+// name, its requirement check, and its cold run. Every method — the three
+// engine methods (VOTE / ACCU / POPACCU), the four data-fusion baselines,
+// and the Section 5 extensions — is one such row, so callers select
 // methods by name through one code path instead of hand-wiring divergent
 // free-function signatures.
 //
-// A Fuser may keep state across calls: the engine-backed fusers hold the
-// sharded claim graph and the converged provenance accuracies of the last
-// Run(), which is what makes warm-start Refuse() possible after a dataset
-// append. Fusers are NOT thread-safe; share one per session, not across
-// threads.
+// A Fuser is stateless: Run builds whatever the method needs, returns the
+// result, and keeps nothing. State kept between runs — the claim graph and
+// converged accuracies behind warm-start Refuse and Snapshot, and the
+// spill manager of a budgeted run — belongs to kf::Session, which drives
+// the engine methods on a FusionEngine of its own and uses their rows only
+// to validate.
 #ifndef KF_FUSION_FUSER_H_
 #define KF_FUSION_FUSER_H_
 
@@ -39,56 +40,43 @@ struct FuseContext {
 
 class Fuser {
  public:
-  virtual ~Fuser() = default;
+  /// Runs the method cold over `dataset`. Its requirements must have
+  /// passed ValidateContext.
+  using RunFn = FusionResult (*)(const extract::ExtractionDataset& dataset,
+                                 const FusionOptions& options,
+                                 const FuseContext& ctx);
+  /// Method-specific requirements beyond FusionOptions::Validate.
+  using ValidateFn = Status (*)(const extract::ExtractionDataset& dataset,
+                                const FusionOptions& options,
+                                const FuseContext& ctx);
+
+  Fuser(const char* name, RunFn run, ValidateFn validate)
+      : name_(name), run_(run), validate_(validate) {}
 
   /// The registry name this fuser was created under ("popaccu", ...).
-  virtual std::string_view name() const = 0;
+  std::string_view name() const { return name_; }
 
   /// Method-specific requirements beyond FusionOptions::Validate — e.g.
   /// "confidence_weighted" needs ctx.gold, "hierarchy" needs
-  /// ctx.hierarchy. Checked by kf::Session before every Run.
-  virtual Status ValidateContext(const extract::ExtractionDataset& dataset,
-                                 const FusionOptions& options,
-                                 const FuseContext& ctx) const {
-    (void)dataset;
-    (void)options;
-    (void)ctx;
-    return Status::OK();
+  /// ctx.hierarchy. Checked by kf::Session before every run.
+  Status ValidateContext(const extract::ExtractionDataset& dataset,
+                         const FusionOptions& options,
+                         const FuseContext& ctx) const {
+    return validate_(dataset, options, ctx);
   }
 
-  /// Cold fusion: (re)builds all internal state from scratch and runs the
-  /// method to convergence. An error Status (I/O failure the budgeted
-  /// path could not recover from, see kf::spill's degradation ladder)
-  /// leaves the fuser with no usable warm state; callers must treat it
-  /// like a fuser that never ran.
-  virtual Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
-                                   const FusionOptions& options,
-                                   const FuseContext& ctx) = 0;
-
-  /// Whether Refuse() can warm-start from a previous Run().
-  virtual bool SupportsWarmStart() const { return false; }
-
-  /// The retained engine state of the last Run(), for callers that need
-  /// the claim graph's item/provenance groupings and the converged
-  /// accuracies behind the result (kf::Session::Snapshot builds the
-  /// fused-KB view from it). Null before any Run() and for stateless
-  /// (baseline / extension) methods — this accessor, not friend access
-  /// into the engine's vectors, is the supported way to read fused state.
-  virtual const FusionEngine* engine() const { return nullptr; }
-
-  /// Warm-start re-fusion after records were appended to `dataset` (which
-  /// must be the same object a previous Run() fused): engine-backed
-  /// methods re-sync the claim graph incrementally, seed Stage I from the
-  /// previous run's provenance accuracies, and iterate only until
-  /// reconvergence (options.warm_start caps). The default implementation
-  /// reports the method as not warm-startable.
-  virtual Result<FusionResult> Refuse(
-      const extract::ExtractionDataset& dataset) {
-    (void)dataset;
-    return Status::FailedPrecondition(
-        std::string(name()) + " does not support warm-start re-fusion; "
-        "run a cold Fuse() instead");
+  /// Cold fusion from scratch, fully resident (a memory budget in
+  /// `options` is kf::Session's to honour, not this row's).
+  FusionResult Run(const extract::ExtractionDataset& dataset,
+                   const FusionOptions& options,
+                   const FuseContext& ctx) const {
+    return run_(dataset, options, ctx);
   }
+
+ private:
+  const char* name_;
+  RunFn run_;
+  ValidateFn validate_;
 };
 
 }  // namespace kf::fusion

@@ -22,7 +22,7 @@ enum class Method : uint8_t {
 
 const char* MethodName(Method m);
 
-/// Warm-start re-fusion knobs (Session::Refuse / Fuser::Refuse). After an
+/// Warm-start re-fusion knobs (kf::Session::Refuse). After an
 /// Append, re-fusion seeds Stage I from the previous run's converged
 /// provenance accuracies and iterates only until reconvergence — unlike a
 /// cold Run, the convergence check applies from round 1, so a small
@@ -89,11 +89,11 @@ struct FusionOptions {
   double gold_sample_rate = 1.0;
 
   // ---- execution ----
-  /// Out-of-core fusion: when > 0, kf::Session (and spill::OutOfCoreFuser)
-  /// run the engine methods under this budget on the claim graph's
-  /// spillable shard columns — cold shards are written to per-shard
-  /// kf::store files and mapped back zero-copy subset by subset
-  /// (docs/architecture.md, "Out-of-core fusion"). Results are
+  /// Out-of-core fusion: when > 0, kf::Session runs the engine methods
+  /// under this budget on the claim graph's spillable shard columns —
+  /// cold shards are written to per-shard kf::store files and mapped back
+  /// zero-copy subset by subset (docs/architecture.md, "Out-of-core
+  /// fusion"). Results are
   /// bit-identical to the unbudgeted run. A budget smaller than the
   /// largest single shard degrades to one-shard subsets (the effective
   /// floor). FusionEngine itself ignores the field; 0 = fully resident.

@@ -1,16 +1,20 @@
 #include "fusion/registry.h"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
+#include <memory>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "fusion/baselines/baselines.h"
 #include "fusion/ext/extensions.h"
 
 namespace kf::fusion {
 
+namespace {
+
+/// The gold-label check the engine rows and the gold-reading extensions
+/// share: labels must be present when `gold_required` or
+/// options.init_accuracy_from_gold asks for them, and when present must
+/// cover every triple of the dataset.
 Status CheckGold(const extract::ExtractionDataset& dataset,
                  const FusionOptions& options, const FuseContext& ctx,
                  bool gold_required) {
@@ -28,8 +32,6 @@ Status CheckGold(const extract::ExtractionDataset& dataset,
   return Status::OK();
 }
 
-namespace {
-
 /// Strips the registry routing so nested engine construction (hierarchy /
 /// confidence_weighted wrap the base engine) never sees a non-engine
 /// method name.
@@ -39,87 +41,25 @@ FusionOptions BaseEngineOptions(const FusionOptions& options) {
   return base;
 }
 
-// ---- engine methods (VOTE / ACCU / POPACCU): stateful, warm-startable --
+// ---- engine methods (VOTE / ACCU / POPACCU) -----------------------------
 
-class EngineFuser : public Fuser {
- public:
-  explicit EngineFuser(Method method) : method_(method) {}
+template <Method kMethod>
+FusionResult RunEngineMethod(const extract::ExtractionDataset& dataset,
+                             const FusionOptions& options,
+                             const FuseContext& ctx) {
+  FusionOptions opts = BaseEngineOptions(options);
+  opts.method = kMethod;
+  FusionEngine engine(dataset, opts);
+  return engine.Run(ctx.gold);
+}
 
-  std::string_view name() const override { return Registry::NameOf(method_); }
+Status ValidateEngineMethod(const extract::ExtractionDataset& dataset,
+                            const FusionOptions& options,
+                            const FuseContext& ctx) {
+  return CheckGold(dataset, options, ctx, /*gold_required=*/false);
+}
 
-  Status ValidateContext(const extract::ExtractionDataset& dataset,
-                         const FusionOptions& options,
-                         const FuseContext& ctx) const override {
-    return CheckGold(dataset, options, ctx);
-  }
-
-  Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
-                           const FusionOptions& options,
-                           const FuseContext& ctx) override {
-    FusionOptions opts = BaseEngineOptions(options);
-    opts.method = method_;
-    engine_.emplace(dataset, opts);
-    dataset_ = &dataset;
-    return engine_->Run(ctx.gold);
-  }
-
-  bool SupportsWarmStart() const override { return true; }
-
-  const FusionEngine* engine() const override {
-    return engine_ ? &*engine_ : nullptr;
-  }
-
-  Result<FusionResult> Refuse(
-      const extract::ExtractionDataset& dataset) override {
-    if (!engine_ || dataset_ != &dataset) {
-      return Status::FailedPrecondition(
-          "Refuse() needs a prior Run() over the same dataset");
-    }
-    // Ingest appended records incrementally and keep the converged
-    // accuracies — the warm seed. New provenances enter at the default.
-    FusionResult result = engine_->PrepareWarm();
-    KF_RETURN_IF_ERROR(
-        engine_->RunRounds(FusionEngine::Start::kWarm, &result));
-    return result;
-  }
-
- private:
-  Method method_;
-  std::optional<FusionEngine> engine_;
-  const extract::ExtractionDataset* dataset_ = nullptr;
-};
-
-// ---- stateless wrappers over the baseline / extension free functions ---
-
-class FreeFnFuser : public Fuser {
- public:
-  using RunFn = FusionResult (*)(const extract::ExtractionDataset&,
-                                 const FusionOptions&, const FuseContext&);
-  using ValidateFn = Status (*)(const extract::ExtractionDataset&,
-                                const FusionOptions&, const FuseContext&);
-
-  FreeFnFuser(const char* name, RunFn run, ValidateFn validate)
-      : name_(name), run_(run), validate_(validate) {}
-
-  std::string_view name() const override { return name_; }
-
-  Status ValidateContext(const extract::ExtractionDataset& dataset,
-                         const FusionOptions& options,
-                         const FuseContext& ctx) const override {
-    return validate_(dataset, options, ctx);
-  }
-
-  Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
-                           const FusionOptions& options,
-                           const FuseContext& ctx) override {
-    return run_(dataset, options, ctx);
-  }
-
- private:
-  const char* name_;
-  RunFn run_;
-  ValidateFn validate_;
-};
+// ---- baselines and extensions: the free functions ----------------------
 
 /// Fills the shared BaselineOptions fields from FusionOptions.
 template <typename Options>
@@ -182,7 +122,7 @@ Status ValidateHierarchy(const extract::ExtractionDataset& dataset,
         "the hierarchy method requires a value hierarchy "
         "(Session::SetHierarchy / FuseContext::hierarchy)");
   }
-  return CheckGold(dataset, options, ctx);
+  return CheckGold(dataset, options, ctx, /*gold_required=*/false);
 }
 
 FusionResult RunHierarchyFromOptions(
@@ -217,13 +157,16 @@ FusionResult RunSourceExtractorFromOptions(
   return RunSourceExtractor(dataset, se);
 }
 
-struct FreeFnEntry {
+struct Entry {
   const char* name;
-  FreeFnFuser::RunFn run;
-  FreeFnFuser::ValidateFn validate;
+  Fuser::RunFn run;
+  Fuser::ValidateFn validate;
 };
 
-constexpr FreeFnEntry kFreeFnMethods[] = {
+constexpr Entry kMethods[] = {
+    {"vote", RunEngineMethod<Method::kVote>, ValidateEngineMethod},
+    {"accu", RunEngineMethod<Method::kAccu>, ValidateEngineMethod},
+    {"popaccu", RunEngineMethod<Method::kPopAccu>, ValidateEngineMethod},
     {"truthfinder", RunTruthFinderFromOptions, ValidateNothing},
     {"two_estimates", RunTwoEstimatesFromOptions, ValidateNothing},
     {"investment", RunInvestmentFromOptions, ValidateNothing},
@@ -237,6 +180,13 @@ constexpr FreeFnEntry kFreeFnMethods[] = {
 
 constexpr Method kEngineMethods[] = {Method::kVote, Method::kAccu,
                                      Method::kPopAccu};
+
+const Entry* FindEntry(const std::string& name) {
+  for (const Entry& entry : kMethods) {
+    if (name == entry.name) return &entry;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
@@ -263,35 +213,20 @@ const char* Registry::NameOf(Method m) {
 }
 
 Result<std::unique_ptr<Fuser>> Registry::Create(const std::string& name) {
-  Method m;
-  if (ParseEngineMethod(name, &m)) {
-    return std::unique_ptr<Fuser>(new EngineFuser(m));
-  }
-  for (const FreeFnEntry& entry : kFreeFnMethods) {
-    if (name == entry.name) {
-      return std::unique_ptr<Fuser>(
-          new FreeFnFuser(entry.name, entry.run, entry.validate));
-    }
+  if (const Entry* entry = FindEntry(name)) {
+    return std::make_unique<Fuser>(entry->name, entry->run, entry->validate);
   }
   return Status::NotFound(StrFormat("unknown fusion method '%s'; valid: %s",
                                     name.c_str(), NamesCsv().c_str()));
 }
 
 bool Registry::Contains(const std::string& name) {
-  Method m;
-  if (ParseEngineMethod(name, &m)) return true;
-  for (const FreeFnEntry& entry : kFreeFnMethods) {
-    if (name == entry.name) return true;
-  }
-  return false;
+  return FindEntry(name) != nullptr;
 }
 
 std::vector<std::string> Registry::Names() {
   std::vector<std::string> names;
-  for (Method m : kEngineMethods) names.emplace_back(NameOf(m));
-  for (const FreeFnEntry& entry : kFreeFnMethods) {
-    names.emplace_back(entry.name);
-  }
+  for (const Entry& entry : kMethods) names.emplace_back(entry.name);
   std::sort(names.begin(), names.end());
   return names;
 }

@@ -1,9 +1,12 @@
 // The string-keyed method registry: one stable name per fusion method, so
 // CLI tools, benches, tests, and kf::Session select methods with one code
 // path (`Registry::Create("popaccu")`) instead of calling per-method free
-// functions. Registered methods:
+// functions. Every registered fuser is a stateless (name, validate, run)
+// row (fusion/fuser.h). Registered methods:
 //
-//   engine     vote, accu, popaccu            (FusionEngine, warm-startable)
+//   engine     vote, accu, popaccu            (FusionEngine; kf::Session
+//                                              keeps their engine for warm
+//                                              Refuse, Snapshot and budgets)
 //   baselines  truthfinder, two_estimates, investment, pooled_investment
 //   extensions latent_truth, hierarchy, confidence_weighted,
 //              source_extractor
@@ -50,14 +53,6 @@ class Registry {
 /// false for registry-only methods (baselines, extensions) and unknown
 /// names.
 bool ParseEngineMethod(const std::string& name, Method* method);
-
-/// The gold-label check of every fuser's ValidateContext, resident or
-/// budgeted: labels must be present when `gold_required` or
-/// options.init_accuracy_from_gold asks for them, and when present must
-/// cover every triple of the dataset.
-Status CheckGold(const extract::ExtractionDataset& dataset,
-                 const FusionOptions& options, const FuseContext& ctx,
-                 bool gold_required = false);
 
 }  // namespace kf::fusion
 

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "fusion/registry.h"
-#include "spill/spill.h"
 
 namespace kf {
 
@@ -33,54 +32,48 @@ Result<fusion::FusionResult> Session::Fuse(
   const std::string name = options.method_name.empty()
                                ? fusion::Registry::NameOf(options.method)
                                : options.method_name;
-  // Reuse the fuser across same-method runs (its engine state is rebuilt
-  // by every cold Run anyway); switching methods — or switching between
-  // budgeted and resident execution — re-creates it. The new fuser is
-  // only committed after validation succeeds, so a rejected Fuse leaves
-  // the previous method's warm state (and method()) intact.
+  fusion::Method engine_method;
+  const bool is_engine = fusion::ParseEngineMethod(name, &engine_method);
   const bool budgeted = options.memory_budget_bytes > 0;
-  std::unique_ptr<fusion::Fuser> fresh;
-  fusion::Fuser* fuser = fuser_.get();
-  if (fuser == nullptr || method_ != name || budgeted_ != budgeted) {
-    if (budgeted) {
-      // Only the engine methods decompose into budgeted sweeps; the
-      // registry-only baselines and extensions hold their own state and
-      // cannot spill.
-      fusion::Method engine_method;
-      if (!fusion::ParseEngineMethod(name, &engine_method)) {
-        return Status::InvalidArgument(
-            "memory_budget_bytes requires an engine method (vote, accu, "
-            "popaccu); '" +
-            name + "' cannot run out-of-core");
-      }
-      fresh = spill::MakeOutOfCoreFuser(engine_method);
-    } else {
-      Result<std::unique_ptr<fusion::Fuser>> created =
-          fusion::Registry::Create(name);
-      if (!created.ok()) return created.status();
-      fresh = std::move(created).value();
-    }
-    fuser = fresh.get();
+  // Only the engine methods decompose into budgeted sweeps; the
+  // baselines and extensions build their own structures and cannot
+  // spill.
+  if (budgeted && !is_engine) {
+    return Status::InvalidArgument(
+        "memory_budget_bytes requires an engine method (vote, accu, "
+        "popaccu); '" +
+        name + "' cannot run out-of-core");
   }
+  Result<std::unique_ptr<fusion::Fuser>> fuser =
+      fusion::Registry::Create(name);
+  if (!fuser.ok()) return fuser.status();
   fusion::FuseContext ctx;
   ctx.gold = gold;
   ctx.hierarchy = hierarchy_;
-  KF_RETURN_IF_ERROR(fuser->ValidateContext(*dataset_, options, ctx));
-  if (fresh) {
-    fuser_ = std::move(fresh);
-    method_ = name;
-    budgeted_ = budgeted;
-  }
-  Result<fusion::FusionResult> run = fuser_->Run(*dataset_, options, ctx);
+  KF_RETURN_IF_ERROR((*fuser)->ValidateContext(*dataset_, options, ctx));
+  // Surface spill-destination problems as a Status before any work;
+  // faults that strike mid-run go through the manager's degradation
+  // ladder (retry → quarantine+rematerialize → resident fallback) and
+  // only reach the caller as a Status when every rung fails.
+  if (budgeted) KF_RETURN_IF_ERROR(spill::ProbeSpillDir(options.spill_dir));
+
+  // Validated: the previous run's state goes. The manager holds mappings
+  // the old graph references, so it goes before the engine.
+  spill_.reset();
+  engine_.reset();
+  method_ = name;
+  Result<fusion::FusionResult> run =
+      is_engine ? FuseEngine(options, engine_method, gold)
+                : (*fuser)->Run(*dataset_, options, ctx);
   if (!run.ok()) {
     // An unrecoverable failure (the spill layer's degradation ladder ran
-    // dry) leaves the fuser mid-rebuild; drop every trace of it so
+    // dry) leaves the engine mid-run; drop every trace of it so
     // Refuse/Snapshot cannot read a half-built engine. The session is
     // back to its pre-first-Fuse state and a retry starts cold.
-    fuser_.reset();
+    spill_.reset();
+    engine_.reset();
     last_.reset();
     method_.clear();
-    budgeted_ = false;
     return run.status();
   }
   last_ = std::move(run).value();
@@ -88,10 +81,31 @@ Result<fusion::FusionResult> Session::Fuse(
   return *last_;
 }
 
-const spill::SpillStats* Session::spill_stats() const {
-  const auto* ooc =
-      dynamic_cast<const spill::OutOfCoreIntrospection*>(fuser_.get());
-  return ooc ? &ooc->spill_stats() : nullptr;
+Result<fusion::FusionResult> Session::FuseEngine(
+    const fusion::FusionOptions& options, fusion::Method method,
+    const std::vector<Label>* gold) {
+  fusion::FusionOptions opts = options;
+  opts.method_name.clear();
+  opts.method = method;
+  engine_.emplace(*dataset_, opts);
+  // Prepare (graph build + accuracy init) runs fully resident —
+  // documented: the budget governs the round loop, and its floor is the
+  // build footprint. Out-of-core construction is future work.
+  fusion::FusionResult result = engine_->Prepare(gold);
+  if (opts.memory_budget_bytes > 0) {
+    Result<std::unique_ptr<spill::ShardSpillManager>> manager =
+        spill::ShardSpillManager::Create(&*engine_);
+    if (!manager.ok()) return manager.status();
+    spill_ = std::move(manager).value();
+  }
+  KF_RETURN_IF_ERROR(RunRounds(fusion::FusionEngine::Start::kCold, &result));
+  return result;
+}
+
+Status Session::RunRounds(fusion::FusionEngine::Start start,
+                          fusion::FusionResult* result) {
+  return spill_ ? spill_->RunRounds(&*engine_, start, result)
+                : engine_->RunRounds(start, result);
 }
 
 Status Session::Append(
@@ -105,15 +119,26 @@ Status Session::Append(
 }
 
 Result<fusion::FusionResult> Session::Refuse() {
-  if (!fuser_) {
+  if (!last_) {
     return Status::FailedPrecondition("Refuse() before any Fuse()");
   }
-  Result<fusion::FusionResult> result = fuser_->Refuse(*dataset_);
-  if (result.ok()) {
-    last_ = *result;
-    fused_records_ = dataset_->num_records();
+  if (!engine_) {
+    return Status::FailedPrecondition(
+        method_ + " does not support warm-start re-fusion; run a cold "
+        "Fuse() instead");
   }
-  return result;
+  // Ingest appended records incrementally and keep the converged
+  // accuracies — the warm seed. New provenances enter at the default.
+  // Dirty shards come back resident (rebuilt from the always-resident
+  // record lists — no disk reads); on a budgeted run the manager then
+  // invalidates their stale files, and RunRounds recuts the plan for the
+  // new shard sizes.
+  fusion::FusionResult result = engine_->PrepareWarm();
+  if (spill_) spill_->Reconcile();
+  KF_RETURN_IF_ERROR(RunRounds(fusion::FusionEngine::Start::kWarm, &result));
+  last_ = std::move(result);
+  fused_records_ = dataset_->num_records();
+  return *last_;
 }
 
 Result<FusedKB> Session::Snapshot(const SnapshotNaming& naming,
@@ -121,14 +146,13 @@ Result<FusedKB> Session::Snapshot(const SnapshotNaming& naming,
   if (!last_) {
     return Status::FailedPrecondition("Snapshot() before any Fuse()");
   }
-  const fusion::FusionEngine* engine = fuser_ ? fuser_->engine() : nullptr;
-  if (engine == nullptr) {
+  if (!engine_) {
     return Status::FailedPrecondition(
         method_ +
         " does not retain engine state; Snapshot() needs an engine method "
         "(vote, accu, popaccu)");
   }
-  return FusedKB::Snapshot(*dataset_, *engine, *last_, method_, naming,
+  return FusedKB::Snapshot(*dataset_, *engine_, *last_, method_, naming,
                            gold);
 }
 

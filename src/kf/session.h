@@ -1,12 +1,15 @@
 // kf::Session — the one stable public entry point over the whole pipeline
 // (Fig. 8): batch fusion, streaming warm-start re-fusion, and evaluation,
 // with methods selected by name through the fusion::Registry. A Session
-// owns (or borrows) an ExtractionDataset and keeps the engine state of the
-// last run — the sharded claim graph and the converged per-provenance
-// accuracies — alive between calls, which is what makes `Append` +
-// `Refuse` cheap: re-fusion re-syncs only the dirty shards and iterates
-// only until reconvergence instead of replaying every round from the
-// default accuracies.
+// owns (or borrows) an ExtractionDataset and is the only driver of the
+// engine methods (vote / accu / popaccu): it owns their FusionEngine —
+// the sharded claim graph and the converged per-provenance accuracies —
+// and, under a memory budget, the spill::ShardSpillManager that keeps the
+// graph's shards on disk, and keeps both alive between calls. That is
+// what makes `Append` + `Refuse` cheap: re-fusion re-syncs only the dirty
+// shards and iterates only until reconvergence instead of replaying every
+// round from the default accuracies. Baselines and extensions run through
+// their stateless registry row and keep nothing.
 //
 // Batch:      Session s(std::move(dataset));   // or Session::Borrow(ds)
 //             auto result = s.Fuse(options, &gold);
@@ -28,7 +31,7 @@
 #include "common/status.h"
 #include "eval/report.h"
 #include "extract/dataset.h"
-#include "fusion/fuser.h"
+#include "fusion/engine.h"
 #include "fusion/options.h"
 #include "kb/value_hierarchy.h"
 #include "kf/fused_kb.h"
@@ -66,16 +69,20 @@ class Session {
   // ---- the pipeline ----
 
   /// Cold fusion with the method named by options.method_name (falling
-  /// back to options.method), created through fusion::Registry. Validates
-  /// options and method requirements, runs to convergence, and retains
-  /// the result plus — for engine methods — the warm state Refuse() needs.
-  /// `gold` is required when options.init_accuracy_from_gold is set and
-  /// by "confidence_weighted"; it is not retained.
-  /// With options.memory_budget_bytes > 0 the run routes through
-  /// spill::MakeOutOfCoreFuser instead: same engine, bit-identical
-  /// result, but cold shards spill to mmap-backed kf::store files so the
-  /// round loop's resident columns stay within the budget (engine
-  /// methods only; other methods are rejected with InvalidArgument).
+  /// back to options.method), looked up in fusion::Registry. Validates
+  /// options and method requirements before touching any state (a
+  /// rejected call leaves the previous run intact), runs to convergence,
+  /// and retains the result plus — for engine methods — the engine that
+  /// Refuse() and Snapshot() read. `gold` is required when
+  /// options.init_accuracy_from_gold is set and by "confidence_weighted";
+  /// it is not retained.
+  /// With options.memory_budget_bytes > 0 the session also owns a spill
+  /// manager: same engine, bit-identical result, but cold shards spill to
+  /// mmap-backed kf::store files so the round loop's resident columns
+  /// stay within the budget (engine methods only; other methods are
+  /// rejected with InvalidArgument). A run that fails (the spill
+  /// layer's degradation ladder ran dry) leaves the session as before
+  /// its first Fuse().
   Result<fusion::FusionResult> Fuse(const fusion::FusionOptions& options,
                                     const std::vector<Label>* gold = nullptr);
 
@@ -87,8 +94,10 @@ class Session {
   /// Warm-start re-fusion after Append(): seeds Stage I from the previous
   /// run's converged provenance accuracies and iterates only until
   /// reconvergence (options.warm_start caps, inheriting
-  /// max_rounds/convergence_epsilon when unset). Fails if no Fuse() ran
-  /// yet or the last method is not warm-startable (engine methods are).
+  /// max_rounds/convergence_epsilon when unset), on the kept engine and
+  /// spill manager. Fails if no Fuse() ran yet or the last method was not
+  /// an engine method. A failed Refuse keeps the engine, so a retry stays
+  /// warm.
   Result<fusion::FusionResult> Refuse();
 
   /// Evaluates the last result against per-triple gold labels.
@@ -118,34 +127,52 @@ class Session {
   }
   /// Resolved registry name of the last Fuse() method ("" before).
   const std::string& method() const { return method_; }
-  /// Whether Refuse() has warm state to start from (a Fuse() ran and
-  /// created a fuser). kf::KbServer uses this to pick cold Fuse vs warm
+  /// Whether Refuse() has warm state to start from (the last Fuse() ran
+  /// an engine method). kf::KbServer uses this to pick cold Fuse vs warm
   /// Refuse on publish.
-  bool can_refuse() const { return fuser_ != nullptr; }
+  bool can_refuse() const { return engine_.has_value(); }
+  /// The engine of the last engine-method run: the claim graph's
+  /// item/provenance groupings and the converged accuracies behind
+  /// last_result(). Null before the first Fuse(), after a baseline or
+  /// extension method, and after a failed Fuse().
+  const fusion::FusionEngine* engine() const {
+    return engine_ ? &*engine_ : nullptr;
+  }
   /// Records of the owned/borrowed dataset not yet covered by the last
   /// result — i.e. appended since the run that produced last_result().
   size_t pending_records() const {
     return dataset_->num_records() - fused_records_;
   }
-  /// Spill-layer counters of the warm fuser (retries absorbed, shards
-  /// quarantined and rebuilt, resident fallback — see spill::SpillStats).
-  /// Null when the session has no fuser or the last run was not budgeted.
-  const spill::SpillStats* spill_stats() const;
+  /// Spill-layer counters of the kept spill manager (retries absorbed,
+  /// shards quarantined and rebuilt, resident fallback — see
+  /// spill::SpillStats). Null unless the last Fuse() was budgeted.
+  const spill::SpillStats* spill_stats() const {
+    return spill_ ? &spill_->stats() : nullptr;
+  }
 
  private:
   Session(std::optional<extract::ExtractionDataset> owned,
           const extract::ExtractionDataset* borrowed);
+
+  /// Builds engine_ (and spill_ when budgeted) for a validated
+  /// engine-method Fuse and runs it cold.
+  Result<fusion::FusionResult> FuseEngine(const fusion::FusionOptions& options,
+                                          fusion::Method method,
+                                          const std::vector<Label>* gold);
+  /// The rounds of engine_: through the spill manager when the run is
+  /// budgeted, over the resident graph otherwise.
+  Status RunRounds(fusion::FusionEngine::Start start,
+                   fusion::FusionResult* result);
 
   std::optional<extract::ExtractionDataset> owned_;
   const extract::ExtractionDataset* dataset_;  // owned_ or the borrowed one
   const kb::ValueHierarchy* hierarchy_ = nullptr;
 
   std::string method_;
-  /// Whether fuser_ is the budgeted (spill::OutOfCoreFuser) variant;
-  /// switching memory_budget_bytes between zero and nonzero re-creates
-  /// the fuser even when the method name is unchanged.
-  bool budgeted_ = false;
-  std::unique_ptr<fusion::Fuser> fuser_;
+  std::optional<fusion::FusionEngine> engine_;
+  /// Set only when engine_'s run is budgeted. Declared after engine_, so
+  /// it is destroyed first: it detaches its mappings from engine_'s graph.
+  std::unique_ptr<spill::ShardSpillManager> spill_;
   std::optional<fusion::FusionResult> last_;
   /// Dataset size when last_ was produced (for pending_records()).
   size_t fused_records_ = 0;

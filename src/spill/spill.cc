@@ -13,6 +13,7 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/memprobe.h"
 #include "common/retry.h"
 #include "common/string_util.h"
 #include "extract/tsv_io.h"
@@ -203,6 +204,22 @@ Result<std::unique_ptr<ShardSpillManager>> ShardSpillManager::Create(
   mgr->file_valid_.assign(graph->num_shards(), 0);
   mgr->maps_.resize(graph->num_shards());
   return mgr;
+}
+
+Result<std::unique_ptr<ShardSpillManager>> ShardSpillManager::Create(
+    fusion::FusionEngine* engine) {
+  KF_CHECK(engine != nullptr);
+  Options options;
+  options.budget_bytes = engine->options().memory_budget_bytes;
+  options.spill_dir = engine->options().spill_dir;
+  options.rematerialize = [engine](uint32_t s) -> Status {
+    if (const int e = fault::Inject("spill.remat")) {
+      return Status::FromErrno("rematerialize shard", StrFormat("%u", s), e);
+    }
+    engine->RematerializeShard(s);
+    return Status::OK();
+  };
+  return Create(&engine->mutable_graph(), options);
 }
 
 ShardSpillManager::~ShardSpillManager() {
@@ -441,6 +458,28 @@ void ShardSpillManager::Reconcile() {
   // Rebuilt shards are resident until the next EnsureOnly — the
   // PrepareWarm phase, excluded from the round-loop high-water.
   RecountAccounted(/*update_high_water=*/false);
+}
+
+Status ShardSpillManager::RunRounds(fusion::FusionEngine* engine,
+                                    fusion::FusionEngine::Start start,
+                                    fusion::FusionResult* result) {
+  KF_CHECK(&engine->graph() == graph_);
+  plan_ = PlanSubsets(*graph_, options_.budget_bytes);
+  // Constructed here, after the plan and before round 1: the tracker
+  // resets the kernel's RSS high-water mark, so the peak covers the
+  // round loop and not the graph build.
+  PeakRssTracker rss;
+  KF_RETURN_IF_ERROR(engine->RunRounds(
+      start, result, &plan_.subsets,
+      [&](const std::vector<uint32_t>& subset) {
+        const Status made = EnsureOnly(subset);
+        rss.Sample();
+        return made;
+      }));
+  KF_RETURN_IF_ERROR(MapAll());
+  rss.Sample();
+  peak_rss_ = rss.PeakBytes();
+  return Status::OK();
 }
 
 void ShardSpillManager::RecountAccounted(bool update_high_water) {

@@ -38,7 +38,7 @@
 
 #include "common/status.h"
 #include "fusion/claim_graph.h"
-#include "fusion/fuser.h"
+#include "fusion/engine.h"
 #include "fusion/options.h"
 #include "store/shard_store.h"
 
@@ -97,8 +97,8 @@ struct SpillStats {
 class ShardSpillManager {
  public:
   struct Options {
-    /// Target accounted-bytes budget (0 is invalid here; the routing
-    /// layer only builds a manager for budgeted runs).
+    /// Target accounted-bytes budget (0 is invalid here; kf::Session
+    /// only builds a manager for budgeted runs).
     size_t budget_bytes = 0;
     /// Directory for the per-shard files. Empty: a fresh
     /// kf-spill-XXXXXX temp directory is created (and removed with the
@@ -106,8 +106,8 @@ class ShardSpillManager {
     /// the manager but the directory itself is kept.
     std::string spill_dir;
     /// Recovery hook: rebuilds evicted shard `s`'s columns resident,
-    /// bit-identical to what eviction released (the fuser wires this to
-    /// FusionEngine::RematerializeShard). With it set, a corrupt or
+    /// bit-identical to what eviction released (Create(engine) wires this
+    /// to FusionEngine::RematerializeShard). With it set, a corrupt or
     /// unreadable shard file is quarantined and the shard rebuilt, and a
     /// dead spill destination degrades the run to fully-resident
     /// execution instead of failing. Null: every unrecovered I/O error
@@ -119,6 +119,14 @@ class ShardSpillManager {
   /// probes it for writability. The graph must outlive the manager.
   static Result<std::unique_ptr<ShardSpillManager>> Create(
       fusion::ClaimGraph* graph, const Options& options);
+
+  /// The manager of a budgeted run over `engine`'s graph: budget and
+  /// spill directory from the engine's options, and a rematerialize hook
+  /// that rebuilds a shard from the engine's always-resident record lists
+  /// (a failpoint site of its own, `spill.remat`, so tests can exhaust the
+  /// whole ladder). The engine must outlive the manager.
+  static Result<std::unique_ptr<ShardSpillManager>> Create(
+      fusion::FusionEngine* engine);
 
   /// Detaches every mapping it installed and removes its files (and the
   /// directory, when owned). Best-effort: destruction never throws.
@@ -142,6 +150,24 @@ class ShardSpillManager {
   /// rebuilt are resident again with stale disk copies — their files are
   /// invalidated and any mapping dropped. Call right after PrepareWarm.
   void Reconcile();
+
+  /// The budgeted round loop of an engine-method run over `engine`, whose
+  /// graph this manager serves: cuts the subset plan for the current
+  /// shard sizes and runs the engine's RunRounds over it, each subset made
+  /// readable by EnsureOnly right before its sweep. Ends with MapAll, so
+  /// every shard is on disk and mapped (Snapshot / ForEachClaim read
+  /// zero-copy while the columns stay reclaimable) or, after a resident
+  /// fallback, fully resident. An error means the degradation ladder ran
+  /// dry and the run has no result.
+  Status RunRounds(fusion::FusionEngine* engine,
+                   fusion::FusionEngine::Start start,
+                   fusion::FusionResult* result);
+
+  /// The subset plan of the last RunRounds.
+  const SpillPlan& plan() const { return plan_; }
+  /// Peak RSS (bytes) sampled across the round loop of the last
+  /// RunRounds, per common/memprobe.h.
+  size_t round_loop_peak_rss() const { return peak_rss_; }
 
   const SpillStats& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
@@ -186,33 +212,17 @@ class ShardSpillManager {
   /// Per shard: the live mapping backing a kMapped attachment.
   std::vector<store::ShardMmapView> maps_;
   SpillStats stats_;
+  SpillPlan plan_;
+  size_t peak_rss_ = 0;
 };
 
 /// Validation-time probe of a budgeted run's spill destination: creates
-/// the directory if needed and round-trips a probe file, so the fuser's
-/// in-run IO aborts are unreachable for plain misconfiguration (wrong
-/// path, read-only directory). An empty `spill_dir` probes the temp-dir
+/// the directory if needed and round-trips a probe file, so in-run IO
+/// aborts are unreachable for plain misconfiguration (wrong path,
+/// read-only directory). An empty `spill_dir` probes the temp-dir
 /// default and removes the probe directory again; a user-supplied
 /// directory is created and left in place.
 Status ProbeSpillDir(const std::string& spill_dir);
-
-/// Creates the budgeted engine-method fuser (VOTE / ACCU / POPACCU run
-/// out-of-core; registry-only baselines and extensions do not go through
-/// the engine and cannot be budgeted). kf::Session routes here when
-/// options.memory_budget_bytes > 0.
-std::unique_ptr<fusion::Fuser> MakeOutOfCoreFuser(fusion::Method method);
-
-/// Introspection interface of the fuser MakeOutOfCoreFuser returns, for
-/// tests and benches that read the spill counters behind fusion results.
-class OutOfCoreIntrospection {
- public:
-  virtual ~OutOfCoreIntrospection() = default;
-  virtual const SpillStats& spill_stats() const = 0;
-  virtual const SpillPlan& spill_plan() const = 0;
-  /// Peak RSS (bytes) sampled across the round loop of the last
-  /// Run/Refuse, per common/memprobe.h.
-  virtual size_t round_loop_peak_rss() const = 0;
-};
 
 }  // namespace kf::spill
 

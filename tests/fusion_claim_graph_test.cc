@@ -448,7 +448,11 @@ TEST(ClaimGraphTest, EmptyUpdateRebuildsNothing) {
   const auto& corpus = SmallCorpus();
   ClaimGraph graph(corpus.dataset, extract::Granularity::ExtractorUrl(),
                    /*num_shards=*/8);
+  ASSERT_FALSE(graph.last_rebuilt_shards().empty());  // the initial build
   EXPECT_EQ(graph.Update(corpus.dataset), 0u);
+  // The spill layer drops the mappings of every listed shard, so an
+  // empty append must list none.
+  EXPECT_TRUE(graph.last_rebuilt_shards().empty());
 }
 
 TEST(ClaimGraphTest, UntouchedShardsAreNotRebuilt) {

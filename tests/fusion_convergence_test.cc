@@ -64,15 +64,18 @@ TEST(ConvergenceTest, DampingScalesTheAppliedStageIISteps) {
   // exactly half the accuracy movement of an undamped one (modulo the
   // clamp, which the first round's well-interior accuracies never hit).
   FusionOptions options = PopAccuStreaming();
+  options.accuracy_damping = 1.0;
+  FusionOptions half_options = options;
+  half_options.accuracy_damping = 0.5;
   FusionEngine full(SmallCorpus().dataset, options);
-  FusionEngine half(SmallCorpus().dataset, options);
+  FusionEngine half(SmallCorpus().dataset, half_options);
   FusionResult result = full.Prepare();
   FusionResult result_half = half.Prepare();
   full.StageI(1, &result);
   half.StageI(1, &result_half);
   ASSERT_EQ(result.probability, result_half.probability);
-  double d_full = full.StageII(result, 1.0, 1.0);
-  double d_half = half.StageII(result_half, 0.5, 1.0);
+  double d_full = full.StageII(result);
+  double d_half = half.StageII(result_half);
   EXPECT_NEAR(d_half, 0.5 * d_full, 1e-12);
 }
 

@@ -208,11 +208,16 @@ TEST(EngineTest, ShardSweepMicrosCoversEveryShard) {
   // A budgeted run sweeps subset by subset (one shard per subset at a
   // 1-byte budget) and must time every shard all the same.
   opts.memory_budget_bytes = 1;
-  std::unique_ptr<Fuser> budgeted = spill::MakeOutOfCoreFuser(opts.method);
-  ASSERT_TRUE(budgeted->ValidateContext(corpus.dataset, opts, {}).ok());
-  ASSERT_TRUE(budgeted->Run(corpus.dataset, opts, {}).ok());
-  EXPECT_EQ(budgeted->engine()->shard_sweep_micros().size(),
-            budgeted->engine()->graph().num_shards());
+  FusionEngine budgeted(corpus.dataset, opts);
+  FusionResult result = budgeted.Prepare();
+  auto manager = spill::ShardSpillManager::Create(&budgeted);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)
+                  ->RunRounds(&budgeted, FusionEngine::Start::kCold, &result)
+                  .ok());
+  EXPECT_GT((*manager)->plan().subsets.size(), 1u);
+  EXPECT_EQ(budgeted.shard_sweep_micros().size(),
+            budgeted.graph().num_shards());
 }
 
 // Granularity sweep on a real corpus: engine must produce valid

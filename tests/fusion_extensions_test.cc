@@ -213,6 +213,10 @@ TEST_F(ExtensionsTest, SourceExtractorHandlesExtractorIdsPast31) {
   ASSERT_EQ(low.probability.size(), 6u);
   EXPECT_EQ(high.probability, low.probability);
   EXPECT_EQ(high.has_probability, low.has_probability);
+  // Four URLs and three extractors make claims; the unused ids do not
+  // count as provenances.
+  EXPECT_EQ(low.num_provenances, 7u);
+  EXPECT_EQ(high.num_provenances, 7u);
 }
 
 class LatentTruthRounds : public ::testing::TestWithParam<size_t> {};

@@ -41,9 +41,7 @@ class RegistryTest : public ::testing::Test {
     if (with_gold) ctx.gold = labels_;
     if (with_hierarchy) ctx.hierarchy = &corpus_->world.hierarchy;
     KF_CHECK_OK((*fuser)->ValidateContext(corpus_->dataset, options, ctx));
-    Result<FusionResult> result = (*fuser)->Run(corpus_->dataset, options, ctx);
-    KF_CHECK_OK(result.status());
-    return std::move(result).value();
+    return (*fuser)->Run(corpus_->dataset, options, ctx);
   }
 
   static void ExpectBitIdentical(const FusionResult& a,
@@ -243,22 +241,6 @@ TEST_F(RegistryTest, GoldInitRequiresGoldLabels) {
   ctx.gold = &short_gold;
   EXPECT_FALSE(
       (*fuser)->ValidateContext(corpus_->dataset, options, ctx).ok());
-}
-
-TEST_F(RegistryTest, BaselinesDoNotWarmStart) {
-  Result<std::unique_ptr<Fuser>> fuser = Registry::Create("truthfinder");
-  ASSERT_TRUE(fuser.ok());
-  EXPECT_FALSE((*fuser)->SupportsWarmStart());
-  Result<FusionResult> refused = (*fuser)->Refuse(corpus_->dataset);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(RegistryTest, EngineRefuseBeforeRunFails) {
-  Result<std::unique_ptr<Fuser>> fuser = Registry::Create("accu");
-  ASSERT_TRUE(fuser.ok());
-  EXPECT_TRUE((*fuser)->SupportsWarmStart());
-  EXPECT_FALSE((*fuser)->Refuse(corpus_->dataset).ok());
 }
 
 }  // namespace

@@ -171,6 +171,8 @@ TEST(SessionTest, AppendOnBorrowedDatasetFails) {
 
 TEST(SessionTest, RefuseBeforeFuseFails) {
   Session session = Session::Borrow(SmallCorpus().dataset);
+  EXPECT_FALSE(session.can_refuse());
+  EXPECT_EQ(session.engine(), nullptr);
   EXPECT_FALSE(session.Refuse().ok());
 }
 
@@ -179,6 +181,9 @@ TEST(SessionTest, RefuseAfterBaselineMethodFails) {
   fusion::FusionOptions options;
   options.method_name = "investment";
   ASSERT_TRUE(session.Fuse(options).ok());
+  // Baselines keep no engine, so there is no warm state to start from.
+  EXPECT_FALSE(session.can_refuse());
+  EXPECT_EQ(session.engine(), nullptr);
   Result<fusion::FusionResult> refused = session.Refuse();
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);

@@ -23,7 +23,6 @@
 #include "eval/gold_standard.h"
 #include "extract/tsv_io.h"
 #include "fusion/engine.h"
-#include "fusion/registry.h"
 #include "kf/kb_server.h"
 #include "kf/session.h"
 #include "spill/spill.h"
@@ -37,7 +36,6 @@ using extract::ReinternTail;
 using fusion::FusionEngine;
 using fusion::FusionOptions;
 using fusion::FusionResult;
-using fusion::Method;
 
 const extract::ExtractionDataset& GetDataset() {
   static const synth::SynthCorpus* corpus =
@@ -114,26 +112,24 @@ TEST_F(SpillFaultTest, TransientWriteFaultsRecoverBitIdentical) {
   fault::ScopedFaults scope;
   ASSERT_TRUE(fault::ArmFromConfig("spill.write=eintr%4(seed=11)").ok());
 
-  std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(Method::kPopAccu);
-  fusion::FuseContext ctx;
-  ASSERT_TRUE(fuser->ValidateContext(dataset, opts, ctx).ok());
-  Result<FusionResult> run = fuser->Run(dataset, opts, ctx);
+  Session session = Session::Borrow(dataset);
+  Result<FusionResult> run = session.Fuse(opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ExpectEqualRun(reference, *run, fuser->engine()->provenance_accuracy());
+  ExpectEqualRun(reference, *run, session.engine()->provenance_accuracy());
 
   ASSERT_GT(fault::Hits("spill.write"), 0u);
-  const auto* intro = dynamic_cast<const OutOfCoreIntrospection*>(fuser.get());
-  ASSERT_NE(intro, nullptr);
-  EXPECT_GT(intro->spill_stats().transient_retries, 0u);
+  ASSERT_NE(session.spill_stats(), nullptr);
+  EXPECT_GT(session.spill_stats()->transient_retries, 0u);
 }
 
 // ---- rung 2: corruption is quarantined and rebuilt from memory -------
 
 TEST_F(SpillFaultTest, ByteFlipBetweenRoundsQuarantinesAndRecovers) {
   // Drive the engine's round loop by hand (the same decomposition
-  // OutOfCoreFuser runs) so bytes can be flipped in spilled shard files
-  // BETWEEN rounds, then assert the quarantine + rewrite-from-resident
-  // path converges to a FusedKB operator==-equal to the resident run's.
+  // ShardSpillManager::RunRounds runs) so bytes can be flipped in spilled
+  // shard files BETWEEN rounds, then assert the quarantine +
+  // rewrite-from-resident path converges to a FusedKB operator==-equal to
+  // the resident run's.
   const auto& dataset = GetDataset();
   FusionOptions opts = BaseOptions();
   opts.num_workers = 1;
@@ -224,16 +220,13 @@ TEST_F(SpillFaultTest, DeadSpillDirFallsBackToResidentBitIdentical) {
   // budget is waived, and the run must finish fully resident — equal.
   ASSERT_TRUE(fault::ArmFromConfig("spill.write=enospc").ok());
 
-  std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(Method::kPopAccu);
-  fusion::FuseContext ctx;
-  ASSERT_TRUE(fuser->ValidateContext(dataset, opts, ctx).ok());
-  Result<FusionResult> run = fuser->Run(dataset, opts, ctx);
+  Session session = Session::Borrow(dataset);
+  Result<FusionResult> run = session.Fuse(opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ExpectEqualRun(reference, *run, fuser->engine()->provenance_accuracy());
+  ExpectEqualRun(reference, *run, session.engine()->provenance_accuracy());
 
-  const auto* intro = dynamic_cast<const OutOfCoreIntrospection*>(fuser.get());
-  ASSERT_NE(intro, nullptr);
-  const SpillStats& stats = intro->spill_stats();
+  ASSERT_NE(session.spill_stats(), nullptr);
+  const SpillStats& stats = *session.spill_stats();
   EXPECT_TRUE(stats.resident_fallback);
   EXPECT_GE(stats.transient_retries, 3u);  // one exhausted retry loop
   EXPECT_EQ(stats.files_written, 0u);

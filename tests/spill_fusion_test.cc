@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "eval/gold_standard.h"
 #include "extract/tsv_io.h"
 #include "fusion/engine.h"
-#include "fusion/registry.h"
 #include "kf/session.h"
 #include "spill/spill.h"
 #include "synth/corpus.h"
@@ -115,22 +115,43 @@ Capture RunResident(const extract::ExtractionDataset& dataset,
   return c;
 }
 
+/// What a Session's engine holds after its last run.
+Capture SessionCapture(const kf::Session& session, FusionResult result) {
+  return {std::move(result), session.engine()->provenance_accuracy(),
+          session.engine()->provenance_claims()};
+}
+
 Capture RunBudgeted(const extract::ExtractionDataset& dataset,
                     FusionOptions opts, size_t budget, size_t workers,
                     const std::vector<Label>* gold = nullptr) {
   opts.num_workers = workers;
   opts.memory_budget_bytes = budget;
-  std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(opts.method);
-  fusion::FuseContext ctx;
-  ctx.gold = gold;
-  KF_CHECK_OK(fuser->ValidateContext(dataset, opts, ctx));
-  Capture c;
-  Result<FusionResult> run = fuser->Run(dataset, opts, ctx);
+  kf::Session session = kf::Session::Borrow(dataset);
+  Result<FusionResult> run = session.Fuse(opts, gold);
   KF_CHECK_OK(run.status());
-  c.result = std::move(run).value();
-  c.accuracies = fuser->engine()->provenance_accuracy();
-  c.prov_claims = fuser->engine()->provenance_claims();
-  return c;
+  KF_CHECK(session.spill_stats() != nullptr);  // the run was budgeted
+  return SessionCapture(session, std::move(run).value());
+}
+
+/// A budgeted cold run driven on the spill manager directly, the way
+/// kf::Session drives one, for the tests that read the manager's plan.
+struct ManagedRun {
+  std::unique_ptr<FusionEngine> engine;
+  std::unique_ptr<ShardSpillManager> manager;  // destroyed before engine
+  FusionResult result;
+};
+
+ManagedRun RunManaged(const extract::ExtractionDataset& dataset,
+                      const FusionOptions& opts) {
+  ManagedRun run;
+  run.engine = std::make_unique<FusionEngine>(dataset, opts);
+  run.result = run.engine->Prepare();
+  auto manager = ShardSpillManager::Create(run.engine.get());
+  KF_CHECK_OK(manager.status());
+  run.manager = std::move(manager).value();
+  KF_CHECK_OK(run.manager->RunRounds(
+      run.engine.get(), FusionEngine::Start::kCold, &run.result));
+  return run;
 }
 
 void ExpectBitIdentical(const Capture& a, const Capture& b) {
@@ -221,14 +242,9 @@ TEST(SpillFusionTest, HighWaterStaysWithinThePlan) {
   const GraphBytes g = MeasureGraph(dataset, opts);
   const size_t budget = ForceTinyBudget() ? 1 : g.total / 4;
   opts.memory_budget_bytes = budget;
-  std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(Method::kPopAccu);
-  fusion::FuseContext ctx;
-  KF_CHECK_OK(fuser->ValidateContext(dataset, opts, ctx));
-  KF_CHECK_OK(fuser->Run(dataset, opts, ctx).status());
-  auto* intro = dynamic_cast<OutOfCoreIntrospection*>(fuser.get());
-  ASSERT_NE(intro, nullptr);
-  const SpillPlan& plan = intro->spill_plan();
-  const SpillStats& stats = intro->spill_stats();
+  const ManagedRun run = RunManaged(dataset, opts);
+  const SpillPlan& plan = run.manager->plan();
+  const SpillStats& stats = run.manager->stats();
   // The plan partitions the shards within the budget, floored at the
   // largest single shard; the manager's round-loop high-water must stay
   // within the heaviest planned subset.
@@ -246,17 +262,12 @@ TEST(SpillFusionTest, UnconstrainedBudgetSpillsNothingDuringRounds) {
   opts.num_shards = 8;
   const GraphBytes g = MeasureGraph(dataset, opts);
   opts.memory_budget_bytes = g.total + 1;
-  std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(Method::kPopAccu);
-  fusion::FuseContext ctx;
-  KF_CHECK_OK(fuser->ValidateContext(dataset, opts, ctx));
-  KF_CHECK_OK(fuser->Run(dataset, opts, ctx).status());
-  auto* intro = dynamic_cast<OutOfCoreIntrospection*>(fuser.get());
-  ASSERT_NE(intro, nullptr);
+  const ManagedRun run = RunManaged(dataset, opts);
   // One subset holds everything; the round loop never evicts. The only
   // writes are the end-of-run MapAll spill-down: one file per shard.
-  EXPECT_EQ(intro->spill_plan().subsets.size(), 1u);
-  EXPECT_EQ(intro->spill_stats().files_written,
-            fuser->engine()->graph().num_shards());
+  EXPECT_EQ(run.manager->plan().subsets.size(), 1u);
+  EXPECT_EQ(run.manager->stats().files_written,
+            run.engine->graph().num_shards());
 }
 
 // ---- incremental: Append + Refuse over spilled dirty shards -----------
@@ -294,55 +305,72 @@ TEST(SpillFusionTest, WarmRefuseBitIdenticalToResident) {
       if (!inherit) opts.warm_start = tuned;
       const GraphBytes g = MeasureGraph(src, opts);
 
-      // Resident reference: registry EngineFuser, Run then two Append +
-      // Refuse cycles.
-      extract::ExtractionDataset resident = CloneRecordPrefix(src, base);
-      auto created =
-          fusion::Registry::Create(fusion::Registry::NameOf(opts.method));
-      ASSERT_TRUE(created.ok());
-      std::unique_ptr<fusion::Fuser> ref_fuser = std::move(*created);
-      fusion::FuseContext ctx;
+      // Resident reference: a Session's Fuse, then two Append + Refuse
+      // cycles.
       opts.num_workers = 1;
-      KF_CHECK_OK(ref_fuser->Run(resident, opts, ctx).status());
+      kf::Session resident(CloneRecordPrefix(src, base));
+      KF_CHECK_OK(resident.Fuse(opts).status());
       std::vector<Capture> ref_warm;
       for (size_t cycle = 0; cycle < 2; ++cycle) {
-        KF_CHECK_OK(resident.Append(
-            ReinternTail(*tail_src[cycle], tail_begin[cycle], &resident)));
-        auto warm = ref_fuser->Refuse(resident);
+        KF_CHECK_OK(resident.Append(ReinternTail(
+            *tail_src[cycle], tail_begin[cycle], &resident.mutable_dataset())));
+        auto warm = resident.Refuse();
         ASSERT_TRUE(warm.ok());
-        ref_warm.push_back({std::move(warm).value(),
-                            ref_fuser->engine()->provenance_accuracy(),
-                            ref_fuser->engine()->provenance_claims()});
+        ref_warm.push_back(SessionCapture(resident, std::move(warm).value()));
       }
 
       // Budgeted run: same record sequence, dirty shards spilled between
-      // the cold Run and each Refuse.
+      // the cold Fuse and each Refuse.
       for (size_t workers : {size_t{1}, size_t{8}}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        extract::ExtractionDataset budgeted = CloneRecordPrefix(src, base);
         FusionOptions bopts = opts;
         bopts.num_workers = workers;
         bopts.memory_budget_bytes = OneBudget(g);
-        std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(opts.method);
-        KF_CHECK_OK(fuser->ValidateContext(budgeted, bopts, ctx));
-        KF_CHECK_OK(fuser->Run(budgeted, bopts, ctx).status());
+        kf::Session budgeted(CloneRecordPrefix(src, base));
+        KF_CHECK_OK(budgeted.Fuse(bopts).status());
+        ASSERT_NE(budgeted.spill_stats(), nullptr);
         for (size_t cycle = 0; cycle < 2; ++cycle) {
           SCOPED_TRACE("cycle=" + std::to_string(cycle + 1));
           KF_CHECK_OK(budgeted.Append(
-              ReinternTail(*tail_src[cycle], tail_begin[cycle], &budgeted)));
-          auto warm = fuser->Refuse(budgeted);
+              ReinternTail(*tail_src[cycle], tail_begin[cycle],
+                           &budgeted.mutable_dataset())));
+          auto warm = budgeted.Refuse();
           ASSERT_TRUE(warm.ok());
           const Capture& ref = ref_warm[cycle];
           EXPECT_EQ(warm->probability, ref.result.probability);
           EXPECT_EQ(warm->has_probability, ref.result.has_probability);
           EXPECT_EQ(warm->from_fallback, ref.result.from_fallback);
           EXPECT_EQ(warm->num_rounds, ref.result.num_rounds);
-          EXPECT_EQ(fuser->engine()->provenance_accuracy(), ref.accuracies);
-          EXPECT_EQ(fuser->engine()->provenance_claims(), ref.prov_claims);
+          EXPECT_EQ(budgeted.engine()->provenance_accuracy(), ref.accuracies);
+          EXPECT_EQ(budgeted.engine()->provenance_claims(), ref.prov_claims);
         }
       }
     }
   }
+}
+
+// A Refuse with nothing appended re-syncs nothing: every shard stays
+// mapped from the cold run, and the warm rounds read those mappings.
+TEST(SpillFusionTest, RefuseWithNothingAppendedMatchesResident) {
+  const auto& src = GetWorkload().corpus.dataset;
+  FusionOptions opts = FusionOptions::PopAccu();
+  opts.num_shards = 8;
+  opts.num_workers = 1;
+  const GraphBytes g = MeasureGraph(src, opts);
+
+  kf::Session resident = kf::Session::Borrow(src);
+  ASSERT_TRUE(resident.Fuse(opts).ok());
+  auto ref = resident.Refuse();
+  ASSERT_TRUE(ref.ok());
+
+  FusionOptions bopts = opts;
+  bopts.memory_budget_bytes = OneBudget(g);
+  kf::Session budgeted = kf::Session::Borrow(src);
+  ASSERT_TRUE(budgeted.Fuse(bopts).ok());
+  auto warm = budgeted.Refuse();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ExpectBitIdentical(SessionCapture(resident, std::move(ref).value()),
+                     SessionCapture(budgeted, std::move(warm).value()));
 }
 
 // ---- Session routing and the FusedKB acceptance check -----------------
@@ -422,6 +450,46 @@ TEST(SpillFusionTest, FileAsSpillDirIsACleanStatus) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
   ::remove(file_path.c_str());
+}
+
+// A budgeted Fuse rejected at validation must leave a warm resident
+// session exactly as it was: same method, still warm, still unbudgeted,
+// and its next Refuse equal to one from a session that never saw the
+// rejected call.
+TEST(SpillFusionTest, RejectedBudgetedFuseKeepsResidentWarmState) {
+  const std::string file_path = ::testing::TempDir() + "spill_rejected";
+  ASSERT_TRUE(extract::WriteFile(file_path, "occupied").ok());
+  const auto& src = GetWorkload().corpus.dataset;
+  const size_t base = src.num_records() * 2 / 3;
+  FusionOptions opts = FusionOptions::PopAccu();
+  opts.num_shards = 8;
+
+  kf::Session session(CloneRecordPrefix(src, base));
+  kf::Session untouched(CloneRecordPrefix(src, base));
+  ASSERT_TRUE(session.Fuse(opts).ok());
+  ASSERT_TRUE(untouched.Fuse(opts).ok());
+
+  FusionOptions bopts = opts;
+  bopts.memory_budget_bytes = 1 << 20;
+  bopts.spill_dir = file_path;
+  auto rejected = session.Fuse(bopts);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(session.method(), "popaccu");
+  EXPECT_TRUE(session.can_refuse());
+  EXPECT_EQ(session.spill_stats(), nullptr);
+  ::remove(file_path.c_str());
+
+  for (kf::Session* s : {&session, &untouched}) {
+    ASSERT_TRUE(
+        s->Append(ReinternTail(src, base, &s->mutable_dataset())).ok());
+  }
+  auto warm = session.Refuse();
+  auto ref = untouched.Refuse();
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(ref.ok());
+  ExpectBitIdentical(SessionCapture(untouched, std::move(ref).value()),
+                     SessionCapture(session, std::move(warm).value()));
 }
 
 TEST(SpillFusionTest, UncreatableSpillDirIsACleanStatus) {
