@@ -41,7 +41,7 @@ int main() {
   }
   // LatentTruth at its documented fine granularity, via the registry.
   fusion::FusionOptions ltm_opts;
-  ltm_opts.method_name = "latent_truth";
+  ltm_opts.method = fusion::Method::kLatentTruth;
   ltm_opts.granularity =
       extract::Granularity::ExtractorSitePredicatePattern();
   auto ltm = bench::RunFusion(dataset, ltm_opts);
@@ -77,7 +77,7 @@ int main() {
     if (ontology.predicate(item.predicate).hierarchical_values) hier[t] = 1;
   }
   fusion::FusionOptions hier_opts = fusion::FusionOptions::PopAccuPlus();
-  hier_opts.method_name = "hierarchy";
+  hier_opts.method = fusion::Method::kHierarchy;
   auto hier_result = bench::RunFusion(dataset, hier_opts, &w.labels,
                                       &w.corpus.world.hierarchy);
   std::printf("\n5.4 hierarchy-aware fusion (hierarchical-value predicates):\n");
@@ -94,7 +94,7 @@ int main() {
 
   // ---- 5.5 confidence-weighted fusion ----
   fusion::FusionOptions cw_opts = fusion::FusionOptions::PopAccuPlusUnsup();
-  cw_opts.method_name = "confidence_weighted";
+  cw_opts.method = fusion::Method::kConfidenceWeighted;
   auto cw = bench::RunFusion(dataset, cw_opts, &w.labels);
   std::printf("\n5.5 confidence-weighted fusion (all triples):\n");
   TextTable t55({"model", "WDev", "AUC-PR"});
@@ -107,7 +107,7 @@ int main() {
   t55.Print();
 
   // ---- 5.1 source/extractor separation ----
-  auto se = bench::RunMethod("source_extractor", dataset);
+  auto se = bench::RunMethod(fusion::Method::kSourceExtractor, dataset);
   std::printf("\n5.1 source/extractor separation (all triples, "
               "unsupervised):\n");
   TextTable t51({"model", "WDev", "AUC-PR"});

@@ -26,11 +26,14 @@ int main() {
   // The baselines run with their documented per-method defaults; the
   // shared fields (granularity, rounds, workers, shards) come from the
   // default FusionOptions, which match the old per-struct defaults.
-  add("TruthFinder", bench::RunMethod("truthfinder", w.corpus.dataset));
-  add("2-Estimates", bench::RunMethod("two_estimates", w.corpus.dataset));
-  add("Investment", bench::RunMethod("investment", w.corpus.dataset));
+  add("TruthFinder",
+      bench::RunMethod(fusion::Method::kTruthFinder, w.corpus.dataset));
+  add("2-Estimates",
+      bench::RunMethod(fusion::Method::kTwoEstimates, w.corpus.dataset));
+  add("Investment",
+      bench::RunMethod(fusion::Method::kInvestment, w.corpus.dataset));
   add("PooledInvestment",
-      bench::RunMethod("pooled_investment", w.corpus.dataset));
+      bench::RunMethod(fusion::Method::kPooledInvestment, w.corpus.dataset));
   add("VOTE", bench::RunFusion(w.corpus.dataset, fusion::FusionOptions::Vote(),
                            &w.labels));
   add("POPACCU", bench::RunFusion(w.corpus.dataset,

@@ -35,8 +35,7 @@ inline void ValidateOrExit(const fusion::FusionOptions& options) {
 }
 
 /// One validated batch fusion through the public kf::Session facade — the
-/// bench drivers' single entry point for every registry method (engine
-/// methods via options.method, everything else via options.method_name).
+/// bench drivers' single entry point for every method (options.method).
 /// Exits with the Status on invalid options or unmet method requirements.
 inline fusion::FusionResult RunFusion(
     const extract::ExtractionDataset& dataset,
@@ -55,14 +54,13 @@ inline fusion::FusionResult RunFusion(
   return std::move(result).value();
 }
 
-/// RunFusion with just a registry method name over default options.
+/// RunFusion with just a method over otherwise default options.
 inline fusion::FusionResult RunMethod(
-    const std::string& method_name,
-    const extract::ExtractionDataset& dataset,
+    fusion::Method method, const extract::ExtractionDataset& dataset,
     const std::vector<Label>* gold = nullptr,
     const kb::ValueHierarchy* hierarchy = nullptr) {
   fusion::FusionOptions options;
-  options.method_name = method_name;
+  options.method = method;
   return RunFusion(dataset, options, gold, hierarchy);
 }
 

@@ -108,11 +108,10 @@ int main() {
   dataset.SetCounts(sites.size(), extractors.size(), predicates.size());
 
   // Unsupervised fusion at (Extractor, Site) granularity — sensible for a
-  // corpus this small. The session owns the dataset from here on; methods
-  // are picked by registry name.
+  // corpus this small. The session owns the dataset from here on.
   Session session(std::move(dataset));
   fusion::FusionOptions options;
-  options.method_name = "popaccu";
+  options.method = fusion::Method::kPopAccu;
   options.granularity = extract::Granularity::ExtractorSite();
   Result<fusion::FusionResult> fused = session.Fuse(options);
   if (!fused.ok()) {

@@ -182,9 +182,15 @@ int main(int argc, char** argv) {
       continue;
     }
     if (StartsWith(arg, "--method=")) {
-      // Validated below against the registry, which reports the full list
-      // of valid names on a typo.
-      options.method_name = arg.substr(9);
+      // The registry reports the full list of valid names on a typo.
+      Result<fusion::Method> method = fusion::Registry::Parse(arg.substr(9));
+      if (!method.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     method.status().ToString().c_str());
+        Usage();
+        return 2;
+      }
+      options.method = *method;
     } else if (StartsWith(arg, "--granularity=")) {
       std::string g = arg.substr(14);
       if (g == "url") {
@@ -246,8 +252,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Rejects out-of-range knobs AND unknown --method names (the error
-  // lists every registered method).
+  // Rejects out-of-range knobs.
   Status valid = options.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());

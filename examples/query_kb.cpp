@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // session could append, re-fuse, or go away without touching it.
   Session session = Session::Borrow(corpus->dataset);
   fusion::FusionOptions options;
-  options.method_name = "accu";
+  options.method = fusion::Method::kAccu;
   options.granularity = extract::Granularity::ExtractorSite();
   Result<fusion::FusionResult> fused = session.Fuse(options);
   if (!fused.ok()) {

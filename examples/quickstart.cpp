@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
 
   // 4. Fuse. POPACCU+ = POPACCU + coverage filter + fine provenance
   //    granularity + accuracy filter + gold-standard initialization. Any
-  //    registry method runs the same way (options.method_name = "...").
+  //    other method runs the same way: set options.method (e.g.
+  //    fusion::Method::kTruthFinder).
   fusion::FusionOptions options = fusion::FusionOptions::PopAccuPlus();
   Result<fusion::FusionResult> fused = session.Fuse(options, &labels);
   if (!fused.ok()) {
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
   //    warm-starts from the converged accuracies and iterates only until
   //    reconvergence — a fraction of the cold run's rounds.
   fusion::FusionOptions streaming;
-  streaming.method_name = "accu";
+  streaming.method = fusion::Method::kAccu;
   streaming.max_rounds = 100;
   streaming.convergence_epsilon = 1e-3;
   Result<fusion::FusionResult> cold = session.Fuse(streaming);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Public-API smoke: build and run the quickstart (batch + evaluation +
-# streaming warm-start re-fusion), fuse_tsv (registry-driven CLI, incl.
+# streaming warm-start re-fusion), fuse_tsv (every registry method, plus
 # the fused-KB --export/--min-prob flags), query_kb (FusedKB
 # Lookup/Explain/TopK + round-trip) on the checked-in demo TSV, and
 # serve_kb (KbServer live readers under a publishing writer), so the
@@ -15,8 +15,8 @@ TSV=examples/data/demo_extractions.tsv
 OUT="$(mktemp)"
 KB="$(mktemp)"
 BIN="$(mktemp -u).kfs"
-trap 'rm -f "${OUT}" "${OUT}.bin" "${OUT}.budget" "${KB}" "${BIN}" \
-  "${BIN}.trunc"; rm -rf "${SPILL_DIR:-}"' EXIT
+trap 'rm -f "${OUT}" "${OUT}.err" "${OUT}.bin" "${OUT}.budget" "${KB}" \
+  "${BIN}" "${BIN}.trunc"; rm -rf "${SPILL_DIR:-}"' EXIT
 
 for target in example_quickstart example_fuse_tsv example_query_kb \
               example_serve_kb; do
@@ -36,6 +36,37 @@ echo "== fuse_tsv (popaccu on ${TSV}) ==" >&2
 # The corroborated values must win their conflicts in the output.
 grep -q $'TomCruise\tbirth_date\t1962-07-03' "${OUT}"
 grep -q $'TopGun\trelease_year\t1986' "${OUT}"
+
+echo "== fuse_tsv (every method of --help on ${TSV}) ==" >&2
+# The nine methods that need no side input print the header plus one row
+# per unique triple (13); the two that need one exit 2 naming it.
+METHODS="$("${BUILD_DIR}/examples/example_fuse_tsv" --help 2>&1 |
+  sed -n 's/^methods: //p' | tr -d ',')"
+count=0
+for method in ${METHODS}; do
+  count=$((count + 1))
+  set +e
+  "${BUILD_DIR}/examples/example_fuse_tsv" "${TSV}" --method="${method}" \
+    > "${OUT}" 2> "${OUT}.err"
+  code=$?
+  set -e
+  case "${method}" in
+    hierarchy) want=2; need="requires a value hierarchy" ;;
+    confidence_weighted) want=2; need="requires gold labels" ;;
+    *) want=0; need="" ;;
+  esac
+  if [[ "${code}" -ne "${want}" ]]; then
+    echo "--method=${method} exited ${code}, expected ${want}" >&2
+    exit 1
+  fi
+  if [[ -n "${need}" ]]; then
+    grep -q "${need}" "${OUT}.err"
+  else
+    [[ "$(head -1 "${OUT}")" == $'subject\tpredicate\tobject\tprobability' ]]
+    [[ "$(wc -l < "${OUT}")" -eq 14 ]]
+  fi
+done
+[[ "${count}" -eq 11 ]]
 
 echo "== fuse_tsv (unknown method lists registry names, exit 2) ==" >&2
 set +e

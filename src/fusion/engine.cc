@@ -26,8 +26,9 @@ std::unique_ptr<Scorer> MakeScorer(const FusionOptions& options) {
       return std::make_unique<AccuScorer>(options.n_false_values);
     case Method::kPopAccu:
       return std::make_unique<PopAccuScorer>();
+    default:
+      return nullptr;  // not an engine method
   }
-  return nullptr;
 }
 
 /// Fixed block width for the Stage II provenance sweep; independent of the
@@ -69,12 +70,9 @@ FusionEngine::FusionEngine(const extract::ExtractionDataset& dataset,
                            const FusionOptions& options)
     : dataset_(dataset), options_(options) {
   KF_CHECK_OK(options_.Validate());
-  // A method_name naming an engine method overrides the enum; baseline /
-  // extension names cannot run on this engine — route those through
-  // fusion::Registry (kf::Session does).
-  if (!options_.method_name.empty()) {
-    KF_CHECK(ParseEngineMethod(options_.method_name, &options_.method));
-  }
+  // Baselines and extensions cannot run on this engine; fusion::Fuse and
+  // kf::Session route them to their registry row.
+  KF_CHECK(IsEngineMethod(options_.method));
   graph_ = ClaimGraph(dataset, options_.granularity, options_.num_shards,
                       options_.num_workers);
   scorer_ = MakeScorer(options_);
@@ -573,25 +571,19 @@ FusionResult FusionEngine::Run(const std::vector<Label>* gold,
 FusionResult Fuse(const extract::ExtractionDataset& dataset,
                   const FusionOptions& options,
                   const std::vector<Label>* gold) {
-  // Registry-only method names (baselines, extensions) cannot run on the
-  // engine; route them through their Fuser so every Validate()-OK options
-  // value works at this entry point too. Unmet side inputs (a method
-  // needing gold or a hierarchy) stay KF_CHECK programmer errors here,
-  // exactly like init_accuracy_from_gold without labels — callers that
-  // want Status-based errors use kf::Session.
-  Method engine_method;
-  if (!options.method_name.empty() &&
-      !ParseEngineMethod(options.method_name, &engine_method)) {
-    Result<std::unique_ptr<Fuser>> fuser =
-        Registry::Create(options.method_name);
-    KF_CHECK(fuser.ok());
-    FuseContext ctx;
-    ctx.gold = gold;
-    KF_CHECK_OK((*fuser)->ValidateContext(dataset, options, ctx));
-    return (*fuser)->Run(dataset, options, ctx);
+  if (IsEngineMethod(options.method)) {
+    FusionEngine engine(dataset, options);
+    return engine.Run(gold);
   }
-  FusionEngine engine(dataset, options);
-  return engine.Run(gold);
+  // Baselines and extensions run through their registry row, so every
+  // Validate()-OK options value works at this entry point too. Unmet side
+  // inputs (a method needing gold or a hierarchy) stay KF_CHECK programmer
+  // errors here, exactly like init_accuracy_from_gold without labels —
+  // callers that want Status-based errors use kf::Session.
+  FuseContext ctx;
+  ctx.gold = gold;
+  KF_CHECK_OK(Registry::ValidateContext(dataset, options, ctx));
+  return Registry::Run(dataset, options, ctx);
 }
 
 }  // namespace kf::fusion

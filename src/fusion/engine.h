@@ -69,6 +69,7 @@ class FusionEngine {
   enum class Start { kCold, kWarm };
 
   /// Builds the claim graph (options.num_shards shards; 0 = auto).
+  /// options.method must be an engine method (checked).
   FusionEngine(const extract::ExtractionDataset& dataset,
                const FusionOptions& options);
 
@@ -243,7 +244,9 @@ class FusionEngine {
   size_t rounds_run_ = 0;
 };
 
-/// Convenience wrapper: construct + run.
+/// Runs options.method cold: an engine method on a FusionEngine built for
+/// the call, any other method through its registry row
+/// (fusion/registry.h).
 FusionResult Fuse(const extract::ExtractionDataset& dataset,
                   const FusionOptions& options,
                   const std::vector<Label>* gold = nullptr);

@@ -1,22 +1,12 @@
 #include "fusion/options.h"
 
+#include <cctype>
+
 #include "common/string_util.h"
 #include "fusion/claim_graph.h"
 #include "fusion/registry.h"
 
 namespace kf::fusion {
-
-const char* MethodName(Method m) {
-  switch (m) {
-    case Method::kVote:
-      return "VOTE";
-    case Method::kAccu:
-      return "ACCU";
-    case Method::kPopAccu:
-      return "POPACCU";
-  }
-  return "???";
-}
 
 FusionOptions FusionOptions::Vote() {
   FusionOptions o;
@@ -56,10 +46,10 @@ FusionOptions FusionOptions::PopAccuPlus() {
 }
 
 Status FusionOptions::Validate() const {
-  if (!method_name.empty() && !Registry::Contains(method_name)) {
+  if (static_cast<size_t>(method) >= kNumMethods) {
     return Status::InvalidArgument(
-        StrFormat("unknown fusion method '%s'; valid: %s",
-                  method_name.c_str(), Registry::NamesCsv().c_str()));
+        StrFormat("method must be one of the %zu registry methods, got %d",
+                  kNumMethods, static_cast<int>(method)));
   }
   if (!(default_accuracy > 0.0 && default_accuracy < 1.0)) {
     return Status::InvalidArgument(
@@ -147,7 +137,10 @@ Status FusionOptions::Validate() const {
 }
 
 std::string FusionOptions::ToString() const {
-  std::string out = method_name.empty() ? MethodName(method) : method_name;
+  std::string out = Registry::NameOf(method);
+  if (IsEngineMethod(method)) {
+    for (char& c : out) c = static_cast<char>(std::toupper(c));
+  }
   out += " prov=" + granularity.ToString();
   if (filter_by_coverage) out += " +FilterByCov";
   if (min_provenance_accuracy > 0.0) {

@@ -1,7 +1,8 @@
-// Configuration of the knowledge-fusion engine: the base method (VOTE /
-// ACCU / POPACCU of Section 4.1), the provenance granularity (Section
-// 4.3.1), the provenance filters (4.3.2), the gold-standard accuracy
-// initialization (4.3.3), and the execution knobs L and R (4.3.5).
+// Configuration of a fusion run: the method (the engine's VOTE / ACCU /
+// POPACCU of Section 4.1, a data-fusion baseline, or a Section 5
+// extension), the provenance granularity (Section 4.3.1), the provenance
+// filters (4.3.2), the gold-standard accuracy initialization (4.3.3), and
+// the execution knobs L and R (4.3.5).
 #ifndef KF_FUSION_OPTIONS_H_
 #define KF_FUSION_OPTIONS_H_
 
@@ -14,13 +15,31 @@
 
 namespace kf::fusion {
 
+/// Every fusion method, in the order of the registry table
+/// (fusion/registry.h), which names each one; text becomes a Method only
+/// through Registry::Parse.
 enum class Method : uint8_t {
+  // FusionEngine (Section 4.1)
   kVote = 0,
   kAccu = 1,
   kPopAccu = 2,
+  // data-fusion baselines
+  kTruthFinder,
+  kTwoEstimates,
+  kInvestment,
+  kPooledInvestment,
+  // Section 5 extensions
+  kLatentTruth,
+  kHierarchy,
+  kConfidenceWeighted,
+  kSourceExtractor,
 };
+inline constexpr size_t kNumMethods = 11;
 
-const char* MethodName(Method m);
+/// VOTE, ACCU and POPACCU run on FusionEngine, which kf::Session keeps
+/// for warm Refuse, Snapshot and memory budgets; every other method is a
+/// stateless registry row.
+constexpr bool IsEngineMethod(Method m) { return m <= Method::kPopAccu; }
 
 /// Warm-start re-fusion knobs (kf::Session::Refuse). After an
 /// Append, re-fusion seeds Stage I from the previous run's converged
@@ -44,11 +63,6 @@ struct WarmStartOptions {
 
 struct FusionOptions {
   Method method = Method::kPopAccu;
-  /// Registry method name ("vote", "truthfinder", "latent_truth", ...;
-  /// see fusion/registry.h). Empty = use `method`. When set it wins over
-  /// the enum everywhere methods are selected (kf::Session, the engine);
-  /// Validate() rejects names the registry does not know.
-  std::string method_name;
   extract::Granularity granularity = extract::Granularity::ExtractorUrl();
 
   /// A0: accuracy assigned to a provenance before any evidence (Sec 4.1).
@@ -134,6 +148,9 @@ struct FusionOptions {
   /// should call it themselves and surface the Status.
   Status Validate() const;
 
+  /// E.g. "POPACCU prov=(Extractor, URL) +FilterByCov": the method (the
+  /// engine methods in the paper's capitals, the others by registry
+  /// name), the granularity, then every active refinement.
   std::string ToString() const;
 };
 

@@ -1,8 +1,8 @@
 #include "fusion/registry.h"
 
 #include <algorithm>
-#include <memory>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "fusion/baselines/baselines.h"
 #include "fusion/ext/extensions.h"
@@ -30,27 +30,6 @@ Status CheckGold(const extract::ExtractionDataset& dataset,
                   ctx.gold->size(), dataset.num_triples()));
   }
   return Status::OK();
-}
-
-/// Strips the registry routing so nested engine construction (hierarchy /
-/// confidence_weighted wrap the base engine) never sees a non-engine
-/// method name.
-FusionOptions BaseEngineOptions(const FusionOptions& options) {
-  FusionOptions base = options;
-  base.method_name.clear();
-  return base;
-}
-
-// ---- engine methods (VOTE / ACCU / POPACCU) -----------------------------
-
-template <Method kMethod>
-FusionResult RunEngineMethod(const extract::ExtractionDataset& dataset,
-                             const FusionOptions& options,
-                             const FuseContext& ctx) {
-  FusionOptions opts = BaseEngineOptions(options);
-  opts.method = kMethod;
-  FusionEngine engine(dataset, opts);
-  return engine.Run(ctx.gold);
 }
 
 Status ValidateEngineMethod(const extract::ExtractionDataset& dataset,
@@ -128,8 +107,9 @@ Status ValidateHierarchy(const extract::ExtractionDataset& dataset,
 FusionResult RunHierarchyFromOptions(
     const extract::ExtractionDataset& dataset, const FusionOptions& options,
     const FuseContext& ctx) {
-  return HierarchyAwareFuse(dataset, *ctx.hierarchy,
-                            BaseEngineOptions(options), ctx.gold);
+  FusionOptions base = options;
+  base.method = Method::kPopAccu;
+  return HierarchyAwareFuse(dataset, *ctx.hierarchy, base, ctx.gold);
 }
 
 Status ValidateConfidenceWeighted(const extract::ExtractionDataset& dataset,
@@ -142,7 +122,7 @@ FusionResult RunConfidenceWeightedFromOptions(
     const extract::ExtractionDataset& dataset, const FusionOptions& options,
     const FuseContext& ctx) {
   ConfidenceWeightedOptions cw;
-  cw.base = BaseEngineOptions(options);
+  cw.base = options;  // its weighted POPACCU reads only the shared fields
   return RunConfidenceWeighted(dataset, cw, *ctx.gold);
 }
 
@@ -157,80 +137,80 @@ FusionResult RunSourceExtractorFromOptions(
   return RunSourceExtractor(dataset, se);
 }
 
-struct Entry {
+using ValidateFn = Status (*)(const extract::ExtractionDataset& dataset,
+                              const FusionOptions& options,
+                              const FuseContext& ctx);
+using RunFn = FusionResult (*)(const extract::ExtractionDataset& dataset,
+                               const FusionOptions& options,
+                               const FuseContext& ctx);
+
+struct Row {
   const char* name;
-  Fuser::RunFn run;
-  Fuser::ValidateFn validate;
+  ValidateFn validate;
+  RunFn run;  // null for the engine methods, which run on FusionEngine
 };
 
-constexpr Entry kMethods[] = {
-    {"vote", RunEngineMethod<Method::kVote>, ValidateEngineMethod},
-    {"accu", RunEngineMethod<Method::kAccu>, ValidateEngineMethod},
-    {"popaccu", RunEngineMethod<Method::kPopAccu>, ValidateEngineMethod},
-    {"truthfinder", RunTruthFinderFromOptions, ValidateNothing},
-    {"two_estimates", RunTwoEstimatesFromOptions, ValidateNothing},
-    {"investment", RunInvestmentFromOptions, ValidateNothing},
-    {"pooled_investment", RunPooledInvestmentFromOptions, ValidateNothing},
-    {"latent_truth", RunLatentTruthFromOptions, ValidateNothing},
-    {"hierarchy", RunHierarchyFromOptions, ValidateHierarchy},
-    {"confidence_weighted", RunConfidenceWeightedFromOptions,
-     ValidateConfidenceWeighted},
-    {"source_extractor", RunSourceExtractorFromOptions, ValidateNothing},
+/// The registry, indexed by Method.
+constexpr Row kRows[] = {
+    {"vote", ValidateEngineMethod, nullptr},
+    {"accu", ValidateEngineMethod, nullptr},
+    {"popaccu", ValidateEngineMethod, nullptr},
+    {"truthfinder", ValidateNothing, RunTruthFinderFromOptions},
+    {"two_estimates", ValidateNothing, RunTwoEstimatesFromOptions},
+    {"investment", ValidateNothing, RunInvestmentFromOptions},
+    {"pooled_investment", ValidateNothing, RunPooledInvestmentFromOptions},
+    {"latent_truth", ValidateNothing, RunLatentTruthFromOptions},
+    {"hierarchy", ValidateHierarchy, RunHierarchyFromOptions},
+    {"confidence_weighted", ValidateConfidenceWeighted,
+     RunConfidenceWeightedFromOptions},
+    {"source_extractor", ValidateNothing, RunSourceExtractorFromOptions},
 };
+static_assert(sizeof(kRows) / sizeof(kRows[0]) == kNumMethods,
+              "one registry row per Method");
 
-constexpr Method kEngineMethods[] = {Method::kVote, Method::kAccu,
-                                     Method::kPopAccu};
-
-const Entry* FindEntry(const std::string& name) {
-  for (const Entry& entry : kMethods) {
-    if (name == entry.name) return &entry;
-  }
-  return nullptr;
+const Row& RowOf(Method m) {
+  KF_CHECK(static_cast<size_t>(m) < kNumMethods);
+  return kRows[static_cast<size_t>(m)];
 }
 
 }  // namespace
 
-bool ParseEngineMethod(const std::string& name, Method* method) {
-  for (Method m : kEngineMethods) {
-    if (name == Registry::NameOf(m)) {
-      *method = m;
-      return true;
-    }
+Result<Method> Registry::Parse(std::string_view name) {
+  for (size_t i = 0; i < kNumMethods; ++i) {
+    if (name == kRows[i].name) return static_cast<Method>(i);
   }
-  return false;
+  return Status::NotFound(StrFormat("unknown fusion method '%.*s'; valid: %s",
+                                    static_cast<int>(name.size()),
+                                    name.data(), NamesCsv().c_str()));
 }
 
 const char* Registry::NameOf(Method m) {
-  switch (m) {
-    case Method::kVote:
-      return "vote";
-    case Method::kAccu:
-      return "accu";
-    case Method::kPopAccu:
-      return "popaccu";
-  }
-  return "???";
-}
-
-Result<std::unique_ptr<Fuser>> Registry::Create(const std::string& name) {
-  if (const Entry* entry = FindEntry(name)) {
-    return std::make_unique<Fuser>(entry->name, entry->run, entry->validate);
-  }
-  return Status::NotFound(StrFormat("unknown fusion method '%s'; valid: %s",
-                                    name.c_str(), NamesCsv().c_str()));
-}
-
-bool Registry::Contains(const std::string& name) {
-  return FindEntry(name) != nullptr;
+  return static_cast<size_t>(m) < kNumMethods
+             ? kRows[static_cast<size_t>(m)].name
+             : "???";
 }
 
 std::vector<std::string> Registry::Names() {
   std::vector<std::string> names;
-  for (const Entry& entry : kMethods) names.emplace_back(entry.name);
+  for (const Row& row : kRows) names.emplace_back(row.name);
   std::sort(names.begin(), names.end());
   return names;
 }
 
 std::string Registry::NamesCsv() { return StrJoin(Names(), ", "); }
+
+Status Registry::ValidateContext(const extract::ExtractionDataset& dataset,
+                                 const FusionOptions& options,
+                                 const FuseContext& ctx) {
+  return RowOf(options.method).validate(dataset, options, ctx);
+}
+
+FusionResult Registry::Run(const extract::ExtractionDataset& dataset,
+                           const FusionOptions& options,
+                           const FuseContext& ctx) {
+  const Row& row = RowOf(options.method);
+  KF_CHECK(row.run != nullptr);
+  return row.run(dataset, options, ctx);
+}
 
 }  // namespace kf::fusion

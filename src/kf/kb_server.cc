@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "fusion/registry.h"
 
 namespace kf {
 namespace {
@@ -36,9 +35,7 @@ KbServer::KbServer(extract::ExtractionDataset dataset, Options options)
   // Snapshots require engine state, so the configured method must be an
   // engine method. Catch misconfiguration at construction instead of on
   // the first Publish().
-  fusion::Method method;
-  const std::string& name = options_.fusion.method_name;
-  KF_CHECK(name.empty() || fusion::ParseEngineMethod(name, &method));
+  KF_CHECK(fusion::IsEngineMethod(options_.fusion.method));
 }
 
 extract::ExtractionDataset& KbServer::mutable_dataset() {

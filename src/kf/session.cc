@@ -29,28 +29,23 @@ extract::ExtractionDataset& Session::mutable_dataset() {
 Result<fusion::FusionResult> Session::Fuse(
     const fusion::FusionOptions& options, const std::vector<Label>* gold) {
   KF_RETURN_IF_ERROR(options.Validate());
-  const std::string name = options.method_name.empty()
-                               ? fusion::Registry::NameOf(options.method)
-                               : options.method_name;
-  fusion::Method engine_method;
-  const bool is_engine = fusion::ParseEngineMethod(name, &engine_method);
+  const bool is_engine = fusion::IsEngineMethod(options.method);
   const bool budgeted = options.memory_budget_bytes > 0;
   // Only the engine methods decompose into budgeted sweeps; the
   // baselines and extensions build their own structures and cannot
   // spill.
   if (budgeted && !is_engine) {
     return Status::InvalidArgument(
-        "memory_budget_bytes requires an engine method (vote, accu, "
-        "popaccu); '" +
-        name + "' cannot run out-of-core");
+        std::string("memory_budget_bytes requires an engine method (vote, "
+                    "accu, popaccu); '") +
+        fusion::Registry::NameOf(options.method) +
+        "' cannot run out-of-core");
   }
-  Result<std::unique_ptr<fusion::Fuser>> fuser =
-      fusion::Registry::Create(name);
-  if (!fuser.ok()) return fuser.status();
   fusion::FuseContext ctx;
   ctx.gold = gold;
   ctx.hierarchy = hierarchy_;
-  KF_RETURN_IF_ERROR((*fuser)->ValidateContext(*dataset_, options, ctx));
+  KF_RETURN_IF_ERROR(
+      fusion::Registry::ValidateContext(*dataset_, options, ctx));
   // Surface spill-destination problems as a Status before any work;
   // faults that strike mid-run go through the manager's degradation
   // ladder (retry → quarantine+rematerialize → resident fallback) and
@@ -61,10 +56,10 @@ Result<fusion::FusionResult> Session::Fuse(
   // the old graph references, so it goes before the engine.
   spill_.reset();
   engine_.reset();
-  method_ = name;
+  method_ = fusion::Registry::NameOf(options.method);
   Result<fusion::FusionResult> run =
-      is_engine ? FuseEngine(options, engine_method, gold)
-                : (*fuser)->Run(*dataset_, options, ctx);
+      is_engine ? FuseEngine(options, gold)
+                : fusion::Registry::Run(*dataset_, options, ctx);
   if (!run.ok()) {
     // An unrecoverable failure (the spill layer's degradation ladder ran
     // dry) leaves the engine mid-run; drop every trace of it so
@@ -78,21 +73,18 @@ Result<fusion::FusionResult> Session::Fuse(
   }
   last_ = std::move(run).value();
   fused_records_ = dataset_->num_records();
+  refuse_failed_ = false;
   return *last_;
 }
 
 Result<fusion::FusionResult> Session::FuseEngine(
-    const fusion::FusionOptions& options, fusion::Method method,
-    const std::vector<Label>* gold) {
-  fusion::FusionOptions opts = options;
-  opts.method_name.clear();
-  opts.method = method;
-  engine_.emplace(*dataset_, opts);
+    const fusion::FusionOptions& options, const std::vector<Label>* gold) {
+  engine_.emplace(*dataset_, options);
   // Prepare (graph build + accuracy init) runs fully resident —
   // documented: the budget governs the round loop, and its floor is the
   // build footprint. Out-of-core construction is future work.
   fusion::FusionResult result = engine_->Prepare(gold);
-  if (opts.memory_budget_bytes > 0) {
+  if (options.memory_budget_bytes > 0) {
     Result<std::unique_ptr<spill::ShardSpillManager>> manager =
         spill::ShardSpillManager::Create(&*engine_);
     if (!manager.ok()) return manager.status();
@@ -135,7 +127,9 @@ Result<fusion::FusionResult> Session::Refuse() {
   // new shard sizes.
   fusion::FusionResult result = engine_->PrepareWarm();
   if (spill_) spill_->Reconcile();
-  KF_RETURN_IF_ERROR(RunRounds(fusion::FusionEngine::Start::kWarm, &result));
+  Status rounds = RunRounds(fusion::FusionEngine::Start::kWarm, &result);
+  refuse_failed_ = !rounds.ok();
+  KF_RETURN_IF_ERROR(rounds);
   last_ = std::move(result);
   fused_records_ = dataset_->num_records();
   return *last_;
@@ -151,6 +145,11 @@ Result<FusedKB> Session::Snapshot(const SnapshotNaming& naming,
         method_ +
         " does not retain engine state; Snapshot() needs an engine method "
         "(vote, accu, popaccu)");
+  }
+  if (refuse_failed_) {
+    return Status::FailedPrecondition(
+        "Snapshot() after a failed Refuse(): the engine already holds the "
+        "appended records but not their result; retry Refuse() or Fuse()");
   }
   return FusedKB::Snapshot(*dataset_, *engine_, *last_, method_, naming,
                            gold);

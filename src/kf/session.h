@@ -1,6 +1,6 @@
 // kf::Session — the one stable public entry point over the whole pipeline
 // (Fig. 8): batch fusion, streaming warm-start re-fusion, and evaluation,
-// with methods selected by name through the fusion::Registry. A Session
+// with every method selected by FusionOptions::method. A Session
 // owns (or borrows) an ExtractionDataset and is the only driver of the
 // engine methods (vote / accu / popaccu): it owns their FusionEngine —
 // the sharded claim graph and the converged per-provenance accuracies —
@@ -68,9 +68,8 @@ class Session {
 
   // ---- the pipeline ----
 
-  /// Cold fusion with the method named by options.method_name (falling
-  /// back to options.method), looked up in fusion::Registry. Validates
-  /// options and method requirements before touching any state (a
+  /// Cold fusion with options.method. Validates options and the
+  /// method's fusion::Registry requirements before touching any state (a
   /// rejected call leaves the previous run intact), runs to convergence,
   /// and retains the result plus — for engine methods — the engine that
   /// Refuse() and Snapshot() read. `gold` is required when
@@ -113,9 +112,10 @@ class Session {
   /// stable names); with `gold` (sized like the last result) verdicts
   /// also carry calibrated probabilities from the gold sample's
   /// calibration bins. Fails before the first Fuse(), when the last
-  /// method was not engine-backed (vote / accu / popaccu), on an empty
-  /// dataset, and when `naming` merges two data items or two values of
-  /// one item (see FusedKB::Snapshot).
+  /// method was not engine-backed (vote / accu / popaccu), after a failed
+  /// Refuse() until a Refuse() or Fuse() succeeds, on an empty dataset,
+  /// and when `naming` merges two data items or two values of one item
+  /// (see FusedKB::Snapshot).
   Result<FusedKB> Snapshot(const SnapshotNaming& naming = {},
                            const std::vector<Label>* gold = nullptr) const;
 
@@ -125,7 +125,7 @@ class Session {
   const fusion::FusionResult* last_result() const {
     return last_ ? &*last_ : nullptr;
   }
-  /// Resolved registry name of the last Fuse() method ("" before).
+  /// Registry name of the last Fuse() method ("" before).
   const std::string& method() const { return method_; }
   /// Whether Refuse() has warm state to start from (the last Fuse() ran
   /// an engine method). kf::KbServer uses this to pick cold Fuse vs warm
@@ -157,7 +157,6 @@ class Session {
   /// Builds engine_ (and spill_ when budgeted) for a validated
   /// engine-method Fuse and runs it cold.
   Result<fusion::FusionResult> FuseEngine(const fusion::FusionOptions& options,
-                                          fusion::Method method,
                                           const std::vector<Label>* gold);
   /// The rounds of engine_: through the spill manager when the run is
   /// budgeted, over the resident graph otherwise.
@@ -176,6 +175,10 @@ class Session {
   std::optional<fusion::FusionResult> last_;
   /// Dataset size when last_ was produced (for pending_records()).
   size_t fused_records_ = 0;
+  /// Set by a failed Refuse(): engine_ already holds the appended records
+  /// (and a budgeted run may have left shards evicted) while last_ is the
+  /// previous result, so Snapshot() has no consistent pair to read.
+  bool refuse_failed_ = false;
 };
 
 }  // namespace kf

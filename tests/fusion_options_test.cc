@@ -1,6 +1,8 @@
 #include "fusion/options.h"
 
+#include <iterator>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -121,9 +123,26 @@ TEST(FusionOptionsTest, RejectsInvertedAccuracyClamp) {
 }
 
 TEST(FusionOptionsTest, MethodNames) {
-  EXPECT_STREQ(MethodName(Method::kVote), "VOTE");
-  EXPECT_STREQ(MethodName(Method::kAccu), "ACCU");
-  EXPECT_STREQ(MethodName(Method::kPopAccu), "POPACCU");
+  // The leading token of ToString() for every method: the engine methods
+  // in the paper's capitals, the others by registry name.
+  const char* const kTokens[] = {"VOTE",
+                                 "ACCU",
+                                 "POPACCU",
+                                 "truthfinder",
+                                 "two_estimates",
+                                 "investment",
+                                 "pooled_investment",
+                                 "latent_truth",
+                                 "hierarchy",
+                                 "confidence_weighted",
+                                 "source_extractor"};
+  ASSERT_EQ(std::size(kTokens), kNumMethods);
+  for (size_t i = 0; i < kNumMethods; ++i) {
+    FusionOptions o;
+    o.method = static_cast<Method>(i);
+    const std::string s = o.ToString();
+    EXPECT_EQ(s.substr(0, s.find(' ')), kTokens[i]) << s;
+  }
 }
 
 TEST(FusionOptionsTest, ToStringMentionsRefinements) {

@@ -1,12 +1,13 @@
-// The method-registry contract: every registered fuser is bit-identical
-// to the direct call it wraps (with equivalently filled per-method
-// options), unknown names fail with the full list of valid names, and
-// FusionOptions::Validate covers method_name.
+// The method-registry contract: every Method has one name that parses
+// back to it, unknown names fail with the full list of valid names, and
+// every stateless row is bit-identical to the direct call it wraps (with
+// equivalently filled per-method options).
 #include "fusion/registry.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "eval/gold_standard.h"
 #include "fusion/baselines/baselines.h"
@@ -29,19 +30,16 @@ class RegistryTest : public ::testing::Test {
     delete labels_;
   }
 
-  /// Runs the named method through the registry with `options` + context.
-  static FusionResult ViaRegistry(const std::string& name,
-                                  FusionOptions options,
+  /// Runs `method`'s registry row with `options` + context.
+  static FusionResult ViaRegistry(Method method, FusionOptions options,
                                   bool with_gold = false,
                                   bool with_hierarchy = false) {
-    options.method_name = name;
-    Result<std::unique_ptr<Fuser>> fuser = Registry::Create(name);
-    KF_CHECK(fuser.ok());
+    options.method = method;
     FuseContext ctx;
     if (with_gold) ctx.gold = labels_;
     if (with_hierarchy) ctx.hierarchy = &corpus_->world.hierarchy;
-    KF_CHECK_OK((*fuser)->ValidateContext(corpus_->dataset, options, ctx));
-    return (*fuser)->Run(corpus_->dataset, options, ctx);
+    KF_CHECK_OK(Registry::ValidateContext(corpus_->dataset, options, ctx));
+    return Registry::Run(corpus_->dataset, options, ctx);
   }
 
   static void ExpectBitIdentical(const FusionResult& a,
@@ -62,84 +60,69 @@ std::vector<Label>* RegistryTest::labels_ = nullptr;
 
 // ---- naming / lookup ----
 
-TEST(RegistryNamesTest, KnowsAllMethodsSorted) {
-  std::vector<std::string> names = Registry::Names();
-  EXPECT_GE(names.size(), 11u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  for (const char* expected :
-       {"vote", "accu", "popaccu", "truthfinder", "two_estimates",
-        "investment", "pooled_investment", "latent_truth", "hierarchy",
-        "confidence_weighted", "source_extractor"}) {
-    EXPECT_TRUE(Registry::Contains(expected)) << expected;
-  }
-  EXPECT_FALSE(Registry::Contains("POPACCU"));  // exact lowercase names
-  EXPECT_FALSE(Registry::Contains(""));
-}
+// The registry name of every Method, in enum order.
+const char* const kNames[] = {"vote",
+                              "accu",
+                              "popaccu",
+                              "truthfinder",
+                              "two_estimates",
+                              "investment",
+                              "pooled_investment",
+                              "latent_truth",
+                              "hierarchy",
+                              "confidence_weighted",
+                              "source_extractor"};
 
-TEST(RegistryNamesTest, UnknownNameListsValidOnes) {
-  Result<std::unique_ptr<Fuser>> fuser = Registry::Create("nope");
-  ASSERT_FALSE(fuser.ok());
-  EXPECT_EQ(fuser.status().code(), StatusCode::kNotFound);
-  EXPECT_NE(fuser.status().message().find("popaccu"), std::string::npos);
-  EXPECT_NE(fuser.status().message().find("truthfinder"),
-            std::string::npos);
+TEST(RegistryNamesTest, KnowsAllMethodsSorted) {
+  ASSERT_EQ(std::size(kNames), kNumMethods);
+  for (size_t i = 0; i < kNumMethods; ++i) {
+    EXPECT_STREQ(Registry::NameOf(static_cast<Method>(i)), kNames[i]);
+  }
+  std::vector<std::string> sorted(std::begin(kNames), std::end(kNames));
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(Registry::Names(), sorted);
 }
 
 TEST(RegistryNamesTest, EngineMethodRoundTrip) {
-  for (Method m : {Method::kVote, Method::kAccu, Method::kPopAccu}) {
-    Method parsed;
-    ASSERT_TRUE(ParseEngineMethod(Registry::NameOf(m), &parsed));
-    EXPECT_EQ(parsed, m);
+  // Every name parses back to its Method; only VOTE, ACCU and POPACCU
+  // are engine methods.
+  for (size_t i = 0; i < kNumMethods; ++i) {
+    const Method m = static_cast<Method>(i);
+    Result<Method> parsed = Registry::Parse(Registry::NameOf(m));
+    ASSERT_TRUE(parsed.ok()) << kNames[i];
+    EXPECT_EQ(*parsed, m);
+    EXPECT_EQ(IsEngineMethod(*parsed),
+              m == Method::kVote || m == Method::kAccu ||
+                  m == Method::kPopAccu)
+        << kNames[i];
   }
-  Method parsed;
-  EXPECT_FALSE(ParseEngineMethod("truthfinder", &parsed));
-  EXPECT_FALSE(ParseEngineMethod("", &parsed));
 }
 
-TEST(RegistryNamesTest, OptionsValidateCoversMethodName) {
-  FusionOptions options;
-  options.method_name = "latent_truth";
-  EXPECT_TRUE(options.Validate().ok());
-  options.method_name = "bogus";
-  Status status = options.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("vote"), std::string::npos);
+TEST(RegistryNamesTest, UnknownNameListsValidOnes) {
+  // Exact lowercase names only; the error lists every valid one.
+  for (const char* bad : {"", "POPACCU", "nope"}) {
+    Result<Method> parsed = Registry::Parse(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(parsed.status().message().find("valid: " +
+                                             Registry::NamesCsv()),
+              std::string::npos);
+  }
 }
 
 // ---- bit-identical to the direct calls ----
 
-TEST_F(RegistryTest, EngineMethodsMatchDirectFuse) {
-  for (Method m : {Method::kVote, Method::kAccu, Method::kPopAccu}) {
-    FusionOptions options;
-    options.method = m;
-    options.num_shards = 16;
-    ExpectBitIdentical(ViaRegistry(Registry::NameOf(m), options),
-                       Fuse(corpus_->dataset, options));
-  }
-}
-
-TEST_F(RegistryTest, EngineMethodNameOverridesEnum) {
-  // method_name wins over a contradicting enum.
-  FusionOptions options;
-  options.method = Method::kPopAccu;
-  options.num_shards = 16;
-  FusionOptions vote = options;
-  vote.method = Method::kVote;
-  ExpectBitIdentical(ViaRegistry("vote", options),
-                     Fuse(corpus_->dataset, vote));
-}
-
 TEST_F(RegistryTest, TruthFinderMatchesDirectCall) {
   ExpectBitIdentical(
-      ViaRegistry("truthfinder", FusionOptions()),
+      ViaRegistry(Method::kTruthFinder, FusionOptions()),
       RunTruthFinder(corpus_->dataset, TruthFinderOptions()));
 }
 
 TEST_F(RegistryTest, FuseRoutesRegistryOnlyNamesThroughRegistry) {
-  // The convenience wrapper must accept every Validate()-OK options
-  // value, including names the engine itself cannot run.
+  // fusion::Fuse must accept every Validate()-OK options value,
+  // including methods the engine itself cannot run.
   FusionOptions options;
-  options.method_name = "truthfinder";
+  options.method = Method::kTruthFinder;
   ExpectBitIdentical(Fuse(corpus_->dataset, options),
                      RunTruthFinder(corpus_->dataset,
                                     TruthFinderOptions()));
@@ -147,18 +130,18 @@ TEST_F(RegistryTest, FuseRoutesRegistryOnlyNamesThroughRegistry) {
 
 TEST_F(RegistryTest, TwoEstimatesMatchesDirectCall) {
   ExpectBitIdentical(
-      ViaRegistry("two_estimates", FusionOptions()),
+      ViaRegistry(Method::kTwoEstimates, FusionOptions()),
       RunTwoEstimates(corpus_->dataset, TwoEstimatesOptions()));
 }
 
 TEST_F(RegistryTest, InvestmentMatchesDirectCall) {
-  ExpectBitIdentical(ViaRegistry("investment", FusionOptions()),
+  ExpectBitIdentical(ViaRegistry(Method::kInvestment, FusionOptions()),
                      RunInvestment(corpus_->dataset, InvestmentOptions()));
 }
 
 TEST_F(RegistryTest, PooledInvestmentMatchesDirectCall) {
   ExpectBitIdentical(
-      ViaRegistry("pooled_investment", FusionOptions()),
+      ViaRegistry(Method::kPooledInvestment, FusionOptions()),
       RunPooledInvestment(corpus_->dataset, PooledInvestmentOptions()));
 }
 
@@ -172,7 +155,7 @@ TEST_F(RegistryTest, BaselinesInheritSharedOptionFields) {
   direct.granularity = extract::Granularity::ExtractorSite();
   direct.max_rounds = 3;
   direct.num_shards = 8;
-  ExpectBitIdentical(ViaRegistry("truthfinder", options),
+  ExpectBitIdentical(ViaRegistry(Method::kTruthFinder, options),
                      RunTruthFinder(corpus_->dataset, direct));
 }
 
@@ -180,7 +163,7 @@ TEST_F(RegistryTest, LatentTruthMatchesDirectCall) {
   FusionOptions options;
   options.granularity =
       extract::Granularity::ExtractorSitePredicatePattern();
-  ExpectBitIdentical(ViaRegistry("latent_truth", options),
+  ExpectBitIdentical(ViaRegistry(Method::kLatentTruth, options),
                      RunLatentTruth(corpus_->dataset, LatentTruthOptions()));
 }
 
@@ -188,7 +171,7 @@ TEST_F(RegistryTest, HierarchyMatchesDirectCall) {
   FusionOptions options = FusionOptions::PopAccu();
   options.num_shards = 16;
   ExpectBitIdentical(
-      ViaRegistry("hierarchy", options, /*with_gold=*/false,
+      ViaRegistry(Method::kHierarchy, options, /*with_gold=*/false,
                   /*with_hierarchy=*/true),
       HierarchyAwareFuse(corpus_->dataset, corpus_->world.hierarchy,
                          options));
@@ -198,49 +181,44 @@ TEST_F(RegistryTest, ConfidenceWeightedMatchesDirectCall) {
   FusionOptions options = FusionOptions::PopAccuPlusUnsup();
   ConfidenceWeightedOptions direct;  // default base == PopAccuPlusUnsup
   ExpectBitIdentical(
-      ViaRegistry("confidence_weighted", options, /*with_gold=*/true),
+      ViaRegistry(Method::kConfidenceWeighted, options, /*with_gold=*/true),
       RunConfidenceWeighted(corpus_->dataset, direct, *labels_));
 }
 
 TEST_F(RegistryTest, SourceExtractorMatchesDirectCall) {
   ExpectBitIdentical(
-      ViaRegistry("source_extractor", FusionOptions()),
+      ViaRegistry(Method::kSourceExtractor, FusionOptions()),
       RunSourceExtractor(corpus_->dataset, SourceExtractorOptions()));
 }
 
 // ---- context validation ----
 
 TEST_F(RegistryTest, HierarchyRequiresHierarchy) {
-  Result<std::unique_ptr<Fuser>> fuser = Registry::Create("hierarchy");
-  ASSERT_TRUE(fuser.ok());
-  Status status = (*fuser)->ValidateContext(corpus_->dataset,
-                                            FusionOptions(), FuseContext());
-  EXPECT_FALSE(status.ok());
+  FusionOptions options;
+  options.method = Method::kHierarchy;
+  EXPECT_FALSE(
+      Registry::ValidateContext(corpus_->dataset, options, FuseContext())
+          .ok());
 }
 
 TEST_F(RegistryTest, ConfidenceWeightedRequiresGold) {
-  Result<std::unique_ptr<Fuser>> fuser =
-      Registry::Create("confidence_weighted");
-  ASSERT_TRUE(fuser.ok());
-  Status status = (*fuser)->ValidateContext(corpus_->dataset,
-                                            FusionOptions(), FuseContext());
-  EXPECT_FALSE(status.ok());
+  FusionOptions options;
+  options.method = Method::kConfidenceWeighted;
+  EXPECT_FALSE(
+      Registry::ValidateContext(corpus_->dataset, options, FuseContext())
+          .ok());
 }
 
 TEST_F(RegistryTest, GoldInitRequiresGoldLabels) {
-  Result<std::unique_ptr<Fuser>> fuser = Registry::Create("popaccu");
-  ASSERT_TRUE(fuser.ok());
   FusionOptions options = FusionOptions::PopAccuPlus();
-  EXPECT_FALSE((*fuser)
-                   ->ValidateContext(corpus_->dataset, options,
-                                     FuseContext())
-                   .ok());
+  EXPECT_FALSE(
+      Registry::ValidateContext(corpus_->dataset, options, FuseContext())
+          .ok());
   // Mis-sized gold labels are rejected up front, not KF_CHECKed deep in.
   std::vector<Label> short_gold(3, Label::kTrue);
   FuseContext ctx;
   ctx.gold = &short_gold;
-  EXPECT_FALSE(
-      (*fuser)->ValidateContext(corpus_->dataset, options, ctx).ok());
+  EXPECT_FALSE(Registry::ValidateContext(corpus_->dataset, options, ctx).ok());
 }
 
 }  // namespace

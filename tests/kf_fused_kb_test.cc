@@ -18,6 +18,7 @@
 #include "eval/calibration.h"
 #include "eval/gold_standard.h"
 #include "extract/tsv_io.h"
+#include "fusion/registry.h"
 #include "kf/session.h"
 #include "store/store.h"
 #include "synth/corpus.h"
@@ -47,10 +48,10 @@ constexpr const char* kTsv =
     "TopGun\trelease_year\t1986\tdom\thttps://www.imdb.com/tg\t0.93\n"
     "TopGun\trelease_year\t1996\ttbl\thttps://badmoviedb.example.com/tg\t0.30\n";
 
-FusedKB SnapshotTsv(extract::TsvCorpus* corpus, const char* method) {
+FusedKB SnapshotTsv(extract::TsvCorpus* corpus, fusion::Method method) {
   Session session = Session::Borrow(corpus->dataset);
   fusion::FusionOptions options;
-  options.method_name = method;
+  options.method = method;
   options.granularity = extract::Granularity::ExtractorSite();
   EXPECT_TRUE(session.Fuse(options).ok());
   Result<FusedKB> kb =
@@ -62,10 +63,12 @@ FusedKB SnapshotTsv(extract::TsvCorpus* corpus, const char* method) {
 // ---- verdict fidelity (the acceptance criterion) ----
 
 TEST(FusedKbTest, VerdictsBitIdenticalToRawResultForEveryEngineMethod) {
-  for (const char* method : {"vote", "accu", "popaccu"}) {
+  for (fusion::Method m : {fusion::Method::kVote, fusion::Method::kAccu,
+                           fusion::Method::kPopAccu}) {
+    const char* method = fusion::Registry::NameOf(m);
     Session session = Session::Borrow(SmallCorpus().dataset);
     fusion::FusionOptions options;
-    options.method_name = method;
+    options.method = m;
     options.num_shards = 16;
     Result<fusion::FusionResult> result = session.Fuse(options);
     ASSERT_TRUE(result.ok()) << method;
@@ -119,7 +122,7 @@ TEST(FusedKbTest, SnapshotCountsMatchTheEngineState) {
 TEST(FusedKbTest, LookupReturnsTheWinningValue) {
   Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
   ASSERT_TRUE(corpus.ok());
-  FusedKB kb = SnapshotTsv(&*corpus, "accu");
+  FusedKB kb = SnapshotTsv(&*corpus, fusion::Method::kAccu);
 
   std::optional<KbVerdict> winner = kb.Lookup("TomCruise", "birth_date");
   ASSERT_TRUE(winner.has_value());
@@ -145,7 +148,7 @@ TEST(FusedKbTest, LookupReturnsTheWinningValue) {
 TEST(FusedKbTest, ExplainListsSupportAndContradictionWithVoteWeights) {
   Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
   ASSERT_TRUE(corpus.ok());
-  FusedKB kb = SnapshotTsv(&*corpus, "accu");
+  FusedKB kb = SnapshotTsv(&*corpus, fusion::Method::kAccu);
 
   std::vector<KbEvidence> evidence =
       kb.Explain("TomCruise", "birth_date", "1962-07-03");
@@ -292,7 +295,7 @@ TEST(FusedKbTest, SnapshotSurvivesAppendRefuseAndSessionDestruction) {
 TEST(FusedKbTest, ExportImportRoundTripsToAnEqualKb) {
   Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
   ASSERT_TRUE(corpus.ok());
-  FusedKB kb = SnapshotTsv(&*corpus, "popaccu");
+  FusedKB kb = SnapshotTsv(&*corpus, fusion::Method::kPopAccu);
 
   std::string tsv = kb.ToTsv();
   Result<FusedKB> back = FusedKB::FromTsv(tsv);
@@ -465,7 +468,7 @@ TEST(FusedKbTest, QueryViewsSurviveMovingTheKb) {
   check(std::move(one).value());
   Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
   ASSERT_TRUE(corpus.ok());
-  check(SnapshotTsv(&*corpus, "accu"));
+  check(SnapshotTsv(&*corpus, fusion::Method::kAccu));
 }
 
 // ---- error paths ----
@@ -549,7 +552,7 @@ TEST(FusedKbTest, SnapshotBeforeFuseFails) {
 TEST(FusedKbTest, SnapshotAfterBaselineMethodFails) {
   Session session = Session::Borrow(SmallCorpus().dataset);
   fusion::FusionOptions options;
-  options.method_name = "truthfinder";
+  options.method = fusion::Method::kTruthFinder;
   ASSERT_TRUE(session.Fuse(options).ok());
   Result<FusedKB> kb = session.Snapshot();
   ASSERT_FALSE(kb.ok());

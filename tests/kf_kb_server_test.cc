@@ -335,7 +335,7 @@ TEST(KbServerTest, NamingCollisionFailsPublishAndKeepsLastGoodGeneration) {
 
 TEST(KbServerDeathTest, NonEngineMethodIsRejectedAtConstruction) {
   KbServer::Options options = ServerOptions();
-  options.fusion.method_name = "truthfinder";  // registry-only baseline
+  options.fusion.method = fusion::Method::kTruthFinder;  // a baseline
   ASSERT_DEATH(
       { KbServer server(extract::ExtractionDataset(), options); }, "");
 }

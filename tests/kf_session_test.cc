@@ -1,7 +1,7 @@
 // The kf::Session facade contract: batch fusion matches the engine,
-// evaluation matches eval::EvaluateModel, method dispatch goes through the
-// registry, and streaming Append + warm-start Refuse reconverges to the
-// cold-run result in strictly fewer rounds.
+// evaluation matches eval::EvaluateModel, non-engine methods run through
+// their registry row, and streaming Append + warm-start Refuse
+// reconverges to the cold-run result in strictly fewer rounds.
 #include "kf/session.h"
 
 #include <gtest/gtest.h>
@@ -59,7 +59,7 @@ TEST(SessionTest, BorrowedFuseMatchesDirectEngine) {
 
 TEST(SessionTest, MethodNameDispatchMatchesDirectBaseline) {
   fusion::FusionOptions options;
-  options.method_name = "truthfinder";
+  options.method = fusion::Method::kTruthFinder;
   Session session = Session::Borrow(SmallCorpus().dataset);
   Result<fusion::FusionResult> result = session.Fuse(options);
   ASSERT_TRUE(result.ok());
@@ -73,8 +73,11 @@ TEST(SessionTest, MethodNameDispatchMatchesDirectBaseline) {
 TEST(SessionTest, SwitchingMethodsReusesOneSession) {
   Session session = Session::Borrow(SmallCorpus().dataset);
   fusion::FusionOptions options;
-  for (const char* name : {"vote", "truthfinder", "popaccu"}) {
-    options.method_name = name;
+  for (fusion::Method method :
+       {fusion::Method::kVote, fusion::Method::kTruthFinder,
+        fusion::Method::kPopAccu}) {
+    options.method = method;
+    const char* name = fusion::Registry::NameOf(method);
     ASSERT_TRUE(session.Fuse(options).ok()) << name;
     EXPECT_EQ(session.method(), name);
   }
@@ -82,10 +85,11 @@ TEST(SessionTest, SwitchingMethodsReusesOneSession) {
 
 TEST(SessionTest, InvalidOptionsAndUnknownMethodsAreRejected) {
   Session session = Session::Borrow(SmallCorpus().dataset);
+  EXPECT_FALSE(fusion::Registry::Parse("not_a_method").ok());
   fusion::FusionOptions options;
-  options.method_name = "not_a_method";
+  options.method = static_cast<fusion::Method>(fusion::kNumMethods);
   EXPECT_FALSE(session.Fuse(options).ok());
-  options.method_name.clear();
+  options.method = fusion::Method::kPopAccu;
   options.max_rounds = 0;
   EXPECT_FALSE(session.Fuse(options).ok());
   options = fusion::FusionOptions();
@@ -147,7 +151,7 @@ TEST(SessionTest, RejectedFuseKeepsPreviousWarmState) {
   // A method switch that fails validation (confidence_weighted without
   // gold) must not clobber the converged ACCU state or method().
   fusion::FusionOptions bad;
-  bad.method_name = "confidence_weighted";
+  bad.method = fusion::Method::kConfidenceWeighted;
   EXPECT_FALSE(session.Fuse(bad).ok());
   EXPECT_EQ(session.method(), "accu");
 
@@ -179,7 +183,7 @@ TEST(SessionTest, RefuseBeforeFuseFails) {
 TEST(SessionTest, RefuseAfterBaselineMethodFails) {
   Session session = Session::Borrow(SmallCorpus().dataset);
   fusion::FusionOptions options;
-  options.method_name = "investment";
+  options.method = fusion::Method::kInvestment;
   ASSERT_TRUE(session.Fuse(options).ok());
   // Baselines keep no engine, so there is no warm state to start from.
   EXPECT_FALSE(session.can_refuse());

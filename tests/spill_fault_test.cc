@@ -303,6 +303,42 @@ TEST_F(SpillFaultTest, SessionResetsCleanlyWhenTheLadderRunsDry) {
   EXPECT_FALSE(session.spill_stats()->resident_fallback);
 }
 
+TEST_F(SpillFaultTest, SnapshotAfterFailedRefuseFailsUntilARetrySucceeds) {
+  // A failed budgeted Refuse keeps the engine so a retry stays warm, but
+  // that engine already holds the appended records (and the ladder left
+  // shards evicted) while the last result predates them: Snapshot must
+  // report that as a Status instead of reading the evicted columns.
+  const auto& src = GetDataset();
+  ASSERT_GT(src.num_records(), 4u);
+  const size_t base = src.num_records() - 3;
+  FusionOptions opts = BaseOptions();
+  opts.memory_budget_bytes = TotalSpillableBytes(src, opts) / 4;
+  Session session(CloneRecordPrefix(src, base));
+  ASSERT_TRUE(session.Fuse(opts).ok());
+  ASSERT_TRUE(
+      session.Append(ReinternTail(src, base, &session.mutable_dataset()))
+          .ok());
+  {
+    fault::ScopedFaults scope;
+    ASSERT_TRUE(
+        fault::ArmFromConfig("spill.write=enospc;spill.remat=err").ok());
+    auto failed = session.Refuse();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  }
+  auto stale = session.Snapshot();
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(session.can_refuse());
+
+  // Faults cleared: the retried Refuse succeeds and snapshots again.
+  auto retry = session.Refuse();
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  auto kb = session.Snapshot();
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  EXPECT_EQ(kb->num_triples(), retry->probability.size());
+}
+
 // ---- the serving layer: Publish fails, readers keep the generation ---
 
 TEST_F(SpillFaultTest, PublishFailureKeepsReadersOnLastGoodGeneration) {

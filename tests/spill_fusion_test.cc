@@ -402,14 +402,14 @@ TEST(SpillFusionTest, SessionRejectsBudgetedBaselines) {
   const auto& src = GetWorkload().corpus.dataset;
   kf::Session session = kf::Session::Borrow(src);
   FusionOptions opts;
-  opts.method_name = "truthfinder";
+  opts.method = Method::kTruthFinder;
   opts.memory_budget_bytes = 1 << 20;
   auto result = session.Fuse(opts);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("cannot run out-of-core"),
             std::string::npos);
-  // The rejection must not clobber the session's (empty) fuser state.
+  // The rejection must not clobber the session's (empty) engine state.
   EXPECT_FALSE(session.can_refuse());
 }
 

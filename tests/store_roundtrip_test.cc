@@ -279,7 +279,7 @@ FusedKB SnapshotDemo() {
   EXPECT_TRUE(corpus.ok());
   Session session = Session::Borrow(corpus->dataset);
   fusion::FusionOptions options;
-  options.method_name = "popaccu";
+  options.method = fusion::Method::kPopAccu;
   EXPECT_TRUE(session.Fuse(options).ok());
   Result<FusedKB> kb = session.Snapshot(SnapshotNaming::FromCorpus(*corpus));
   EXPECT_TRUE(kb.ok());
