@@ -93,8 +93,9 @@ int main() {
   t54.Print();
 
   // ---- 5.5 confidence-weighted fusion ----
-  fusion::FusionOptions cw_opts = fusion::FusionOptions::PopAccuPlusUnsup();
+  fusion::FusionOptions cw_opts;
   cw_opts.method = fusion::Method::kConfidenceWeighted;
+  cw_opts.granularity = extract::Granularity::ExtractorSitePredicatePattern();
   auto cw = bench::RunFusion(dataset, cw_opts, &w.labels);
   std::printf("\n5.5 confidence-weighted fusion (all triples):\n");
   TextTable t55({"model", "WDev", "AUC-PR"});

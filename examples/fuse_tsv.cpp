@@ -14,6 +14,10 @@
 // Output columns: subject predicate object probability
 // With no INPUT, runs on a built-in demo corpus.
 //
+// Each fusion flag sets one FusionOptions field, and a flag the method
+// does not read (say --theta for truthfinder) exits 2 naming the field.
+// Methods that read the granularity default to --granularity=site.
+//
 // --save-bin writes the parsed corpus as a kf::store binary image
 // (~3-4x smaller than the TSV, >5x faster to reload); --load-bin reads
 // such an image in place of INPUT.tsv, skipping TSV parsing entirely.
@@ -36,12 +40,14 @@
 // before fusing, and the run reports how far down the degradation ladder
 // it had to go: transient retries, shards quarantined and rebuilt, or a
 // full resident fallback. See docs/api.md, "Fault injection".
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
@@ -84,7 +90,8 @@ int main(int argc, char** argv) {
   std::string input, output, export_path, save_bin, load_bin;
   double min_prob = -1.0;  // < 0: no threshold filtering
   fusion::FusionOptions options = fusion::FusionOptions::PopAccu();
-  options.granularity = extract::Granularity::ExtractorSite();
+  // The FusionOptions fields the flags set; the method must read each.
+  std::vector<fusion::OptionField> flagged;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -143,6 +150,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.memory_budget_bytes = static_cast<size_t>(mb) << 20;
+      flagged.push_back(fusion::OptionField::kMemoryBudgetBytes);
       continue;
     }
     if (StartsWith(arg, "--spill-dir=")) {
@@ -152,6 +160,7 @@ int main(int argc, char** argv) {
         Usage();
         return 2;
       }
+      flagged.push_back(fusion::OptionField::kSpillDir);
       continue;
     }
     if (StartsWith(arg, "--fault=")) {
@@ -206,6 +215,7 @@ int main(int argc, char** argv) {
         Usage();
         return 2;
       }
+      flagged.push_back(fusion::OptionField::kGranularity);
     } else if (StartsWith(arg, "--theta=")) {
       const char* begin = arg.c_str() + 8;
       char* end = nullptr;
@@ -216,6 +226,7 @@ int main(int argc, char** argv) {
         Usage();
         return 2;
       }
+      flagged.push_back(fusion::OptionField::kMinProvenanceAccuracy);
     } else if (StartsWith(arg, "--workers=") ||
                StartsWith(arg, "--shards=")) {
       const bool is_workers = StartsWith(arg, "--workers=");
@@ -234,11 +245,14 @@ int main(int argc, char** argv) {
       }
       if (is_workers) {
         options.num_workers = static_cast<size_t>(v);
+        flagged.push_back(fusion::OptionField::kNumWorkers);
       } else {
         options.num_shards = static_cast<size_t>(v);
+        flagged.push_back(fusion::OptionField::kNumShards);
       }
     } else if (arg == "--filter-by-coverage") {
       options.filter_by_coverage = true;
+      flagged.push_back(fusion::OptionField::kFilterByCoverage);
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -250,6 +264,25 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
+  }
+
+  // A flag the method does not read is an error naming its field. The CLI
+  // defaults to (Extractor, Site) provenances for methods that read them.
+  for (fusion::OptionField field : flagged) {
+    Status reads = fusion::Registry::CheckReads(options.method, field);
+    if (!reads.ok()) {
+      std::fprintf(stderr, "error: %s\n", reads.ToString().c_str());
+      Usage();
+      return 2;
+    }
+  }
+  const bool granularity_flagged =
+      std::find(flagged.begin(), flagged.end(),
+                fusion::OptionField::kGranularity) != flagged.end();
+  if (!granularity_flagged &&
+      fusion::Registry::Reads(options.method,
+                              fusion::OptionField::kGranularity)) {
+    options.granularity = extract::Granularity::ExtractorSite();
   }
 
   // Rejects out-of-range knobs.

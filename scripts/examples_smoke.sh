@@ -68,6 +68,22 @@ for method in ${METHODS}; do
 done
 [[ "${count}" -eq 11 ]]
 
+echo "== fuse_tsv (a flag the method does not read exits 2 naming it) ==" >&2
+set +e
+"${BUILD_DIR}/examples/example_fuse_tsv" "${TSV}" --method=truthfinder \
+  --filter-by-coverage > /dev/null 2> "${OUT}"
+code=$?
+set -e
+[[ "${code}" -eq 2 ]]
+grep -q "does not read filter_by_coverage" "${OUT}"
+set +e
+"${BUILD_DIR}/examples/example_fuse_tsv" "${TSV}" --method=source_extractor \
+  --granularity=url > /dev/null 2> "${OUT}"
+code=$?
+set -e
+[[ "${code}" -eq 2 ]]
+grep -q "does not read granularity" "${OUT}"
+
 echo "== fuse_tsv (unknown method lists registry names, exit 2) ==" >&2
 set +e
 "${BUILD_DIR}/examples/example_fuse_tsv" "${TSV}" --method=nope 2> "${OUT}"

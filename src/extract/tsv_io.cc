@@ -43,8 +43,10 @@ Result<TsvCorpus> ReadExtractionsTsv(const std::string& text) {
   std::vector<SiteId> url_site;
 
   size_t line_no = 0;
-  for (const std::string& line : StrSplit(text, '\n')) {
+  for (std::string& line : StrSplit(text, '\n')) {
     ++line_no;
+    // A CRLF line end is not part of the last column (say, a confidence).
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     std::vector<std::string> cols = StrSplit(line, '\t');
     if (line_no == 1 && cols.size() >= 5 && cols[0] == "subject") {
@@ -58,10 +60,11 @@ Result<TsvCorpus> ReadExtractionsTsv(const std::string& text) {
     float confidence = 0.0f;
     bool has_confidence = false;
     if (cols.size() >= 6 && !cols[5].empty()) {
+      // The whole column must parse to a value in [0,1] (NaN fails both).
       char* end = nullptr;
       confidence = std::strtof(cols[5].c_str(), &end);
-      if (end == cols[5].c_str() || confidence < 0.0f ||
-          confidence > 1.0f) {
+      if (end != cols[5].c_str() + cols[5].size() ||
+          !(confidence >= 0.0f && confidence <= 1.0f)) {
         return Status::InvalidArgument(
             StrFormat("line %zu: bad confidence '%s'", line_no,
                       cols[5].c_str()));

@@ -10,52 +10,38 @@
 #ifndef KF_FUSION_BASELINES_BASELINES_H_
 #define KF_FUSION_BASELINES_BASELINES_H_
 
-#include "common/label.h"
 #include "extract/dataset.h"
 #include "fusion/engine.h"
 #include "fusion/options.h"
 
 namespace kf::fusion {
 
-struct BaselineOptions {
-  extract::Granularity granularity = extract::Granularity::ExtractorUrl();
-  size_t max_rounds = 5;
-  size_t num_workers = 0;
-  /// Claim-graph shards (0 = auto), as in FusionOptions::num_shards.
-  size_t num_shards = 0;
-};
+// The options each runner reads: its row in fusion/registry.h.
 
 /// TruthFinder (Yin, Han, Yu; SIGKDD 2007). Source trustworthiness is the
 /// mean confidence of its values; value confidence combines claimant
 /// trust scores through a logistic link with dampening.
-struct TruthFinderOptions : BaselineOptions {
-  double initial_trust = 0.9;
-  double dampening = 0.3;  // gamma
-};
 FusionResult RunTruthFinder(const extract::ExtractionDataset& dataset,
-                            const TruthFinderOptions& options);
+                            const FusionOptions& options,
+                            const FuseContext& ctx);
 
 /// 2-Estimates (Galland et al.; WSDM 2010): alternating estimates of value
 /// truth and source error, affinely renormalized each round.
-struct TwoEstimatesOptions : BaselineOptions {};
 FusionResult RunTwoEstimates(const extract::ExtractionDataset& dataset,
-                             const TwoEstimatesOptions& options);
+                             const FusionOptions& options,
+                             const FuseContext& ctx);
 
 /// Investment (Pasternack & Roth; COLING 2010): sources invest their trust
 /// uniformly across claims; claim credit grows super-linearly and returns
 /// to the investors proportionally.
-struct InvestmentOptions : BaselineOptions {
-  double growth = 1.2;  // g
-};
 FusionResult RunInvestment(const extract::ExtractionDataset& dataset,
-                           const InvestmentOptions& options);
+                           const FusionOptions& options,
+                           const FuseContext& ctx);
 
 /// PooledInvestment: Investment with per-data-item credit pooling.
-struct PooledInvestmentOptions : BaselineOptions {
-  double growth = 1.4;
-};
 FusionResult RunPooledInvestment(const extract::ExtractionDataset& dataset,
-                                 const PooledInvestmentOptions& options);
+                                 const FusionOptions& options,
+                                 const FuseContext& ctx);
 
 }  // namespace kf::fusion
 

@@ -6,11 +6,15 @@
 
 namespace kf::fusion {
 
+// The growth exponent g of Investment (Pasternack & Roth; COLING 2010).
+constexpr double kGrowth = 1.2;
+
 // Investment: each source spreads its trust uniformly over its claims;
 // claim credit is the invested sum raised to the growth exponent; sources
 // earn trust back proportional to their share of each claim's investment.
 FusionResult RunInvestment(const extract::ExtractionDataset& dataset,
-                           const InvestmentOptions& options) {
+                           const FusionOptions& options,
+                           const FuseContext&) {
   ClaimGraph graph(dataset, options.granularity, options.num_shards,
                    options.num_workers);
   const std::vector<uint32_t>& prov_claims = graph.prov_claims();
@@ -34,7 +38,7 @@ FusionResult RunInvestment(const extract::ExtractionDataset& dataset,
           trust[prov] / static_cast<double>(prov_claims[prov]);
     });
     for (kb::TripleId t = 0; t < dataset.num_triples(); ++t) {
-      if (claimed[t]) credit[t] = std::pow(invested[t], options.growth);
+      if (claimed[t]) credit[t] = std::pow(invested[t], kGrowth);
     }
     std::vector<double> new_trust(graph.num_provs(), 0.0);
     graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,

@@ -6,11 +6,16 @@
 
 namespace kf::fusion {
 
+// The growth exponent g of PooledInvestment (Pasternack & Roth; COLING
+// 2010).
+constexpr double kGrowth = 1.4;
+
 // PooledInvestment: like Investment, but the grown credit of each data
 // item's claims is linearly rescaled so the item's pool of credit is
 // conserved, which dampens the rich-get-richer dynamics.
 FusionResult RunPooledInvestment(const extract::ExtractionDataset& dataset,
-                                 const PooledInvestmentOptions& options) {
+                                 const FusionOptions& options,
+                                 const FuseContext&) {
   ClaimGraph graph(dataset, options.granularity, options.num_shards,
                    options.num_workers);
   const std::vector<uint32_t>& prov_claims = graph.prov_claims();
@@ -39,7 +44,7 @@ FusionResult RunPooledInvestment(const extract::ExtractionDataset& dataset,
     std::vector<double> item_invested(dataset.num_items(), 0.0);
     for (kb::TripleId t = 0; t < dataset.num_triples(); ++t) {
       if (!claimed[t]) continue;
-      grown[t] = std::pow(invested[t], options.growth);
+      grown[t] = std::pow(invested[t], kGrowth);
       item_grown[dataset.triple(t).item] += grown[t];
       item_invested[dataset.triple(t).item] += invested[t];
     }

@@ -6,8 +6,14 @@
 
 namespace kf::fusion {
 
+// TruthFinder (Yin, Han, Yu; SIGKDD 2007): every source starts at this
+// trustworthiness, and gamma damps the logistic link of value confidence.
+constexpr double kInitialTrust = 0.9;
+constexpr double kDampening = 0.3;  // gamma
+
 FusionResult RunTruthFinder(const extract::ExtractionDataset& dataset,
-                            const TruthFinderOptions& options) {
+                            const FusionOptions& options,
+                            const FuseContext&) {
   ClaimGraph graph(dataset, options.granularity, options.num_shards,
                    options.num_workers);
   const std::vector<uint32_t>& prov_claims = graph.prov_claims();
@@ -17,7 +23,7 @@ FusionResult RunTruthFinder(const extract::ExtractionDataset& dataset,
   result.from_fallback.assign(dataset.num_triples(), 0);
   result.num_provenances = graph.num_provs();
 
-  std::vector<double> trust(graph.num_provs(), options.initial_trust);
+  std::vector<double> trust(graph.num_provs(), kInitialTrust);
   std::vector<double> conf(dataset.num_triples(), 0.0);
   std::vector<uint8_t> claimed(dataset.num_triples(), 0);
   graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
@@ -34,7 +40,7 @@ FusionResult RunTruthFinder(const extract::ExtractionDataset& dataset,
     });
     for (kb::TripleId t = 0; t < dataset.num_triples(); ++t) {
       if (!claimed[t]) continue;
-      conf[t] = 1.0 / (1.0 + std::exp(-options.dampening * sigma[t]));
+      conf[t] = 1.0 / (1.0 + std::exp(-kDampening * sigma[t]));
     }
     // Source trustworthiness: mean confidence of claimed values.
     std::vector<double> sum(graph.num_provs(), 0.0);

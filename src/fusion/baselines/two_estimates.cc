@@ -13,7 +13,8 @@ namespace kf::fusion {
 // followed by an affine renormalization of each estimate vector onto
 // [0, 1], which is the stabilizing trick of the original paper.
 FusionResult RunTwoEstimates(const extract::ExtractionDataset& dataset,
-                             const TwoEstimatesOptions& options) {
+                             const FusionOptions& options,
+                             const FuseContext&) {
   ClaimGraph graph(dataset, options.granularity, options.num_shards,
                    options.num_workers);
   const std::vector<uint32_t>& prov_claims = graph.prov_claims();

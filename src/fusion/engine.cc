@@ -575,11 +575,10 @@ FusionResult Fuse(const extract::ExtractionDataset& dataset,
     FusionEngine engine(dataset, options);
     return engine.Run(gold);
   }
-  // Baselines and extensions run through their registry row, so every
-  // Validate()-OK options value works at this entry point too. Unmet side
-  // inputs (a method needing gold or a hierarchy) stay KF_CHECK programmer
-  // errors here, exactly like init_accuracy_from_gold without labels —
-  // callers that want Status-based errors use kf::Session.
+  // Baselines and extensions run through their registry row. Invalid
+  // options or a failed row check are KF_CHECK programmer errors here, as
+  // in FusionEngine — callers that want a Status use kf::Session.
+  KF_CHECK_OK(options.Validate());
   FuseContext ctx;
   ctx.gold = gold;
   KF_CHECK_OK(Registry::ValidateContext(dataset, options, ctx));

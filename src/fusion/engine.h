@@ -26,6 +26,7 @@
 #include "fusion/claim_graph.h"
 #include "fusion/options.h"
 #include "fusion/scorer.h"
+#include "kb/value_hierarchy.h"
 
 namespace kf::fusion {
 
@@ -47,6 +48,18 @@ struct FusionResult {
 
   /// Fraction of unique triples that received a probability.
   double Coverage() const;
+};
+
+/// Side inputs some methods need beyond the dataset and options: gold
+/// labels (semi-supervised initialization, confidence recalibration) and
+/// the value containment DAG (hierarchy-aware fusion). Pointers are
+/// borrowed for the duration of one call.
+struct FuseContext {
+  /// Per-unique-triple labels, sized dataset.num_triples(). Required when
+  /// options.init_accuracy_from_gold is set and by "confidence_weighted".
+  const std::vector<Label>* gold = nullptr;
+  /// Required by the "hierarchy" method.
+  const kb::ValueHierarchy* hierarchy = nullptr;
 };
 
 class FusionEngine {

@@ -9,28 +9,36 @@
 namespace kf::fusion {
 namespace {
 
+// Section 5.5's recalibration: per-extractor confidence buckets, and a
+// weight floor so even low-confidence claims retain some vote.
+constexpr int kCalibrationBuckets = 10;
+constexpr double kMinWeight = 0.15;
+
+/// The calibration bucket of a raw confidence in [0, 1].
+size_t BucketOf(float conf) {
+  return static_cast<size_t>(
+      std::min(kCalibrationBuckets - 1,
+               std::max(0, static_cast<int>(conf * kCalibrationBuckets))));
+}
+
 // Per-extractor recalibration table: maps a raw confidence bucket to the
 // empirical accuracy of gold-labeled unique triples in that bucket. This
 // is the principled fix for Fig. 21: extractors whose confidences are
 // bimodal, inverted, or uninformative all become comparable.
 struct Recalibration {
-  std::vector<double> bucket_accuracy;  // size = buckets
+  std::vector<double> bucket_accuracy;  // size = kCalibrationBuckets
   double fallback = 0.5;                // extractor-wide accuracy
 
-  double Map(float conf, int buckets) const {
-    int b = std::min(buckets - 1,
-                     std::max(0, static_cast<int>(conf * buckets)));
-    return bucket_accuracy[static_cast<size_t>(b)];
-  }
+  double Map(float conf) const { return bucket_accuracy[BucketOf(conf)]; }
 };
 
 }  // namespace
 
 FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
-                                   const ConfidenceWeightedOptions& options,
-                                   const std::vector<Label>& gold) {
-  KF_CHECK(gold.size() == dataset.num_triples());
-  const int buckets = options.calibration_buckets;
+                                   const FusionOptions& options,
+                                   const FuseContext& ctx) {
+  KF_CHECK(ctx.gold != nullptr && ctx.gold->size() == dataset.num_triples());
+  const std::vector<Label>& gold = *ctx.gold;
   const size_t n_ext = dataset.num_extractors();
 
   // ---- build recalibration tables ----
@@ -44,28 +52,25 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
   }
   std::vector<Recalibration> recal(n_ext);
   for (size_t e = 0; e < n_ext; ++e) {
-    std::vector<double> true_cnt(buckets, 0.0);
-    std::vector<double> total_cnt(buckets, 0.0);
+    std::vector<double> true_cnt(kCalibrationBuckets, 0.0);
+    std::vector<double> total_cnt(kCalibrationBuckets, 0.0);
     double all_true = 0.0, all_total = 0.0;
     for (const auto& [t, conf] : max_conf[e]) {
       if (gold[t] == Label::kUnknown) continue;
-      int b = std::min(buckets - 1,
-                       std::max(0, static_cast<int>(conf * buckets)));
-      total_cnt[static_cast<size_t>(b)] += 1.0;
+      const size_t b = BucketOf(conf);
+      total_cnt[b] += 1.0;
       all_total += 1.0;
       if (gold[t] == Label::kTrue) {
-        true_cnt[static_cast<size_t>(b)] += 1.0;
+        true_cnt[b] += 1.0;
         all_true += 1.0;
       }
     }
     Recalibration& r = recal[e];
     r.fallback = all_total > 0.0 ? all_true / all_total : 0.5;
-    r.bucket_accuracy.assign(buckets, r.fallback);
-    for (int b = 0; b < buckets; ++b) {
-      if (total_cnt[static_cast<size_t>(b)] >= 10.0) {
-        r.bucket_accuracy[static_cast<size_t>(b)] =
-            true_cnt[static_cast<size_t>(b)] /
-            total_cnt[static_cast<size_t>(b)];
+    r.bucket_accuracy.assign(kCalibrationBuckets, r.fallback);
+    for (size_t b = 0; b < kCalibrationBuckets; ++b) {
+      if (total_cnt[b] >= 10.0) {
+        r.bucket_accuracy[b] = true_cnt[b] / total_cnt[b];
       }
     }
   }
@@ -76,8 +81,8 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
   // The graph's claim_confidence keeps only the max raw confidence, which
   // loses the extractor whenever one provenance spans extractors, so the
   // weights are keyed (dense prov id, triple) through record_provs().
-  const ClaimGraph graph(dataset, options.base.granularity,
-                         options.base.num_shards, options.base.num_workers);
+  const ClaimGraph graph(dataset, options.granularity, options.num_shards,
+                         options.num_workers);
   const size_t num_provs = graph.num_provs();
   auto pair_key = [](uint32_t prov, kb::TripleId triple) {
     return (static_cast<uint64_t>(prov) << 32) | static_cast<uint64_t>(triple);
@@ -86,7 +91,7 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
   for (size_t i = 0; i < dataset.num_records(); ++i) {
     const extract::ExtractionRecord& r = dataset.records()[i];
     double w = r.has_confidence
-                   ? recal[r.prov.extractor].Map(r.confidence, buckets)
+                   ? recal[r.prov.extractor].Map(r.confidence)
                    : recal[r.prov.extractor].fallback;
     auto [it, inserted] =
         pair_weight.emplace(pair_key(graph.record_provs()[i], r.triple), w);
@@ -99,7 +104,7 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
     weight[s].resize(c.num_claims);
     for (uint32_t i = 0; i < c.num_claims; ++i) {
       weight[s][i] = std::max(
-          options.min_weight,
+          kMinWeight,
           pair_weight.at(pair_key(c.claim_prov[i], c.claim_triple[i])));
     }
   }
@@ -113,10 +118,10 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
   // Iterative weighted fusion: provenance accuracy = weighted mean triple
   // probability; triple score = sum of weighted log-odds (POPACCU-style
   // popularity correction), one run-length sweep per item group.
-  std::vector<double> accuracy(num_provs, options.base.default_accuracy);
+  std::vector<double> accuracy(num_provs, options.default_accuracy);
   std::vector<double> log_odds(num_provs);
   TripleProbs scores;
-  const size_t rounds = std::max<size_t>(1, options.base.max_rounds);
+  const size_t rounds = std::max<size_t>(1, options.max_rounds);
   for (size_t round = 0; round < rounds; ++round) {
     for (size_t p = 0; p < num_provs; ++p) {
       const double a = std::clamp(accuracy[p], 0.01, 0.99);

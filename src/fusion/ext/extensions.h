@@ -8,15 +8,13 @@
 #ifndef KF_FUSION_EXT_EXTENSIONS_H_
 #define KF_FUSION_EXT_EXTENSIONS_H_
 
-#include <vector>
-
-#include "common/label.h"
 #include "extract/dataset.h"
 #include "fusion/engine.h"
 #include "fusion/options.h"
-#include "kb/value_hierarchy.h"
 
 namespace kf::fusion {
+
+// The options each runner reads: its row in fusion/registry.h.
 
 // ---- Section 5.3: multi-truth latent-truth model ----------------------
 
@@ -26,57 +24,31 @@ namespace kf::fusion {
 /// need. Each provenance is modeled by sensitivity (P(claim | true)) and
 /// false-positive rate (P(claim | false)), re-estimated from the posterior
 /// each round.
-struct LatentTruthOptions {
-  extract::Granularity granularity =
-      extract::Granularity::ExtractorSitePredicatePattern();
-  size_t max_rounds = 5;
-  double prior_true = 0.3;       // matches the corpus-level accuracy
-  double init_sensitivity = 0.6;
-  double init_false_pos = 0.15;
-  /// Provenances with fewer claims than this keep the initial parameters.
-  size_t min_claims = 3;
-};
 FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
-                            const LatentTruthOptions& options);
+                            const FusionOptions& options,
+                            const FuseContext& ctx);
 
 // ---- Section 5.4: hierarchy-aware fusion -------------------------------
 
-/// Runs the base engine, then redistributes probability along the value
-/// hierarchy: the probability that triple (s, p, v) is *true* is the
-/// probability mass of v and all its descendants among the item's claimed
-/// values (a triple is true when the exact truth is v or anything v
-/// contains).
+/// Runs POPACCU cold and resident with `options`, then redistributes
+/// probability along *ctx.hierarchy (required): the probability that
+/// triple (s, p, v) is *true* is the probability mass of v and all its
+/// descendants among the item's claimed values (a triple is true when the
+/// exact truth is v or anything v contains).
 FusionResult HierarchyAwareFuse(const extract::ExtractionDataset& dataset,
-                                const kb::ValueHierarchy& hierarchy,
                                 const FusionOptions& options,
-                                const std::vector<Label>* gold = nullptr);
+                                const FuseContext& ctx);
 
 // ---- Section 5.5: confidence-weighted fusion ---------------------------
 
-struct ConfidenceWeightedOptions {
-  FusionOptions base = FusionOptions::PopAccuPlusUnsup();
-  /// Number of per-extractor confidence buckets for recalibration.
-  int calibration_buckets = 10;
-  /// Weight floor so even low-confidence claims retain some vote.
-  double min_weight = 0.15;
-};
-
 /// Recalibrates each extractor's confidence against the (sampled) gold
-/// standard, then fuses with per-claim vote weights equal to the
-/// recalibrated confidence. `gold` is required.
+/// standard *ctx.gold (required), then fuses with per-claim vote weights
+/// equal to the recalibrated confidence.
 FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
-                                   const ConfidenceWeightedOptions& options,
-                                   const std::vector<Label>& gold);
+                                   const FusionOptions& options,
+                                   const FuseContext& ctx);
 
 // ---- Section 5.1: separating extractor and source quality --------------
-
-struct SourceExtractorOptions {
-  size_t max_rounds = 5;
-  double init_extractor_precision = 0.5;
-  double init_source_accuracy = 0.8;
-  double accuracy_floor = 0.01;
-  double accuracy_ceiling = 0.99;
-};
 
 /// Two-factor model: an extractor precision q_e (how often extractor e
 /// faithfully reads a page) and a per-URL accuracy a_u (how often the page
@@ -84,9 +56,11 @@ struct SourceExtractorOptions {
 /// probability that the page really claims it, 1 - prod_e (1 - q_e) over
 /// the extractors that reported it — so a triple reported by one sloppy
 /// extractor on thousands of pages earns far less belief than one
-/// confirmed by eight extractors (Fig. 18's signal).
+/// confirmed by eight extractors (Fig. 18's signal). default_accuracy is
+/// every URL's initial accuracy.
 FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
-                                const SourceExtractorOptions& options);
+                                const FusionOptions& options,
+                                const FuseContext& ctx);
 
 }  // namespace kf::fusion
 

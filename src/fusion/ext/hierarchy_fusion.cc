@@ -1,21 +1,24 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "fusion/ext/extensions.h"
 
 namespace kf::fusion {
 
 // Section 5.4: with hierarchical values, the triples (s, p, v) and
-// (s, p, ancestor(v)) can both be true. The base engine's single-truth
+// (s, p, ancestor(v)) can both be true. POPACCU's single-truth
 // probabilities split the mass between them; here the probability of a
 // value is re-read as "the truth is v or any descendant of v", i.e. the
 // sum of the item's probability mass at or below v.
 FusionResult HierarchyAwareFuse(const extract::ExtractionDataset& dataset,
-                                const kb::ValueHierarchy& hierarchy,
                                 const FusionOptions& options,
-                                const std::vector<Label>* gold) {
-  FusionResult base = Fuse(dataset, options, gold);
-  if (hierarchy.num_edges() == 0) return base;
+                                const FuseContext& ctx) {
+  KF_CHECK(ctx.hierarchy != nullptr);
+  FusionOptions popaccu = options;
+  popaccu.method = Method::kPopAccu;
+  FusionResult base = Fuse(dataset, popaccu, ctx.gold);
+  if (ctx.hierarchy->num_edges() == 0) return base;
 
   // Group predicted triples by item.
   std::vector<std::vector<kb::TripleId>> by_item(dataset.num_items());
@@ -42,7 +45,7 @@ FusionResult HierarchyAwareFuse(const extract::ExtractionDataset& dataset,
       for (kb::TripleId u : triples) {
         if (u == t) continue;
         kb::ValueId w = dataset.triple(u).object;
-        if (hierarchy.IsAncestorOf(v, w)) {
+        if (ctx.hierarchy->IsAncestorOf(v, w)) {
           // w is strictly below v: w true implies v true.
           boosted[i] += out.probability[u];
         }

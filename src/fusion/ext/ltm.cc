@@ -6,6 +6,14 @@
 
 namespace kf::fusion {
 
+// The latent-truth model's priors, in the spirit of Zhao et al. (PVLDB
+// 2012). Provenances with fewer than kMinClaims claims keep the initial
+// sensitivity and false-positive rate.
+constexpr double kPriorTrue = 0.3;  // matches the corpus-level accuracy
+constexpr double kInitSensitivity = 0.6;
+constexpr double kInitFalsePos = 0.15;
+constexpr uint32_t kMinClaims = 3;
+
 // Per-triple independent posterior:
 //   odds(t) = prior_odds * prod_{S claims t} (se_S / fp_S)
 //                        * prod_{S covers item, no claim} ((1-se_S)/(1-fp_S))
@@ -17,8 +25,10 @@ namespace kf::fusion {
 // is a run-length sweep, and the provenances covering the item are the
 // group's prov column sorted and deduplicated.
 FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
-                            const LatentTruthOptions& options) {
-  const ClaimGraph graph(dataset, options.granularity);
+                            const FusionOptions& options,
+                            const FuseContext&) {
+  const ClaimGraph graph(dataset, options.granularity, options.num_shards,
+                         options.num_workers);
   const size_t num_provs = graph.num_provs();
   FusionResult result;
   result.probability.assign(dataset.num_triples(), 0.0);
@@ -26,11 +36,10 @@ FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
   result.from_fallback.assign(dataset.num_triples(), 0);
   result.num_provenances = num_provs;
 
-  std::vector<double> prob(dataset.num_triples(), options.prior_true);
-  std::vector<double> se(num_provs, options.init_sensitivity);
-  std::vector<double> fp(num_provs, options.init_false_pos);
-  const double prior_logodds =
-      std::log(options.prior_true / (1.0 - options.prior_true));
+  std::vector<double> prob(dataset.num_triples(), kPriorTrue);
+  std::vector<double> se(num_provs, kInitSensitivity);
+  std::vector<double> fp(num_provs, kInitFalsePos);
+  const double prior_logodds = std::log(kPriorTrue / (1.0 - kPriorTrue));
 
   // Distinct provenances covering one item group, ascending.
   std::vector<uint32_t> provs;
@@ -104,7 +113,7 @@ FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
       }
     }
     for (size_t p = 0; p < num_provs; ++p) {
-      if (graph.prov_claims()[p] < options.min_claims) continue;
+      if (graph.prov_claims()[p] < kMinClaims) continue;
       if (cover_true[p] > 1e-9) {
         se[p] = std::clamp(claim_true[p] / cover_true[p], 0.05, 0.95);
       }

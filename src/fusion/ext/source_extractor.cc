@@ -7,6 +7,9 @@
 
 namespace kf::fusion {
 
+// Section 5.1's two-factor model starts every extractor at this precision.
+constexpr double kInitExtractorPrecision = 0.5;
+
 // Section 5.1: instead of crossing extractor and URL into one opaque
 // pseudo-source, estimate them separately.
 //
@@ -21,7 +24,8 @@ namespace kf::fusion {
 // extractor on 1000 pages receives little belief, while the same support
 // confirmed by 8 extractors receives much more (Fig. 18).
 FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
-                                const SourceExtractorOptions& options) {
+                                const FusionOptions& options,
+                                const FuseContext&) {
   const size_t n_ext = dataset.num_extractors();
 
   // Deduplicated (url, triple) pairs, and each pair's distinct extractor
@@ -67,7 +71,7 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
   result.has_probability.assign(dataset.num_triples(), 0);
   result.from_fallback.assign(dataset.num_triples(), 0);
 
-  std::vector<double> q(n_ext, options.init_extractor_precision);
+  std::vector<double> q(n_ext, kInitExtractorPrecision);
   std::vector<double> prob(dataset.num_triples(), 0.3);
   std::unordered_map<extract::UrlId, double> url_accuracy;
 
@@ -86,7 +90,7 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
   };
   auto url_acc = [&](extract::UrlId u) {
     auto it = url_accuracy.find(u);
-    return it == url_accuracy.end() ? options.init_source_accuracy
+    return it == url_accuracy.end() ? options.default_accuracy
                                     : it->second;
   };
 
@@ -145,7 +149,7 @@ FusionResult RunSourceExtractor(const extract::ExtractionDataset& dataset,
         s += url_acc(c.url);
         n2 += 1.0;
       }
-      mean_url_acc = n2 > 0.0 ? s / n2 : options.init_source_accuracy;
+      mean_url_acc = n2 > 0.0 ? s / n2 : options.default_accuracy;
     }
     for (size_t e = 0; e < n_ext; ++e) {
       if (q_cnt[e] < 5.0) continue;

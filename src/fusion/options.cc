@@ -141,7 +141,9 @@ std::string FusionOptions::ToString() const {
   if (IsEngineMethod(method)) {
     for (char& c : out) c = static_cast<char>(std::toupper(c));
   }
-  out += " prov=" + granularity.ToString();
+  if (Registry::Reads(method, OptionField::kGranularity)) {
+    out += " prov=" + granularity.ToString();
+  }
   if (filter_by_coverage) out += " +FilterByCov";
   if (min_provenance_accuracy > 0.0) {
     out += StrFormat(" +FilterByAccu(%.2f)", min_provenance_accuracy);

@@ -59,6 +59,11 @@ struct WarmStartOptions {
   /// Convergence quantile for warm re-fusion (0 = inherit
   /// convergence_quantile).
   double quantile = 0.0;
+
+  friend bool operator==(const WarmStartOptions& a, const WarmStartOptions& b) {
+    return a.max_rounds == b.max_rounds && a.epsilon == b.epsilon &&
+           a.damping == b.damping && a.quantile == b.quantile;
+  }
 };
 
 struct FusionOptions {
@@ -150,7 +155,8 @@ struct FusionOptions {
 
   /// E.g. "POPACCU prov=(Extractor, URL) +FilterByCov": the method (the
   /// engine methods in the paper's capitals, the others by registry
-  /// name), the granularity, then every active refinement.
+  /// name), the granularity if the method reads it, then every active
+  /// refinement.
   std::string ToString() const;
 };
 

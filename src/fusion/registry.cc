@@ -11,159 +11,89 @@ namespace kf::fusion {
 
 namespace {
 
-/// The gold-label check the engine rows and the gold-reading extensions
-/// share: labels must be present when `gold_required` or
-/// options.init_accuracy_from_gold asks for them, and when present must
-/// cover every triple of the dataset.
-Status CheckGold(const extract::ExtractionDataset& dataset,
-                 const FusionOptions& options, const FuseContext& ctx,
-                 bool gold_required) {
-  if ((gold_required || options.init_accuracy_from_gold) &&
-      ctx.gold == nullptr) {
-    return Status::InvalidArgument(
-        gold_required ? "this method requires gold labels"
-                      : "init_accuracy_from_gold requires gold labels");
-  }
-  if (ctx.gold != nullptr && ctx.gold->size() != dataset.num_triples()) {
-    return Status::InvalidArgument(
-        StrFormat("gold labels cover %zu triples but the dataset has %zu",
-                  ctx.gold->size(), dataset.num_triples()));
-  }
-  return Status::OK();
+/// Per OptionField, its name and whether `o` holds the default value.
+struct FieldInfo {
+  const char* name;
+  bool (*is_default)(const FusionOptions& o);
+};
+
+#define KF_OPTION_FIELD(f) \
+  {#f, [](const FusionOptions& o) { return o.f == FusionOptions().f; }}
+
+constexpr FieldInfo kFields[] = {
+    KF_OPTION_FIELD(granularity),
+    KF_OPTION_FIELD(default_accuracy),
+    KF_OPTION_FIELD(n_false_values),
+    KF_OPTION_FIELD(max_rounds),
+    KF_OPTION_FIELD(convergence_epsilon),
+    KF_OPTION_FIELD(accuracy_damping),
+    KF_OPTION_FIELD(convergence_quantile),
+    KF_OPTION_FIELD(sample_cap),
+    KF_OPTION_FIELD(filter_by_coverage),
+    KF_OPTION_FIELD(min_provenance_accuracy),
+    KF_OPTION_FIELD(init_accuracy_from_gold),
+    KF_OPTION_FIELD(gold_sample_rate),
+    KF_OPTION_FIELD(memory_budget_bytes),
+    KF_OPTION_FIELD(spill_dir),
+    KF_OPTION_FIELD(num_workers),
+    KF_OPTION_FIELD(num_shards),
+    KF_OPTION_FIELD(seed),
+    KF_OPTION_FIELD(accuracy_floor),
+    KF_OPTION_FIELD(accuracy_ceiling),
+    KF_OPTION_FIELD(warm_start),
+};
+#undef KF_OPTION_FIELD
+static_assert(sizeof(kFields) / sizeof(kFields[0]) == kNumOptionFields,
+              "one entry per OptionField");
+
+constexpr uint32_t Bit(OptionField f) {
+  return uint32_t{1} << static_cast<unsigned>(f);
 }
 
-Status ValidateEngineMethod(const extract::ExtractionDataset& dataset,
-                            const FusionOptions& options,
-                            const FuseContext& ctx) {
-  return CheckGold(dataset, options, ctx, /*gold_required=*/false);
-}
+constexpr uint32_t kReadsAll = (uint32_t{1} << kNumOptionFields) - 1;
+/// The claim-graph rows: graph build (granularity, shards, workers) plus
+/// a round count.
+constexpr uint32_t kReadsClaimGraph =
+    Bit(OptionField::kGranularity) | Bit(OptionField::kMaxRounds) |
+    Bit(OptionField::kNumShards) | Bit(OptionField::kNumWorkers);
+constexpr uint32_t kReadsConfidenceWeighted =
+    kReadsClaimGraph | Bit(OptionField::kDefaultAccuracy);
+/// POPACCU underneath, always cold and resident.
+constexpr uint32_t kReadsHierarchy =
+    kReadsAll & ~(Bit(OptionField::kMemoryBudgetBytes) |
+                  Bit(OptionField::kSpillDir) | Bit(OptionField::kWarmStart));
+constexpr uint32_t kReadsSourceExtractor =
+    Bit(OptionField::kMaxRounds) | Bit(OptionField::kDefaultAccuracy) |
+    Bit(OptionField::kAccuracyFloor) | Bit(OptionField::kAccuracyCeiling);
 
-// ---- baselines and extensions: the free functions ----------------------
-
-/// Fills the shared BaselineOptions fields from FusionOptions.
-template <typename Options>
-Options MakeBaselineOptions(const FusionOptions& o) {
-  Options b;
-  b.granularity = o.granularity;
-  b.max_rounds = o.max_rounds;
-  b.num_workers = o.num_workers;
-  b.num_shards = o.num_shards;
-  return b;
-}
-
-Status ValidateNothing(const extract::ExtractionDataset&,
-                       const FusionOptions&, const FuseContext&) {
-  return Status::OK();
-}
-
-FusionResult RunTruthFinderFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext&) {
-  return RunTruthFinder(dataset,
-                        MakeBaselineOptions<TruthFinderOptions>(options));
-}
-
-FusionResult RunTwoEstimatesFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext&) {
-  return RunTwoEstimates(dataset,
-                         MakeBaselineOptions<TwoEstimatesOptions>(options));
-}
-
-FusionResult RunInvestmentFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext&) {
-  return RunInvestment(dataset,
-                       MakeBaselineOptions<InvestmentOptions>(options));
-}
-
-FusionResult RunPooledInvestmentFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext&) {
-  return RunPooledInvestment(
-      dataset, MakeBaselineOptions<PooledInvestmentOptions>(options));
-}
-
-FusionResult RunLatentTruthFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext&) {
-  LatentTruthOptions lt;
-  lt.granularity = options.granularity;
-  lt.max_rounds = options.max_rounds;
-  return RunLatentTruth(dataset, lt);
-}
-
-Status ValidateHierarchy(const extract::ExtractionDataset& dataset,
-                         const FusionOptions& options,
-                         const FuseContext& ctx) {
-  if (ctx.hierarchy == nullptr) {
-    return Status::InvalidArgument(
-        "the hierarchy method requires a value hierarchy "
-        "(Session::SetHierarchy / FuseContext::hierarchy)");
-  }
-  return CheckGold(dataset, options, ctx, /*gold_required=*/false);
-}
-
-FusionResult RunHierarchyFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext& ctx) {
-  FusionOptions base = options;
-  base.method = Method::kPopAccu;
-  return HierarchyAwareFuse(dataset, *ctx.hierarchy, base, ctx.gold);
-}
-
-Status ValidateConfidenceWeighted(const extract::ExtractionDataset& dataset,
-                                  const FusionOptions& options,
-                                  const FuseContext& ctx) {
-  return CheckGold(dataset, options, ctx, /*gold_required=*/true);
-}
-
-FusionResult RunConfidenceWeightedFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext& ctx) {
-  ConfidenceWeightedOptions cw;
-  cw.base = options;  // its weighted POPACCU reads only the shared fields
-  return RunConfidenceWeighted(dataset, cw, *ctx.gold);
-}
-
-FusionResult RunSourceExtractorFromOptions(
-    const extract::ExtractionDataset& dataset, const FusionOptions& options,
-    const FuseContext&) {
-  SourceExtractorOptions se;
-  se.max_rounds = options.max_rounds;
-  se.init_source_accuracy = options.default_accuracy;
-  se.accuracy_floor = options.accuracy_floor;
-  se.accuracy_ceiling = options.accuracy_ceiling;
-  return RunSourceExtractor(dataset, se);
-}
-
-using ValidateFn = Status (*)(const extract::ExtractionDataset& dataset,
-                              const FusionOptions& options,
-                              const FuseContext& ctx);
-using RunFn = FusionResult (*)(const extract::ExtractionDataset& dataset,
-                               const FusionOptions& options,
-                               const FuseContext& ctx);
+/// The side input a row requires beyond its fields.
+enum class Needs : uint8_t { kNothing, kGold, kHierarchy };
 
 struct Row {
   const char* name;
-  ValidateFn validate;
-  RunFn run;  // null for the engine methods, which run on FusionEngine
+  uint32_t reads;  // Bit(field) for every OptionField the method reads
+  Needs needs;
+  // Null for the engine methods, which run on FusionEngine.
+  FusionResult (*run)(const extract::ExtractionDataset& dataset,
+                      const FusionOptions& options, const FuseContext& ctx);
 };
 
 /// The registry, indexed by Method.
 constexpr Row kRows[] = {
-    {"vote", ValidateEngineMethod, nullptr},
-    {"accu", ValidateEngineMethod, nullptr},
-    {"popaccu", ValidateEngineMethod, nullptr},
-    {"truthfinder", ValidateNothing, RunTruthFinderFromOptions},
-    {"two_estimates", ValidateNothing, RunTwoEstimatesFromOptions},
-    {"investment", ValidateNothing, RunInvestmentFromOptions},
-    {"pooled_investment", ValidateNothing, RunPooledInvestmentFromOptions},
-    {"latent_truth", ValidateNothing, RunLatentTruthFromOptions},
-    {"hierarchy", ValidateHierarchy, RunHierarchyFromOptions},
-    {"confidence_weighted", ValidateConfidenceWeighted,
-     RunConfidenceWeightedFromOptions},
-    {"source_extractor", ValidateNothing, RunSourceExtractorFromOptions},
+    {"vote", kReadsAll, Needs::kNothing, nullptr},
+    {"accu", kReadsAll, Needs::kNothing, nullptr},
+    {"popaccu", kReadsAll, Needs::kNothing, nullptr},
+    {"truthfinder", kReadsClaimGraph, Needs::kNothing, RunTruthFinder},
+    {"two_estimates", kReadsClaimGraph, Needs::kNothing, RunTwoEstimates},
+    {"investment", kReadsClaimGraph, Needs::kNothing, RunInvestment},
+    {"pooled_investment", kReadsClaimGraph, Needs::kNothing,
+     RunPooledInvestment},
+    {"latent_truth", kReadsClaimGraph, Needs::kNothing, RunLatentTruth},
+    {"hierarchy", kReadsHierarchy, Needs::kHierarchy, HierarchyAwareFuse},
+    {"confidence_weighted", kReadsConfidenceWeighted, Needs::kGold,
+     RunConfidenceWeighted},
+    {"source_extractor", kReadsSourceExtractor, Needs::kNothing,
+     RunSourceExtractor},
 };
 static_assert(sizeof(kRows) / sizeof(kRows[0]) == kNumMethods,
               "one registry row per Method");
@@ -199,10 +129,52 @@ std::vector<std::string> Registry::Names() {
 
 std::string Registry::NamesCsv() { return StrJoin(Names(), ", "); }
 
+bool Registry::Reads(Method m, OptionField field) {
+  return static_cast<size_t>(m) < kNumMethods &&
+         (kRows[static_cast<size_t>(m)].reads & Bit(field)) != 0;
+}
+
+Status Registry::CheckReads(Method m, OptionField field) {
+  if (Reads(m, field)) return Status::OK();
+  const char* why =
+      field == OptionField::kMemoryBudgetBytes
+          ? ": it cannot run out-of-core (only vote, accu and popaccu can)"
+          : "; it must keep its default";
+  return Status::InvalidArgument(
+      StrFormat("'%s' does not read %s%s", NameOf(m),
+                kFields[static_cast<size_t>(field)].name, why));
+}
+
 Status Registry::ValidateContext(const extract::ExtractionDataset& dataset,
                                  const FusionOptions& options,
                                  const FuseContext& ctx) {
-  return RowOf(options.method).validate(dataset, options, ctx);
+  const Row& row = RowOf(options.method);
+  if (row.reads != kReadsAll) {
+    for (size_t f = 0; f < kNumOptionFields; ++f) {
+      if (!kFields[f].is_default(options)) {
+        KF_RETURN_IF_ERROR(
+            CheckReads(options.method, static_cast<OptionField>(f)));
+      }
+    }
+  }
+  if (row.needs == Needs::kHierarchy && ctx.hierarchy == nullptr) {
+    return Status::InvalidArgument(
+        "the hierarchy method requires a value hierarchy "
+        "(Session::SetHierarchy / FuseContext::hierarchy)");
+  }
+  const bool gold_required = row.needs == Needs::kGold;
+  if ((gold_required || options.init_accuracy_from_gold) &&
+      ctx.gold == nullptr) {
+    return Status::InvalidArgument(
+        gold_required ? "this method requires gold labels"
+                      : "init_accuracy_from_gold requires gold labels");
+  }
+  if (ctx.gold != nullptr && ctx.gold->size() != dataset.num_triples()) {
+    return Status::InvalidArgument(
+        StrFormat("gold labels cover %zu triples but the dataset has %zu",
+                  ctx.gold->size(), dataset.num_triples()));
+  }
+  return Status::OK();
 }
 
 FusionResult Registry::Run(const extract::ExtractionDataset& dataset,

@@ -1,7 +1,8 @@
 // The method registry: one table indexed by fusion::Method that gives each
-// method its one stable name, its requirement check, and — for the
-// stateless methods — its cold run. Text becomes a Method only at the
-// edges (CLI flags, config), through Registry::Parse. Methods:
+// method its one stable name, the FusionOptions fields it reads, the side
+// input it needs, and — for the stateless methods — its cold run. Text
+// becomes a Method only at the edges (CLI flags, config), through
+// Registry::Parse. Methods:
 //
 //   engine     vote, accu, popaccu            (FusionEngine; kf::Session
 //                                              keeps their engine for warm
@@ -11,15 +12,12 @@
 //              source_extractor
 //
 // The engine rows carry no run: kf::Session drives the engine methods on
-// a FusionEngine of its own, and fusion::Fuse builds one. The other eight
-// rows run from scratch and keep nothing. Their method-specific option
-// structs (TruthFinderOptions, LatentTruthOptions, ...) are populated from
-// the shared FusionOptions fields (granularity, max_rounds, num_workers,
-// num_shards, default_accuracy, accuracy clamp); per-method tuning knobs
-// keep their documented defaults. The mapping is exact: a row's run is
-// bit-identical to the corresponding direct call with equivalently filled
-// options (regression-tested). The hierarchy row runs POPACCU underneath;
-// call HierarchyAwareFuse directly for another base.
+// a FusionEngine of its own, and fusion::Fuse builds one. Each of the
+// other eight rows points straight at its runner, which runs from scratch
+// and keeps nothing. Every row declares the FusionOptions fields it reads
+// as one mask, and ValidateContext rejects a non-default value in any
+// other, so a run never silently differs from its options. The hierarchy
+// row runs POPACCU underneath.
 #ifndef KF_FUSION_REGISTRY_H_
 #define KF_FUSION_REGISTRY_H_
 
@@ -27,26 +25,38 @@
 #include <string_view>
 #include <vector>
 
-#include "common/label.h"
 #include "common/status.h"
 #include "extract/dataset.h"
 #include "fusion/engine.h"
 #include "fusion/options.h"
-#include "kb/value_hierarchy.h"
 
 namespace kf::fusion {
 
-/// Side inputs some methods need beyond the dataset and options: gold
-/// labels (semi-supervised initialization, confidence recalibration) and
-/// the value containment DAG (hierarchy-aware fusion). Pointers are
-/// borrowed for the duration of one call.
-struct FuseContext {
-  /// Per-unique-triple labels, sized dataset.num_triples(). Required when
-  /// options.init_accuracy_from_gold is set and by "confidence_weighted".
-  const std::vector<Label>* gold = nullptr;
-  /// Required by the "hierarchy" method.
-  const kb::ValueHierarchy* hierarchy = nullptr;
+/// The FusionOptions fields a registry row may read, in declaration
+/// order. `method`, the selector, has none: every row reads it.
+enum class OptionField : uint8_t {
+  kGranularity,
+  kDefaultAccuracy,
+  kNFalseValues,
+  kMaxRounds,
+  kConvergenceEpsilon,
+  kAccuracyDamping,
+  kConvergenceQuantile,
+  kSampleCap,
+  kFilterByCoverage,
+  kMinProvenanceAccuracy,
+  kInitAccuracyFromGold,
+  kGoldSampleRate,
+  kMemoryBudgetBytes,
+  kSpillDir,
+  kNumWorkers,
+  kNumShards,
+  kSeed,
+  kAccuracyFloor,
+  kAccuracyCeiling,
+  kWarmStart,
 };
+inline constexpr size_t kNumOptionFields = 20;
 
 class Registry {
  public:
@@ -63,10 +73,16 @@ class Registry {
   /// Sorted names joined with ", " — for error messages and usage text.
   static std::string NamesCsv();
 
-  /// Requirements of options.method beyond FusionOptions::Validate — e.g.
-  /// "confidence_weighted" needs ctx.gold, "hierarchy" needs
-  /// ctx.hierarchy, and gold labels must cover the dataset. Checked by
-  /// kf::Session before every run.
+  /// Whether `m`'s row reads `field` (false for an `m` outside the table).
+  static bool Reads(Method m, OptionField field);
+
+  /// InvalidArgument naming `field` unless `m`'s row reads it.
+  static Status CheckReads(Method m, OptionField field);
+
+  /// Requirements of options.method beyond FusionOptions::Validate: every
+  /// field the row does not read keeps its default (CheckReads),
+  /// "confidence_weighted" needs ctx.gold, "hierarchy" needs ctx.hierarchy,
+  /// and gold labels must cover the dataset. Checked by kf::Session.
   static Status ValidateContext(const extract::ExtractionDataset& dataset,
                                 const FusionOptions& options,
                                 const FuseContext& ctx);

@@ -29,18 +29,7 @@ extract::ExtractionDataset& Session::mutable_dataset() {
 Result<fusion::FusionResult> Session::Fuse(
     const fusion::FusionOptions& options, const std::vector<Label>* gold) {
   KF_RETURN_IF_ERROR(options.Validate());
-  const bool is_engine = fusion::IsEngineMethod(options.method);
-  const bool budgeted = options.memory_budget_bytes > 0;
-  // Only the engine methods decompose into budgeted sweeps; the
-  // baselines and extensions build their own structures and cannot
-  // spill.
-  if (budgeted && !is_engine) {
-    return Status::InvalidArgument(
-        std::string("memory_budget_bytes requires an engine method (vote, "
-                    "accu, popaccu); '") +
-        fusion::Registry::NameOf(options.method) +
-        "' cannot run out-of-core");
-  }
+  // The row rejects the fields its method does not read, budgets included.
   fusion::FuseContext ctx;
   ctx.gold = gold;
   ctx.hierarchy = hierarchy_;
@@ -50,6 +39,7 @@ Result<fusion::FusionResult> Session::Fuse(
   // faults that strike mid-run go through the manager's degradation
   // ladder (retry → quarantine+rematerialize → resident fallback) and
   // only reach the caller as a Status when every rung fails.
+  const bool budgeted = options.memory_budget_bytes > 0;
   if (budgeted) KF_RETURN_IF_ERROR(spill::ProbeSpillDir(options.spill_dir));
 
   // Validated: the previous run's state goes. The manager holds mappings
@@ -58,8 +48,9 @@ Result<fusion::FusionResult> Session::Fuse(
   engine_.reset();
   method_ = fusion::Registry::NameOf(options.method);
   Result<fusion::FusionResult> run =
-      is_engine ? FuseEngine(options, gold)
-                : fusion::Registry::Run(*dataset_, options, ctx);
+      fusion::IsEngineMethod(options.method)
+          ? FuseEngine(options, gold)
+          : fusion::Registry::Run(*dataset_, options, ctx);
   if (!run.ok()) {
     // An unrecoverable failure (the spill layer's degradation ladder ran
     // dry) leaves the engine mid-run; drop every trace of it so

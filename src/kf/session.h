@@ -70,18 +70,18 @@ class Session {
 
   /// Cold fusion with options.method. Validates options and the
   /// method's fusion::Registry requirements before touching any state (a
-  /// rejected call leaves the previous run intact), runs to convergence,
-  /// and retains the result plus — for engine methods — the engine that
-  /// Refuse() and Snapshot() read. `gold` is required when
-  /// options.init_accuracy_from_gold is set and by "confidence_weighted";
-  /// it is not retained.
+  /// rejected call leaves the previous run intact): a non-default value
+  /// in a field the method does not read is InvalidArgument naming the
+  /// field. Runs to convergence, and retains the result plus — for engine
+  /// methods — the engine that Refuse() and Snapshot() read. `gold` is
+  /// required when options.init_accuracy_from_gold is set and by
+  /// "confidence_weighted"; it is not retained.
   /// With options.memory_budget_bytes > 0 the session also owns a spill
   /// manager: same engine, bit-identical result, but cold shards spill to
   /// mmap-backed kf::store files so the round loop's resident columns
-  /// stay within the budget (engine methods only; other methods are
-  /// rejected with InvalidArgument). A run that fails (the spill
-  /// layer's degradation ladder ran dry) leaves the session as before
-  /// its first Fuse().
+  /// stay within the budget. Only the engine methods read the budget. A
+  /// run that fails (the spill layer's degradation ladder ran dry) leaves
+  /// the session as before its first Fuse().
   Result<fusion::FusionResult> Fuse(const fusion::FusionOptions& options,
                                     const std::vector<Label>* gold = nullptr);
 

@@ -50,6 +50,33 @@ TEST(TsvIoTest, RejectsBadConfidence) {
   EXPECT_FALSE(result.ok());
   auto result2 = ReadExtractionsTsv("s\tp\to\te\tu\t1.7\n");
   EXPECT_FALSE(result2.ok());
+  // NaN fails both range comparisons, and a parsed prefix is not a number.
+  for (const char* bad : {"nan", "-nan", "0.5junk"}) {
+    auto rejected =
+        ReadExtractionsTsv(std::string("s\tp\to\te\tu\t") + bad + "\n");
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_NE(rejected.status().message().find("line 1: bad confidence"),
+              std::string::npos)
+        << rejected.status().ToString();
+  }
+}
+
+TEST(TsvIoTest, CrlfLineEndsParseLikeLf) {
+  std::string crlf = kSample;
+  for (size_t at = crlf.find('\n'); at != std::string::npos;
+       at = crlf.find('\n', at + 2)) {
+    crlf.insert(at, 1, '\r');
+  }
+  auto lf = ReadExtractionsTsv(kSample);
+  auto result = ReadExtractionsTsv(crlf);
+  ASSERT_TRUE(lf.ok());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->dataset.num_records(), lf->dataset.num_records());
+  for (size_t i = 0; i < lf->dataset.num_records(); ++i) {
+    EXPECT_EQ(result->dataset.records()[i].confidence,
+              lf->dataset.records()[i].confidence);
+  }
+  EXPECT_EQ(result->urls.Get(3), lf->urls.Get(3));  // the last, 5-column row
 }
 
 TEST(TsvIoTest, RoundTrip) {

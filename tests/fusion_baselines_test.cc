@@ -42,14 +42,16 @@ synth::SynthCorpus* BaselinesTest::corpus_ = nullptr;
 std::vector<Label>* BaselinesTest::labels_ = nullptr;
 
 TEST_F(BaselinesTest, TruthFinderRanksAboveRandom) {
-  auto result = RunTruthFinder(corpus_->dataset, TruthFinderOptions());
+  auto result =
+      RunTruthFinder(corpus_->dataset, FusionOptions(), FuseContext());
   CheckValid(result);
   // Base rate of true triples is ~0.25; a meaningful ranker beats it.
   EXPECT_GT(Auc(result), 0.3);
 }
 
 TEST_F(BaselinesTest, TwoEstimatesRanksAboveRandom) {
-  auto result = RunTwoEstimates(corpus_->dataset, TwoEstimatesOptions());
+  auto result =
+      RunTwoEstimates(corpus_->dataset, FusionOptions(), FuseContext());
   CheckValid(result);
   // 2-Estimates is the weakest of the four baselines (as in the original
   // comparison papers); it must still clear the ~0.2 base rate.
@@ -57,14 +59,14 @@ TEST_F(BaselinesTest, TwoEstimatesRanksAboveRandom) {
 }
 
 TEST_F(BaselinesTest, InvestmentRanksAboveRandom) {
-  auto result = RunInvestment(corpus_->dataset, InvestmentOptions());
+  auto result = RunInvestment(corpus_->dataset, FusionOptions(), FuseContext());
   CheckValid(result);
   EXPECT_GT(Auc(result), 0.3);
 }
 
 TEST_F(BaselinesTest, PooledInvestmentRanksAboveRandom) {
-  auto result = RunPooledInvestment(corpus_->dataset,
-                                    PooledInvestmentOptions());
+  auto result = RunPooledInvestment(corpus_->dataset, FusionOptions(),
+                                    FuseContext());
   CheckValid(result);
   EXPECT_GT(Auc(result), 0.3);
 }
@@ -91,12 +93,12 @@ TEST_F(BaselinesTest, TruthFinderAgreementRaisesConfidence) {
   r.prov.url = 0;
   r.prov.site = 0;
   d.AddRecord(r);
-  auto result = RunTruthFinder(d, TruthFinderOptions());
+  auto result = RunTruthFinder(d, FusionOptions(), FuseContext());
   EXPECT_GT(result.probability[popular], result.probability[lone]);
 }
 
 TEST_F(BaselinesTest, InvestmentPerItemScoresNormalized) {
-  auto result = RunInvestment(corpus_->dataset, InvestmentOptions());
+  auto result = RunInvestment(corpus_->dataset, FusionOptions(), FuseContext());
   // Per data item, scores sum to ~1 (they are shares of the item's pool).
   std::vector<double> item_sum(corpus_->dataset.num_items(), 0.0);
   for (kb::TripleId t = 0; t < corpus_->dataset.num_triples(); ++t) {
@@ -112,9 +114,9 @@ class BaselineRoundsSweep : public ::testing::TestWithParam<size_t> {};
 TEST_P(BaselineRoundsSweep, StableAcrossRoundCounts) {
   static const synth::SynthCorpus& corpus = *new synth::SynthCorpus(
       synth::GenerateCorpus(synth::SynthConfig::Small()));
-  TruthFinderOptions opts;
+  FusionOptions opts;
   opts.max_rounds = GetParam();
-  auto result = RunTruthFinder(corpus.dataset, opts);
+  auto result = RunTruthFinder(corpus.dataset, opts, FuseContext());
   for (kb::TripleId t = 0; t < corpus.dataset.num_triples(); ++t) {
     ASSERT_GE(result.probability[t], 0.0);
     ASSERT_LE(result.probability[t], 1.0);

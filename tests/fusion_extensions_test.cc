@@ -9,6 +9,15 @@
 namespace kf::fusion {
 namespace {
 
+/// The (Extractor, Site, Predicate, Pattern) provenances latent-truth and
+/// confidence-weighted fusion are run at.
+FusionOptions FineOptions() {
+  FusionOptions options;
+  options.granularity =
+      extract::Granularity::ExtractorSitePredicatePattern();
+  return options;
+}
+
 class ExtensionsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -29,7 +38,8 @@ synth::SynthCorpus* ExtensionsTest::corpus_ = nullptr;
 std::vector<Label>* ExtensionsTest::labels_ = nullptr;
 
 TEST_F(ExtensionsTest, LatentTruthProducesValidProbabilities) {
-  auto result = RunLatentTruth(corpus_->dataset, LatentTruthOptions());
+  auto result =
+      RunLatentTruth(corpus_->dataset, FineOptions(), FuseContext());
   for (kb::TripleId t = 0; t < corpus_->dataset.num_triples(); ++t) {
     ASSERT_TRUE(result.has_probability[t]);
     ASSERT_GE(result.probability[t], 0.0);
@@ -41,7 +51,8 @@ TEST_F(ExtensionsTest, LatentTruthProducesValidProbabilities) {
 }
 
 TEST_F(ExtensionsTest, LatentTruthAllowsMultipleTruthsPerItem) {
-  auto result = RunLatentTruth(corpus_->dataset, LatentTruthOptions());
+  auto result =
+      RunLatentTruth(corpus_->dataset, FineOptions(), FuseContext());
   // Unlike the single-truth engine, per-item probability mass may exceed 1
   // for some multi-truth item.
   std::vector<double> item_sum(corpus_->dataset.num_items(), 0.0);
@@ -58,8 +69,9 @@ TEST_F(ExtensionsTest, LatentTruthAllowsMultipleTruthsPerItem) {
 TEST_F(ExtensionsTest, HierarchyAwareNeverLowersAncestorProbability) {
   FusionOptions opts = FusionOptions::PopAccu();
   auto base = Fuse(corpus_->dataset, opts);
-  auto hier = HierarchyAwareFuse(corpus_->dataset,
-                                 corpus_->world.hierarchy, opts);
+  FuseContext ctx;
+  ctx.hierarchy = &corpus_->world.hierarchy;
+  auto hier = HierarchyAwareFuse(corpus_->dataset, opts, ctx);
   for (kb::TripleId t = 0; t < corpus_->dataset.num_triples(); ++t) {
     if (!base.has_probability[t]) continue;
     ASSERT_GE(hier.probability[t], base.probability[t] - 1e-9);
@@ -92,7 +104,9 @@ TEST_F(ExtensionsTest, HierarchyAwareBoostsGeneralValues) {
   add(11, 3);
   FusionOptions opts = FusionOptions::PopAccu();
   auto base = Fuse(d, opts);
-  auto hier = HierarchyAwareFuse(d, hierarchy, opts);
+  FuseContext ctx;
+  ctx.hierarchy = &hierarchy;
+  auto hier = HierarchyAwareFuse(d, opts, ctx);
   // Base splits mass between city and state; hierarchy-aware folds the
   // city's mass into the state (city true => state true).
   EXPECT_NEAR(hier.probability[state],
@@ -101,8 +115,9 @@ TEST_F(ExtensionsTest, HierarchyAwareBoostsGeneralValues) {
 }
 
 TEST_F(ExtensionsTest, ConfidenceWeightedRunsAndRanks) {
-  ConfidenceWeightedOptions opts;
-  auto result = RunConfidenceWeighted(corpus_->dataset, opts, *labels_);
+  FuseContext ctx;
+  ctx.gold = labels_;
+  auto result = RunConfidenceWeighted(corpus_->dataset, FineOptions(), ctx);
   size_t predicted = 0;
   for (kb::TripleId t = 0; t < corpus_->dataset.num_triples(); ++t) {
     if (!result.has_probability[t]) continue;
@@ -117,8 +132,8 @@ TEST_F(ExtensionsTest, ConfidenceWeightedRunsAndRanks) {
 }
 
 TEST_F(ExtensionsTest, SourceExtractorSeparationRuns) {
-  auto result = RunSourceExtractor(corpus_->dataset,
-                                   SourceExtractorOptions());
+  auto result =
+      RunSourceExtractor(corpus_->dataset, FusionOptions(), FuseContext());
   size_t predicted = 0;
   for (kb::TripleId t = 0; t < corpus_->dataset.num_triples(); ++t) {
     if (!result.has_probability[t]) continue;
@@ -164,7 +179,7 @@ TEST_F(ExtensionsTest, SourceExtractorRewardsMultiExtractorSupport) {
   add(2, 20, 0, 3);
   add(2, 20, 1, 3);
   add(2, 20, 2, 3);
-  auto result = RunSourceExtractor(d, SourceExtractorOptions());
+  auto result = RunSourceExtractor(d, FusionOptions(), FuseContext());
   EXPECT_GT(result.probability[b], result.probability[a]);
 }
 
@@ -208,8 +223,8 @@ TEST_F(ExtensionsTest, SourceExtractorHandlesExtractorIdsPast31) {
     add(3, 31, 2, 0);
     return d;
   };
-  const FusionResult low = RunSourceExtractor(build(0), {});
-  const FusionResult high = RunSourceExtractor(build(32), {});
+  const FusionResult low = RunSourceExtractor(build(0), {}, {});
+  const FusionResult high = RunSourceExtractor(build(32), {}, {});
   ASSERT_EQ(low.probability.size(), 6u);
   EXPECT_EQ(high.probability, low.probability);
   EXPECT_EQ(high.has_probability, low.has_probability);
@@ -224,9 +239,9 @@ class LatentTruthRounds : public ::testing::TestWithParam<size_t> {};
 TEST_P(LatentTruthRounds, StableAcrossRoundCounts) {
   static const synth::SynthCorpus& corpus = *new synth::SynthCorpus(
       synth::GenerateCorpus(synth::SynthConfig::Small()));
-  LatentTruthOptions opts;
+  FusionOptions opts = FineOptions();
   opts.max_rounds = GetParam();
-  auto result = RunLatentTruth(corpus.dataset, opts);
+  auto result = RunLatentTruth(corpus.dataset, opts, FuseContext());
   for (kb::TripleId t = 0; t < corpus.dataset.num_triples(); ++t) {
     ASSERT_GE(result.probability[t], 0.0);
     ASSERT_LE(result.probability[t], 1.0);

@@ -145,6 +145,18 @@ TEST(FusionOptionsTest, MethodNames) {
   }
 }
 
+TEST(FusionOptionsTest, ToStringShowsGranularityOnlyWhereRead) {
+  // Every method but source_extractor reads the provenance granularity.
+  for (size_t i = 0; i < kNumMethods; ++i) {
+    FusionOptions o;
+    o.method = static_cast<Method>(i);
+    const std::string s = o.ToString();
+    EXPECT_EQ(s.find(" prov=(Extractor, URL)") != std::string::npos,
+              o.method != Method::kSourceExtractor)
+        << s;
+  }
+}
+
 TEST(FusionOptionsTest, ToStringMentionsRefinements) {
   FusionOptions o = FusionOptions::PopAccuPlus();
   std::string s = o.ToString();
@@ -164,6 +176,11 @@ TEST(FusionOptionsDeathTest, EngineRefusesInvalidOptions) {
   FusionOptions bad2;
   bad2.default_accuracy = 2.0;
   EXPECT_DEATH(FusionEngine(dataset, bad2), "default_accuracy");
+
+  // fusion::Fuse validates the options of every method, not only the
+  // engine ones.
+  bad.method = Method::kSourceExtractor;
+  EXPECT_DEATH(Fuse(dataset, bad), "max_rounds");
 }
 
 }  // namespace

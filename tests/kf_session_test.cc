@@ -63,9 +63,8 @@ TEST(SessionTest, MethodNameDispatchMatchesDirectBaseline) {
   Session session = Session::Borrow(SmallCorpus().dataset);
   Result<fusion::FusionResult> result = session.Fuse(options);
   ASSERT_TRUE(result.ok());
-  fusion::FusionResult direct =
-      fusion::RunTruthFinder(SmallCorpus().dataset,
-                             fusion::TruthFinderOptions());
+  fusion::FusionResult direct = fusion::RunTruthFinder(
+      SmallCorpus().dataset, options, fusion::FuseContext());
   EXPECT_EQ(result->probability, direct.probability);
   EXPECT_EQ(session.method(), "truthfinder");
 }
@@ -161,6 +160,34 @@ TEST(SessionTest, RejectedFuseKeepsPreviousWarmState) {
   Result<fusion::FusionResult> warm = session.Refuse();
   ASSERT_TRUE(warm.ok());  // still warm-startable
   EXPECT_LT(warm->num_rounds, 10u);
+}
+
+TEST(SessionTest, UnreadOptionIsRejectedAndKeepsPreviousState) {
+  const auto& src = SmallCorpus().dataset;
+  const size_t base = src.num_records() - 3;
+  Session session(extract::CloneRecordPrefix(src, base));
+  ASSERT_TRUE(session.Fuse(StreamingOptions()).ok());
+  const std::vector<double> previous = session.last_result()->probability;
+
+  // TruthFinder does not read the coverage filter: the run is refused,
+  // naming the field, instead of silently running without it.
+  fusion::FusionOptions bad;
+  bad.method = fusion::Method::kTruthFinder;
+  bad.filter_by_coverage = true;
+  Result<fusion::FusionResult> refused = session.Fuse(bad);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("filter_by_coverage"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(session.method(), "accu");
+  ASSERT_NE(session.last_result(), nullptr);
+  EXPECT_EQ(session.last_result()->probability, previous);
+
+  std::vector<extract::ExtractionRecord> batch =
+      extract::ReinternTail(src, base, &session.mutable_dataset());
+  ASSERT_TRUE(session.Append(batch).ok());
+  EXPECT_TRUE(session.Refuse().ok());  // still warm-startable
 }
 
 // ---- streaming ----
