@@ -16,7 +16,8 @@ OUT="$(mktemp)"
 KB="$(mktemp)"
 BIN="$(mktemp -u).kfs"
 trap 'rm -f "${OUT}" "${OUT}.err" "${OUT}.bin" "${OUT}.budget" "${KB}" \
-  "${BIN}" "${BIN}.trunc"; rm -rf "${SPILL_DIR:-}"' EXIT
+  "${BIN}" "${BIN}.trunc" "${OUT}".{crlf,unterminated}{,.out}; \
+  rm -rf "${SPILL_DIR:-}"' EXIT
 
 for target in example_quickstart example_fuse_tsv example_query_kb \
               example_serve_kb; do
@@ -36,6 +37,17 @@ echo "== fuse_tsv (popaccu on ${TSV}) ==" >&2
 # The corroborated values must win their conflicts in the output.
 grep -q $'TomCruise\tbirth_date\t1962-07-03' "${OUT}"
 grep -q $'TopGun\trelease_year\t1986' "${OUT}"
+
+echo "== fuse_tsv (CRLF ends, or no final newline, print the same) ==" >&2
+"${BUILD_DIR}/examples/example_fuse_tsv" "${TSV}" > "${OUT}"
+sed 's/$/\r/' "${TSV}" > "${OUT}.crlf"
+# $(...) drops the trailing newline.
+printf '%s' "$(cat "${TSV}")" > "${OUT}.unterminated"
+for variant in crlf unterminated; do
+  "${BUILD_DIR}/examples/example_fuse_tsv" "${OUT}.${variant}" \
+    > "${OUT}.${variant}.out"
+  cmp "${OUT}" "${OUT}.${variant}.out"
+done
 
 echo "== fuse_tsv (every method of --help on ${TSV}) ==" >&2
 # The nine methods that need no side input print the header plus one row

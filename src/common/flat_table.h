@@ -1,7 +1,8 @@
-// FlatTable: the open-addressing hash table behind the string interner's
-// id index and the fused KB's (subject, predicate) -> item index. Slots
-// are small trivially-copyable structs in one array: linear probing, a
-// power-of-two capacity, at most half full, no per-entry allocation.
+// FlatTable: the open-addressing hash table behind every interning index
+// (strings, values, the extraction dataset's items and triples) and the
+// fused KB's (subject, predicate) -> item index. Slots are small
+// trivially-copyable structs in one array: linear probing, a power-of-two
+// capacity, at most half full, no per-entry allocation.
 #ifndef KF_COMMON_FLAT_TABLE_H_
 #define KF_COMMON_FLAT_TABLE_H_
 
@@ -49,7 +50,7 @@ class FlatTable {
   /// inserted when there is none.
   template <typename Eq>
   const Slot& Insert(const Slot& slot, Eq eq) {
-    Reserve(size_ + 1);
+    if ((size_ + 1) * 2 > slots_.size()) Reserve(size_ + 1);
     Slot& resident = slots_[Probe(slot.hash(), eq)];
     if (resident.empty()) {
       resident = slot;

@@ -11,25 +11,11 @@
 
 namespace kf {
 
-std::string SiteOfUrl(std::string_view url) {
+std::string_view SiteOfUrl(std::string_view url) {
   size_t start = 0;
   size_t scheme = url.find("://");
   if (scheme != std::string_view::npos) start = scheme + 3;
-  size_t slash = url.find('/', start);
-  if (slash == std::string_view::npos) return std::string(url);
-  return std::string(url.substr(0, slash));
-}
-
-std::vector<std::string> StrSplit(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      out.emplace_back(text.substr(begin, i - begin));
-      begin = i + 1;
-    }
-  }
-  return out;
+  return url.substr(0, url.find('/', start));
 }
 
 std::string StrJoin(const std::vector<std::string>& pieces,

@@ -1,4 +1,4 @@
-// String helpers shared across the library: URL handling, splitting, and
+// String helpers shared across the library: URL handling, joining, and
 // printf-style formatting into std::string.
 #ifndef KF_COMMON_STRING_UTIL_H_
 #define KF_COMMON_STRING_UTIL_H_
@@ -12,11 +12,9 @@ namespace kf {
 
 /// Extracts the Website prefix of a URL: everything up to (excluding) the
 /// first '/' after the scheme, per Section 4.3.1 of the paper
-/// ("en.wikipedia.org/wiki/Data_fusion" -> "en.wikipedia.org").
-std::string SiteOfUrl(std::string_view url);
-
-/// Splits `text` on `sep`, keeping empty pieces.
-std::vector<std::string> StrSplit(std::string_view text, char sep);
+/// ("en.wikipedia.org/wiki/Data_fusion" -> "en.wikipedia.org"). The
+/// result views a prefix of `url`.
+std::string_view SiteOfUrl(std::string_view url);
 
 /// Joins `pieces` with `sep`.
 std::string StrJoin(const std::vector<std::string>& pieces,

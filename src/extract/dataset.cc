@@ -25,32 +25,37 @@ const char* ErrorClassName(ErrorClass e) {
 }
 
 kb::DataItemId ExtractionDataset::InternItem(const kb::DataItem& item) {
-  auto [it, inserted] = item_index_.emplace(
-      item, static_cast<kb::DataItemId>(items_.size()));
-  if (inserted) items_.push_back(item);
-  return it->second;
+  const auto next = static_cast<kb::DataItemId>(items_.size());
+  const kb::DataItemId id =
+      item_index_.Intern(PairIndex::Key(item.subject, item.predicate), next);
+  if (id == next) items_.push_back(item);
+  return id;
 }
 
+// A new triple's item is either new too or already interned, so interning
+// the item first assigns the same first-seen ids as interning it only for
+// a new triple.
 kb::TripleId ExtractionDataset::InternTriple(const kb::DataItem& item,
                                              kb::ValueId object,
                                              bool true_in_world,
                                              bool hierarchy_true) {
-  kb::Triple t{item, object};
-  auto [it, inserted] =
-      triple_index_.emplace(t, static_cast<kb::TripleId>(triples_.size()));
-  if (inserted) {
+  const kb::DataItemId item_id = InternItem(item);
+  const auto next = static_cast<kb::TripleId>(triples_.size());
+  const kb::TripleId id =
+      triple_index_.Intern(PairIndex::Key(item_id, object), next);
+  if (id == next) {
     TripleInfo info;
-    info.item = InternItem(item);
+    info.item = item_id;
     info.object = object;
     info.true_in_world = true_in_world;
     info.hierarchy_true = hierarchy_true;
     triples_.push_back(info);
   } else {
-    TripleInfo& info = triples_[it->second];
+    TripleInfo& info = triples_[id];
     info.true_in_world = info.true_in_world || true_in_world;
     info.hierarchy_true = info.hierarchy_true || hierarchy_true;
   }
-  return it->second;
+  return id;
 }
 
 void ExtractionDataset::AddRecord(const ExtractionRecord& record) {
@@ -89,8 +94,10 @@ void ExtractionDataset::SetCounts(size_t num_sites, size_t num_patterns,
 
 kb::TripleId ExtractionDataset::FindTriple(const kb::DataItem& item,
                                            kb::ValueId object) const {
-  auto it = triple_index_.find(kb::Triple{item, object});
-  return it == triple_index_.end() ? kb::kInvalidId : it->second;
+  const kb::DataItemId item_id =
+      item_index_.Find(PairIndex::Key(item.subject, item.predicate));
+  if (item_id == kb::kInvalidId) return kb::kInvalidId;
+  return triple_index_.Find(PairIndex::Key(item_id, object));
 }
 
 ExtractionDataset CloneRecordPrefix(const ExtractionDataset& src, size_t n) {

@@ -1,14 +1,70 @@
 #include "extract/tsv_io.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <string_view>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
 
 namespace kf::extract {
 namespace {
+
+/// Walks the pieces of `text` between `sep`s with memchr, empty pieces
+/// included, the way a split would: "" is one empty piece, and "a\t" is
+/// "a" then "". Pieces view `text`; nothing is copied. Both readers below
+/// scan their lines, columns and lists with it.
+class Pieces {
+ public:
+  Pieces(std::string_view text, char sep) : rest_(text), sep_(sep) {}
+
+  /// Sets `piece` to the next piece; false once the last was taken.
+  bool Next(std::string_view* piece) {
+    if (done_) return false;
+    // An empty view may hold a null pointer, which memchr must not see.
+    const void* hit = rest_.empty()
+                          ? nullptr
+                          : std::memchr(rest_.data(), sep_, rest_.size());
+    if (hit == nullptr) {
+      *piece = rest_;
+      done_ = true;
+      return true;
+    }
+    const auto n = static_cast<size_t>(static_cast<const char*>(hit) -
+                                       rest_.data());
+    *piece = rest_.substr(0, n);
+    rest_.remove_prefix(n + 1);
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+  char sep_;
+  bool done_ = false;
+};
+
+/// Splits `line` at tabs: the first `max` columns land in `cols`, and the
+/// return value counts them all.
+size_t SplitColumns(std::string_view line, std::string_view* cols,
+                    size_t max) {
+  size_t n = 0;
+  Pieces pieces(line, '\t');
+  for (std::string_view col; pieces.Next(&col); ++n) {
+    if (n < max) cols[n] = col;
+  }
+  return n;
+}
+
+/// Parses all of `s` with std::from_chars: no leading blank or '+', no
+/// hex prefix, nothing left over, and in range for T.
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, *out);
+  return r.ec == std::errc() && r.ptr == end;
+}
 
 // Pattern strings share the extractors interner (they become prov.pattern
 // ids), so the meta table must track the interner: extend it until
@@ -28,7 +84,7 @@ void AlignExtractorMetas(const TsvCorpus& corpus,
 // Registers the extractor on first sight, so ids stay dense.
 ExtractorId InternExtractor(TsvCorpus* corpus,
                             std::vector<ExtractorMeta>* metas,
-                            const std::string& name, bool has_confidence) {
+                            std::string_view name, bool has_confidence) {
   uint32_t id = corpus->extractors.Intern(name);
   AlignExtractorMetas(*corpus, metas);
   if (has_confidence) (*metas)[id].has_confidence = true;
@@ -41,64 +97,63 @@ Result<TsvCorpus> ReadExtractionsTsv(const std::string& text) {
   TsvCorpus corpus;
   std::vector<ExtractorMeta> metas;
   std::vector<SiteId> url_site;
+  std::string pattern;  // "<extractor>/<pattern>", reused row to row
+  std::string_view cols[7];
 
   size_t line_no = 0;
-  for (std::string& line : StrSplit(text, '\n')) {
+  Pieces lines(text, '\n');
+  for (std::string_view line; lines.Next(&line);) {
     ++line_no;
     // A CRLF line end is not part of the last column (say, a confidence).
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> cols = StrSplit(line, '\t');
-    if (line_no == 1 && cols.size() >= 5 && cols[0] == "subject") {
+    const size_t num_cols = SplitColumns(line, cols, 7);
+    if (line_no == 1 && num_cols >= 5 && cols[0] == "subject") {
       continue;  // header row
     }
-    if (cols.size() < 5) {
+    if (num_cols < 5) {
       return Status::InvalidArgument(
           StrFormat("line %zu: expected >= 5 tab-separated columns, got %zu",
-                    line_no, cols.size()));
+                    line_no, num_cols));
     }
     float confidence = 0.0f;
-    bool has_confidence = false;
-    if (cols.size() >= 6 && !cols[5].empty()) {
-      // The whole column must parse to a value in [0,1] (NaN fails both).
-      char* end = nullptr;
-      confidence = std::strtof(cols[5].c_str(), &end);
-      if (end != cols[5].c_str() + cols[5].size() ||
-          !(confidence >= 0.0f && confidence <= 1.0f)) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: bad confidence '%s'", line_no,
-                      cols[5].c_str()));
-      }
-      has_confidence = true;
+    const bool has_confidence = num_cols >= 6 && !cols[5].empty();
+    // The whole column must parse to a value in [0,1] (NaN fails both).
+    if (has_confidence && (!ParseWhole(cols[5], &confidence) ||
+                           !(confidence >= 0.0f && confidence <= 1.0f))) {
+      return Status::InvalidArgument(
+          StrFormat("line %zu: bad confidence '%s'", line_no,
+                    std::string(cols[5]).c_str()));
     }
 
-    kb::DataItem item{corpus.subjects.Intern(cols[0]),
-                      corpus.predicates.Intern(cols[1])};
-    kb::ValueId object = corpus.values.Intern(
+    const kb::DataItem item{corpus.subjects.Intern(cols[0]),
+                            corpus.predicates.Intern(cols[1])};
+    const kb::ValueId object = corpus.values.Intern(
         kb::Value::OfString(corpus.objects.Intern(cols[2])));
-    kb::TripleId triple =
-        corpus.dataset.InternTriple(item, object, false, false);
 
     ExtractionRecord record;
-    record.triple = triple;
+    record.triple = corpus.dataset.InternTriple(item, object, false, false);
     record.prov.extractor =
         InternExtractor(&corpus, &metas, cols[3], has_confidence);
     record.prov.url = corpus.urls.Intern(cols[4]);
-    record.prov.site = corpus.sites.Intern(SiteOfUrl(cols[4]));
+    // Ids are first-seen, so a new URL is the next one; a URL seen before
+    // keeps the site it got then.
+    if (record.prov.url == url_site.size()) {
+      url_site.push_back(corpus.sites.Intern(SiteOfUrl(cols[4])));
+    }
+    record.prov.site = url_site[record.prov.url];
     record.prov.predicate = item.predicate;
     // Optional explicit pattern column; defaults to the extractor itself.
-    record.prov.pattern =
-        cols.size() >= 7 && !cols[6].empty()
-            ? corpus.extractors.Intern(cols[3] + "/" + cols[6])
-            : record.prov.extractor;
+    record.prov.pattern = record.prov.extractor;
+    if (num_cols >= 7 && !cols[6].empty()) {
+      pattern.assign(cols[3]);
+      pattern += '/';
+      pattern += cols[6];
+      record.prov.pattern = corpus.extractors.Intern(pattern);
+    }
     record.confidence = confidence;
     record.has_confidence = has_confidence;
     corpus.dataset.AddRecord(record);
-
-    if (record.prov.url >= url_site.size()) {
-      url_site.resize(record.prov.url + 1, 0);
-    }
-    url_site[record.prov.url] = record.prov.site;
   }
   // A trailing pattern intern can leave the meta table short; align once
   // more so metas.size() == the extractors interner size.
@@ -211,17 +266,10 @@ Result<std::string> ReadFile(const std::string& path) {
 
 namespace {
 
-/// %.17g round-trips every finite double bit-exactly through strtod.
+/// %.17g round-trips every finite double bit-exactly through from_chars.
 void AppendDouble(std::string* out, double v) { AppendDouble17(out, v); }
 
-bool ParseDoubleStrict(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-bool ParseFlag(const std::string& s, bool* out) {
+bool ParseFlag(std::string_view s, bool* out) {
   if (s == "0") {
     *out = false;
     return true;
@@ -231,15 +279,6 @@ bool ParseFlag(const std::string& s, bool* out) {
     return true;
   }
   return false;
-}
-
-bool ParseU32Strict(const std::string& s, uint32_t* out) {
-  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || v > 0xffffffffull) return false;
-  *out = static_cast<uint32_t>(v);
-  return true;
 }
 
 }  // namespace
@@ -282,58 +321,60 @@ std::string WriteFusedKbTsv(const FusedKbTsv& kb) {
 Result<FusedKbTsv> ReadFusedKbTsv(const std::string& text) {
   FusedKbTsv kb;
   bool saw_meta = false;
+  std::string_view cols[10];
   size_t line_no = 0;
-  for (const std::string& line : StrSplit(text, '\n')) {
+  Pieces lines(text, '\n');
+  for (std::string_view line; lines.Next(&line);) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> cols = StrSplit(line, '\t');
-    const std::string& tag = cols[0];
+    const size_t num_cols = SplitColumns(line, cols, 10);
+    const std::string_view tag = cols[0];
     if (tag == "M") {
       if (saw_meta) {
         return Status::InvalidArgument(
             StrFormat("line %zu: duplicate M row", line_no));
       }
-      if (cols.size() != 3) {
+      if (num_cols != 3) {
         return Status::InvalidArgument(
             StrFormat("line %zu: M row expects 3 columns, got %zu", line_no,
-                      cols.size()));
+                      num_cols));
       }
       uint32_t rounds = 0;
-      if (!ParseU32Strict(cols[2], &rounds)) {
+      if (!ParseWhole(cols[2], &rounds)) {
         return Status::InvalidArgument(
             StrFormat("line %zu: bad round count '%s'", line_no,
-                      cols[2].c_str()));
+                      std::string(cols[2]).c_str()));
       }
       kb.method = cols[1];
       kb.num_rounds = rounds;
       saw_meta = true;
     } else if (tag == "P") {
-      if (cols.size() != 5) {
+      if (num_cols != 5) {
         return Status::InvalidArgument(
             StrFormat("line %zu: P row expects 5 columns, got %zu", line_no,
-                      cols.size()));
+                      num_cols));
       }
       FusedKbProvRow row;
       row.description = cols[1];
-      if (!ParseDoubleStrict(cols[2], &row.accuracy) ||
+      if (!ParseWhole(cols[2], &row.accuracy) ||
           !ParseFlag(cols[3], &row.evaluated) ||
-          !ParseU32Strict(cols[4], &row.num_claims)) {
+          !ParseWhole(cols[4], &row.num_claims)) {
         return Status::InvalidArgument(
             StrFormat("line %zu: bad P row", line_no));
       }
       kb.provenances.push_back(std::move(row));
     } else if (tag == "T") {
-      if (cols.size() != 10) {
+      if (num_cols != 10) {
         return Status::InvalidArgument(
             StrFormat("line %zu: T row expects 10 columns, got %zu",
-                      line_no, cols.size()));
+                      line_no, num_cols));
       }
       FusedKbTripleRow row;
       row.subject = cols[1];
       row.predicate = cols[2];
       row.object = cols[3];
-      if (!ParseDoubleStrict(cols[4], &row.probability) ||
-          !ParseDoubleStrict(cols[5], &row.calibrated) ||
+      if (!ParseWhole(cols[4], &row.probability) ||
+          !ParseWhole(cols[5], &row.calibrated) ||
           !ParseFlag(cols[6], &row.has_probability) ||
           !ParseFlag(cols[7], &row.from_fallback) ||
           !ParseFlag(cols[8], &row.winner)) {
@@ -341,12 +382,13 @@ Result<FusedKbTsv> ReadFusedKbTsv(const std::string& text) {
             StrFormat("line %zu: bad T row", line_no));
       }
       if (!cols[9].empty()) {
-        for (const std::string& s : StrSplit(cols[9], ',')) {
+        Pieces supporters(cols[9], ',');
+        for (std::string_view s; supporters.Next(&s);) {
           uint32_t prov = 0;
-          if (!ParseU32Strict(s, &prov)) {
+          if (!ParseWhole(s, &prov)) {
             return Status::InvalidArgument(
                 StrFormat("line %zu: bad supporter index '%s'", line_no,
-                          s.c_str()));
+                          std::string(s).c_str()));
           }
           row.supporters.push_back(prov);
         }
@@ -355,7 +397,7 @@ Result<FusedKbTsv> ReadFusedKbTsv(const std::string& text) {
     } else {
       return Status::InvalidArgument(
           StrFormat("line %zu: unknown row tag '%s'", line_no,
-                    tag.c_str()));
+                    std::string(tag).c_str()));
     }
   }
   if (!saw_meta) {

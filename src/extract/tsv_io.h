@@ -4,6 +4,11 @@
 // Extraction TSV columns (header optional, '#' comments skipped):
 //   subject <TAB> predicate <TAB> object <TAB> extractor <TAB> url
 //   [<TAB> confidence] [<TAB> pattern]
+// Lines end in LF or CRLF; the last needs no line end. Columns past the
+// seventh are ignored. The confidence grammar is std::from_chars's decimal
+// (no leading blank, no '+', no hex form), the whole column, and a value
+// in [0,1]; one that underflows a float, like 1e-50, is out of range. An
+// empty confidence column means the row has none.
 //
 // Result TSV columns written by WriteResultsTsv:
 //   subject <TAB> predicate <TAB> object <TAB> probability
@@ -33,8 +38,10 @@ struct TsvCorpus {
   kb::ValueTable values;
 };
 
-/// Parses extraction rows from TSV text. Returns InvalidArgument on rows
-/// with fewer than 5 columns or an unparsable confidence.
+/// Parses extraction rows from TSV text in one pass, interning straight
+/// from views of `text`; ids are first-seen. Returns InvalidArgument,
+/// naming the 1-based line, on rows with fewer than 5 columns or a
+/// confidence outside the grammar above.
 Result<TsvCorpus> ReadExtractionsTsv(const std::string& text);
 
 /// Reads a TSV file from disk and parses it.
@@ -117,9 +124,10 @@ struct FusedKbTsv {
 /// Serializes a fused KB (header comment + M/P/T rows).
 std::string WriteFusedKbTsv(const FusedKbTsv& kb);
 
-/// Parses WriteFusedKbTsv output. InvalidArgument on rows with the wrong
-/// arity, unparsable numbers/flags, supporter indices out of range, a
-/// missing/duplicate M row, or unknown row tags.
+/// Parses WriteFusedKbTsv output, reading numbers with std::from_chars
+/// (which round-trips the 17-digit doubles bit-exactly). InvalidArgument
+/// on rows with the wrong arity, unparsable numbers/flags, supporter
+/// indices out of range, a missing/duplicate M row, or unknown row tags.
 Result<FusedKbTsv> ReadFusedKbTsv(const std::string& text);
 
 /// Writes text to a file.

@@ -37,23 +37,6 @@ struct DataItemHash {
   }
 };
 
-/// A knowledge triple in interned form: (subject, predicate, object).
-struct Triple {
-  DataItem item;
-  ValueId object = kInvalidId;
-
-  friend bool operator==(const Triple& a, const Triple& b) {
-    return a.item == b.item && a.object == b.object;
-  }
-};
-
-struct TripleHash {
-  size_t operator()(const Triple& t) const {
-    return static_cast<size_t>(
-        HashCombine(DataItemHash()(t.item), t.object));
-  }
-};
-
 }  // namespace kf::kb
 
 #endif  // KF_KB_IDS_H_

@@ -6,51 +6,48 @@
 
 namespace kf::kb {
 
-bool operator==(const Value& a, const Value& b) {
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case ValueKind::kEntity:
-      return a.entity == b.entity;
-    case ValueKind::kString:
-      return a.string_id == b.string_id;
-    case ValueKind::kNumber:
-      return a.number == b.number;
-  }
-  return false;
-}
+namespace {
 
-size_t ValueHash::operator()(const Value& v) const {
-  uint64_t payload = 0;
+/// The payload that identifies a value of its kind; numbers by their bits.
+uint64_t Payload(const Value& v) {
   switch (v.kind) {
     case ValueKind::kEntity:
-      payload = v.entity;
-      break;
+      return v.entity;
     case ValueKind::kString:
-      payload = v.string_id;
-      break;
+      return v.string_id;
     case ValueKind::kNumber: {
       uint64_t bits;
       std::memcpy(&bits, &v.number, sizeof(bits));
-      payload = bits;
-      break;
+      return bits;
     }
   }
+  return 0;
+}
+
+}  // namespace
+
+bool operator==(const Value& a, const Value& b) {
+  return a.kind == b.kind && Payload(a) == Payload(b);
+}
+
+size_t ValueHash::operator()(const Value& v) const {
   return static_cast<size_t>(
-      kf::HashCombine(kf::Mix64(static_cast<uint64_t>(v.kind)), payload));
+      kf::HashCombine(kf::Mix64(static_cast<uint64_t>(v.kind)), Payload(v)));
 }
 
 ValueId ValueTable::Intern(const Value& v) {
-  auto it = index_.find(v);
-  if (it != index_.end()) return it->second;
-  ValueId id = static_cast<ValueId>(values_.size());
-  values_.push_back(v);
-  index_.emplace(v, id);
+  const uint32_t hash = Hash(v);
+  const ValueId next = static_cast<ValueId>(values_.size());
+  const ValueId id =
+      index_.Insert(Slot{hash, next}, Matches{values_, v, hash}).id;
+  if (id == next) values_.push_back(v);
   return id;
 }
 
 ValueId ValueTable::Find(const Value& v) const {
-  auto it = index_.find(v);
-  return it == index_.end() ? kInvalidId : it->second;
+  const uint32_t hash = Hash(v);
+  const Slot* slot = index_.Find(hash, Matches{values_, v, hash});
+  return slot == nullptr ? kInvalidId : slot->id;
 }
 
 const Value& ValueTable::Get(ValueId id) const {

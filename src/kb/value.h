@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "kb/ids.h"
 
@@ -22,7 +22,8 @@ enum class ValueKind : uint8_t {
 };
 
 /// A triple object. Strings are referenced by interner id (the owning
-/// corpus keeps the string pool); numbers are exact-compared doubles.
+/// corpus keeps the string pool); numbers compare by their bits, the rule
+/// ValueHash follows, so a NaN equals itself and -0.0 differs from +0.0.
 struct Value {
   ValueKind kind = ValueKind::kEntity;
   EntityId entity = kInvalidId;  // valid when kind == kEntity
@@ -67,7 +68,7 @@ class ValueTable {
   /// Pre-sizes for a bulk load of `n` values.
   void Reserve(size_t n) {
     values_.reserve(n);
-    index_.reserve(n);
+    index_.Reserve(n);
   }
 
   ValueId Intern(const Value& v);
@@ -83,8 +84,31 @@ class ValueTable {
   size_t CountOfKind(ValueKind kind) const;
 
  private:
+  /// An index entry: the value's hash, so probes and growth never touch
+  /// values_, and its id.
+  struct Slot {
+    uint32_t stored_hash = 0;
+    ValueId id = kInvalidId;  // kInvalidId: empty
+    bool empty() const { return id == kInvalidId; }
+    uint64_t hash() const { return stored_hash; }
+  };
+
+  static uint32_t Hash(const Value& v) {
+    return static_cast<uint32_t>(ValueHash()(v));
+  }
+
+  /// Equality against `v` (whose Hash is `hash`) for index probes.
+  struct Matches {
+    const std::vector<Value>& values;
+    const Value& v;
+    uint32_t hash;
+    bool operator()(const Slot& slot) const {
+      return slot.stored_hash == hash && values[slot.id] == v;
+    }
+  };
+
   std::vector<Value> values_;
-  std::unordered_map<Value, ValueId, ValueHash> index_;
+  FlatTable<Slot> index_;
 };
 
 }  // namespace kf::kb

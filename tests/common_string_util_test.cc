@@ -12,6 +12,12 @@ TEST(SiteOfUrlTest, StripsPathAfterHost) {
             "en.wikipedia.org");
 }
 
+TEST(SiteOfUrlTest, ViewsAPrefixOfItsArgument) {
+  const std::string_view url = "https://a.org/p1";
+  EXPECT_EQ(SiteOfUrl(url).data(), url.data());
+  EXPECT_EQ(SiteOfUrl(url).size(), 13u);
+}
+
 TEST(SiteOfUrlTest, NoPathReturnsWhole) {
   EXPECT_EQ(SiteOfUrl("https://example.com"), "https://example.com");
   EXPECT_EQ(SiteOfUrl("example.com"), "example.com");
@@ -19,17 +25,11 @@ TEST(SiteOfUrlTest, NoPathReturnsWhole) {
 
 TEST(SiteOfUrlTest, EmptyString) { EXPECT_EQ(SiteOfUrl(""), ""); }
 
-TEST(StrSplitTest, BasicAndEmptyPieces) {
-  EXPECT_EQ(StrSplit("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(StrSplit("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(StrSplit("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(StrSplit(",", ','), (std::vector<std::string>{"", ""}));
-}
-
 TEST(StrJoinTest, RoundTripsWithSplit) {
   std::vector<std::string> pieces = {"x", "y", "z"};
   EXPECT_EQ(StrJoin(pieces, "-"), "x-y-z");
-  EXPECT_EQ(StrSplit(StrJoin(pieces, ","), ','), pieces);
+  EXPECT_EQ(StrJoin({"a", "", "c"}, ","), "a,,c");
+  EXPECT_EQ(StrJoin({""}, ","), "");
   EXPECT_EQ(StrJoin({}, ","), "");
 }
 

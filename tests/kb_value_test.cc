@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace kf::kb {
 namespace {
 
@@ -18,6 +20,39 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(hash(Value::OfEntity(7)), hash(Value::OfEntity(7)));
   EXPECT_NE(hash(Value::OfEntity(7)), hash(Value::OfString(7)));
   EXPECT_NE(hash(Value::OfNumber(1.0)), hash(Value::OfNumber(2.0)));
+}
+
+// Numbers compare by their bits, the rule ValueHash follows: a NaN equals
+// itself, and -0.0 is a different value from +0.0.
+TEST(ValueTest, NumbersCompareByBits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Value::OfNumber(nan), Value::OfNumber(nan));
+  EXPECT_FALSE(Value::OfNumber(0.0) == Value::OfNumber(-0.0));
+  ValueHash hash;
+  EXPECT_EQ(hash(Value::OfNumber(nan)), hash(Value::OfNumber(nan)));
+}
+
+TEST(ValueTableTest, NanInternsOnceAndIsFound) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ValueTable table;
+  const ValueId id = table.Intern(Value::OfNumber(nan));
+  EXPECT_EQ(table.Intern(Value::OfNumber(nan)), id);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.Find(Value::OfNumber(nan)), id);
+}
+
+TEST(ValueTableTest, SignedZerosAreTwoValuesInEveryTable) {
+  // Whatever else a table holds, +0.0 and -0.0 get one id each and are
+  // found under it.
+  for (int filler = 0; filler < 200; ++filler) {
+    ValueTable table;
+    for (int i = 0; i < filler; ++i) table.Intern(Value::OfNumber(i + 1.0));
+    const ValueId plus = table.Intern(Value::OfNumber(0.0));
+    const ValueId minus = table.Intern(Value::OfNumber(-0.0));
+    ASSERT_NE(plus, minus) << filler;
+    EXPECT_EQ(table.Intern(Value::OfNumber(0.0)), plus) << filler;
+    EXPECT_EQ(table.Find(Value::OfNumber(-0.0)), minus) << filler;
+  }
 }
 
 TEST(ValueTableTest, InternDedupes) {
@@ -55,15 +90,11 @@ TEST(ValueTableTest, CountOfKind) {
   EXPECT_EQ(table.CountOfKind(ValueKind::kNumber), 1u);
 }
 
-TEST(IdsTest, DataItemAndTripleHashes) {
+TEST(IdsTest, DataItemEqualityAndHash) {
   DataItem a{1, 2}, b{1, 2}, c{2, 1};
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
   EXPECT_EQ(DataItemHash()(a), DataItemHash()(b));
-  Triple t1{a, 5}, t2{b, 5}, t3{a, 6};
-  EXPECT_EQ(t1, t2);
-  EXPECT_FALSE(t1 == t3);
-  EXPECT_EQ(TripleHash()(t1), TripleHash()(t2));
 }
 
 }  // namespace

@@ -201,6 +201,29 @@ TEST(StoreCorruptionTest, UnknownValueKindIsRejected) {
   EXPECT_NE(result.status().message().find("value kind"), std::string::npos);
 }
 
+TEST(StoreCorruptionTest, RepeatedNanValueIsRejected) {
+  // Two number values whose payloads are patched to the same NaN bits:
+  // values compare by bits, so the second interns onto the first and the
+  // loader's duplicate check names it.
+  auto corpus = extract::ReadExtractionsTsv(kTsv);
+  ASSERT_TRUE(corpus.ok());
+  const kb::ValueId first = corpus->values.Intern(kb::Value::OfNumber(1.0));
+  corpus->values.Intern(kb::Value::OfNumber(2.0));
+  std::string bytes = PatchBlock(
+      WriteCorpus(*corpus), BlockId::kValuePayload,
+      [](char* payload, size_t size) {
+        // The double bits force 8-byte elements; the last two are ours.
+        std::memset(payload + size - 16, 0xff, 16);
+      });
+  auto result = LoadCorpus(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "value table has a duplicate entry at id " +
+                std::to_string(first + 1)),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(StoreCorruptionTest, UnknownRecordErrorClassIsRejected) {
   std::string bytes = PatchBlock(ValidCorpusImage(), BlockId::kRecordFlags,
                                  [](char* payload, size_t) {
