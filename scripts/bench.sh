@@ -1,20 +1,29 @@
 #!/usr/bin/env bash
-# Perf baseline runner for the google-benchmark binaries (bench_perf +
-# bench_kb_server).
+# Perf baseline runner for the google-benchmark binaries (bench_perf,
+# bench_kb_server and bench_store).
 #
 #   ./scripts/bench.sh            -> full run, JSON recorded in BENCH_perf.json
 #   ./scripts/bench.sh --smoke    -> fast CI smoke: tiny min_time, per-stage
 #                                    + serving benches only, no JSON written
 #
-# Extra arguments after the mode are forwarded to both binaries (e.g.
+# Extra arguments after the mode are forwarded to every binary (e.g.
 # --benchmark_filter=BM_StageISweep). BUILD_DIR overrides ./build.
 #
 # BENCH_perf.json is only ever recorded from a Release build: the script
 # configures with -DCMAKE_BUILD_TYPE=Release by default and refuses to
 # record when BUILD_DIR's cache says otherwise (a debug baseline once
 # slipped in and made every optimization look 3x better than it was). The
-# two binaries' JSON outputs are merged into one BENCH_perf.json so
+# binaries' JSON outputs are merged into one BENCH_perf.json so
 # bench_compare.py sees a single baseline.
+#
+# A run with --benchmark_filter re-records only the rows it ran: each
+# replaces the baseline's rows of the same name, in place, and every other
+# row (and the baseline's context block) is kept. For example:
+#
+#   ./scripts/bench.sh --benchmark_filter='BM_ClaimGraphBuild' \
+#       --benchmark_repetitions=3
+#
+# An unfiltered run replaces the whole file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,26 +97,60 @@ if [[ "${bt}" != "Release" ]]; then
   exit 1
 fi
 
-"${BUILD_DIR}/bench/bench_perf" --benchmark_format=console \
-  --benchmark_out=BENCH_perf.json --benchmark_out_format=json "$@"
-# Merge the serving + storage benches into the one baseline file.
-for extra in bench_kb_server bench_store; do
-  if [[ -x "${BUILD_DIR}/bench/${extra}" ]]; then
-    "${BUILD_DIR}/bench/${extra}" --benchmark_format=console \
-      --benchmark_out="BENCH_${extra}.json" --benchmark_out_format=json "$@"
-    EXTRA_JSON="BENCH_${extra}.json" python3 - <<'PY'
-import json, os
-with open('BENCH_perf.json') as f:
-    perf = json.load(f)
-with open(os.environ['EXTRA_JSON']) as f:
-    extra = json.load(f)
-perf['benchmarks'].extend(extra['benchmarks'])
-with open('BENCH_perf.json', 'w') as f:
-    json.dump(perf, f, indent=1)
-PY
-    rm -f "BENCH_${extra}.json"
+filtered=0
+for arg in "$@"; do
+  if [[ "${arg}" == --benchmark_filter=* ]]; then filtered=1; fi
+done
+# Each binary records into its own BENCH_<target>.json, merged below.
+outs=()
+trap 'rm -f BENCH_bench_*.json' EXIT
+for target in "${BENCH_TARGETS[@]}"; do
+  if [[ -x "${BUILD_DIR}/bench/${target}" ]]; then
+    "${BUILD_DIR}/bench/${target}" --benchmark_format=console \
+      --benchmark_out="BENCH_${target}.json" --benchmark_out_format=json "$@"
+    outs+=("BENCH_${target}.json")
   fi
 done
+FILTERED="${filtered}" python3 - "${outs[@]}" <<'PY'
+import json, os, sys
+
+context, rows = None, []
+for path in sys.argv[1:]:
+    if os.path.getsize(path) == 0:
+        continue  # the filter matched nothing in this binary
+    with open(path) as f:
+        run = json.load(f)
+    context = context or run['context']
+    rows.extend(run['benchmarks'])
+
+if os.environ['FILTERED'] == '1' and os.path.exists('BENCH_perf.json'):
+    with open('BENCH_perf.json') as f:
+        doc = json.load(f)
+    # Repetitions and their _mean/_median/... aggregates share a run_name.
+    def name(b):
+        return b.get('run_name', b['name'])
+    fresh = {}
+    for b in rows:
+        fresh.setdefault(name(b), []).append(b)
+    merged = []
+    for b in doc['benchmarks']:
+        if name(b) not in fresh:
+            merged.append(b)
+        elif fresh[name(b)]:
+            merged.extend(fresh[name(b)])  # at the first old row's place
+            fresh[name(b)] = []
+    for new_rows in fresh.values():
+        merged.extend(new_rows)  # rows the baseline did not have yet
+    doc['benchmarks'] = merged
+    print('replaced or added %d rows of BENCH_perf.json' % len(rows),
+          file=sys.stderr)
+elif context is None:
+    sys.exit('no benchmark ran; BENCH_perf.json left as it was')
+else:
+    doc = {'context': context, 'benchmarks': rows}
+with open('BENCH_perf.json', 'w') as f:
+    json.dump(doc, f, indent=1)
+PY
 echo "recorded BENCH_perf.json" >&2
 echo "compare against a previous baseline with:" >&2
 echo "  scripts/bench_compare.py <old.json> BENCH_perf.json" >&2

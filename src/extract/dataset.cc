@@ -2,6 +2,9 @@
 
 #include "common/logging.h"
 
+static_assert(kf::KeyIndex::kAbsent == kf::kb::kInvalidId,
+              "FindTriple returns the index's absent id as kInvalidId");
+
 namespace kf::extract {
 
 const char* ErrorClassName(ErrorClass e) {
@@ -27,7 +30,7 @@ const char* ErrorClassName(ErrorClass e) {
 kb::DataItemId ExtractionDataset::InternItem(const kb::DataItem& item) {
   const auto next = static_cast<kb::DataItemId>(items_.size());
   const kb::DataItemId id =
-      item_index_.Intern(PairIndex::Key(item.subject, item.predicate), next);
+      item_index_.Intern(KeyIndex::Key(item.subject, item.predicate), next);
   if (id == next) items_.push_back(item);
   return id;
 }
@@ -42,7 +45,7 @@ kb::TripleId ExtractionDataset::InternTriple(const kb::DataItem& item,
   const kb::DataItemId item_id = InternItem(item);
   const auto next = static_cast<kb::TripleId>(triples_.size());
   const kb::TripleId id =
-      triple_index_.Intern(PairIndex::Key(item_id, object), next);
+      triple_index_.Intern(KeyIndex::Key(item_id, object), next);
   if (id == next) {
     TripleInfo info;
     info.item = item_id;
@@ -95,9 +98,9 @@ void ExtractionDataset::SetCounts(size_t num_sites, size_t num_patterns,
 kb::TripleId ExtractionDataset::FindTriple(const kb::DataItem& item,
                                            kb::ValueId object) const {
   const kb::DataItemId item_id =
-      item_index_.Find(PairIndex::Key(item.subject, item.predicate));
-  if (item_id == kb::kInvalidId) return kb::kInvalidId;
-  return triple_index_.Find(PairIndex::Key(item_id, object));
+      item_index_.Find(KeyIndex::Key(item.subject, item.predicate));
+  if (item_id == KeyIndex::kAbsent) return kb::kInvalidId;
+  return triple_index_.Find(KeyIndex::Key(item_id, object));
 }
 
 ExtractionDataset CloneRecordPrefix(const ExtractionDataset& src, size_t n) {

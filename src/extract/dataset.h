@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/flat_table.h"
-#include "common/hash.h"
 #include "common/status.h"
 #include "extract/provenance.h"
 #include "kb/ids.h"
@@ -157,51 +156,13 @@ class ExtractionDataset {
   kb::TripleId FindTriple(const kb::DataItem& item, kb::ValueId object) const;
 
  private:
-  /// (u32, u32) -> dense id over a FlatTable, the pair packed into one
-  /// uint64_t key. Items key on (subject, predicate), triples on (item
-  /// id, object).
-  class PairIndex {
-   public:
-    static uint64_t Key(uint32_t first, uint32_t second) {
-      return (static_cast<uint64_t>(first) << 32) | second;
-    }
-    void Reserve(size_t n) { table_.Reserve(n); }
-    /// The id of `key`; `next` after inserting it when new.
-    uint32_t Intern(uint64_t key, uint32_t next) {
-      return table_.Insert(Slot::Of(key, next), Same{key}).id;
-    }
-    /// The id of `key`, or kInvalidId when absent.
-    uint32_t Find(uint64_t key) const {
-      const Slot* slot = table_.Find(Mix64(key), Same{key});
-      return slot == nullptr ? kb::kInvalidId : slot->id;
-    }
-
-   private:
-    // Three u32s rather than a u64 and a u32: 12 bytes a slot, not 16.
-    struct Slot {
-      uint32_t high = 0;
-      uint32_t low = 0;
-      uint32_t id = kb::kInvalidId;  // kInvalidId: empty
-      static Slot Of(uint64_t key, uint32_t id) {
-        return Slot{static_cast<uint32_t>(key >> 32),
-                    static_cast<uint32_t>(key), id};
-      }
-      uint64_t key() const { return Key(high, low); }
-      bool empty() const { return id == kb::kInvalidId; }
-      uint64_t hash() const { return Mix64(key()); }
-    };
-    struct Same {
-      uint64_t key;
-      bool operator()(const Slot& slot) const { return slot.key() == key; }
-    };
-    FlatTable<Slot> table_;
-  };
-
   std::vector<ExtractionRecord> records_;
   std::vector<TripleInfo> triples_;
   std::vector<kb::DataItem> items_;
-  PairIndex item_index_;
-  PairIndex triple_index_;
+  /// (subject, predicate) -> item id.
+  KeyIndex item_index_;
+  /// (item id, object) -> triple id.
+  KeyIndex triple_index_;
   std::vector<ExtractorMeta> extractors_;
   std::vector<SiteId> url_site_;
   size_t num_sites_ = 0;

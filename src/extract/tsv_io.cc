@@ -15,7 +15,7 @@ namespace {
 /// Walks the pieces of `text` between `sep`s with memchr, empty pieces
 /// included, the way a split would: "" is one empty piece, and "a\t" is
 /// "a" then "". Pieces view `text`; nothing is copied. Both readers below
-/// scan their lines, columns and lists with it.
+/// scan their lines (through Lines), columns and lists with it.
 class Pieces {
  public:
   Pieces(std::string_view text, char sep) : rest_(text), sep_(sep) {}
@@ -43,6 +43,28 @@ class Pieces {
   std::string_view rest_;
   char sep_;
   bool done_ = false;
+};
+
+/// Walks the lines of `text` with their 1-based numbers. A CRLF line
+/// end's '\r' is not part of the line, so it never sticks to the last
+/// column (a confidence, a round count, a supporter list).
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : pieces_(text, '\n') {}
+
+  /// Sets `line` to the next line; false once the last was taken.
+  bool Next(std::string_view* line) {
+    if (!pieces_.Next(line)) return false;
+    ++number_;
+    if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
+    return true;
+  }
+  /// The number of the line the last Next() returned.
+  size_t number() const { return number_; }
+
+ private:
+  Pieces pieces_;
+  size_t number_ = 0;
 };
 
 /// Splits `line` at tabs: the first `max` columns land in `cols`, and the
@@ -100,12 +122,9 @@ Result<TsvCorpus> ReadExtractionsTsv(const std::string& text) {
   std::string pattern;  // "<extractor>/<pattern>", reused row to row
   std::string_view cols[7];
 
-  size_t line_no = 0;
-  Pieces lines(text, '\n');
+  Lines lines(text);
   for (std::string_view line; lines.Next(&line);) {
-    ++line_no;
-    // A CRLF line end is not part of the last column (say, a confidence).
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    const size_t line_no = lines.number();
     if (line.empty() || line[0] == '#') continue;
     const size_t num_cols = SplitColumns(line, cols, 7);
     if (line_no == 1 && num_cols >= 5 && cols[0] == "subject") {
@@ -322,10 +341,9 @@ Result<FusedKbTsv> ReadFusedKbTsv(const std::string& text) {
   FusedKbTsv kb;
   bool saw_meta = false;
   std::string_view cols[10];
-  size_t line_no = 0;
-  Pieces lines(text, '\n');
+  Lines lines(text);
   for (std::string_view line; lines.Next(&line);) {
-    ++line_no;
+    const size_t line_no = lines.number();
     if (line.empty() || line[0] == '#') continue;
     const size_t num_cols = SplitColumns(line, cols, 10);
     const std::string_view tag = cols[0];

@@ -40,13 +40,20 @@ size_t ClaimGraph::Update(const extract::ExtractionDataset& dataset,
   // mark every shard that receives a record dirty.
   std::vector<uint8_t> dirty(shards_.size(), 0);
   record_prov_.reserve(n);
+  // An extractor emits a page's triples together, so a record mostly has
+  // the provenance of the one before it: only a new key is looked up.
+  uint64_t last_key = 0;
+  uint32_t last_prov = KeyIndex::kAbsent;
   for (size_t i = num_records_indexed_; i < n; ++i) {
     const extract::ExtractionRecord& r = dataset.records()[i];
     KF_CHECK(r.triple < dataset.num_triples());
-    uint64_t key = extract::ProvenanceKey(r.prov, granularity_);
-    auto [it, inserted] = prov_index_.emplace(
-        key, static_cast<uint32_t>(prov_index_.size()));
-    record_prov_.push_back(it->second);
+    const uint64_t key = extract::ProvenanceKey(r.prov, granularity_);
+    if (key != last_key || last_prov == KeyIndex::kAbsent) {
+      last_prov =
+          prov_index_.Intern(key, static_cast<uint32_t>(prov_index_.size()));
+      last_key = key;
+    }
+    record_prov_.push_back(last_prov);
     size_t s = partitioner_.ShardOf(dataset.triple(r.triple).item);
     shards_[s].records.push_back(static_cast<uint32_t>(i));
     dirty[s] = 1;
@@ -85,44 +92,61 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
   shard->mapped = ShardColumns{};
   // Re-deduplicate the shard's full record list: first-seen order for both
   // (prov, triple) pairs and items, exactly as a full build would see them.
-  std::unordered_map<uint64_t, uint32_t> pair_index;  // (prov, triple)
-  std::unordered_map<kb::DataItemId, uint32_t> item_index;
+  // The record count bounds both, so nothing below grows while it fills.
+  const size_t num_records = shard->records.size();
+  KeyIndex claim_index;  // (prov, triple) -> flat claim
+  KeyIndex item_index;   // item -> group
+  claim_index.Reserve(num_records);
+  item_index.Reserve(num_records);
   std::vector<kb::TripleId> flat_triple;
   std::vector<uint32_t> flat_prov;
   std::vector<float> flat_conf;
   std::vector<uint32_t> flat_group;  // item group of each claim
+  flat_triple.reserve(num_records);
+  flat_prov.reserve(num_records);
+  flat_conf.reserve(num_records);
+  flat_group.reserve(num_records);
   std::vector<uint32_t> group_counts;
   shard->items.clear();
 
-  for (uint32_t idx : shard->records) {
+  const std::vector<uint32_t>& records = shard->records;
+  for (size_t k = 0; k < num_records; ++k) {
+    // A shard's records are scattered over the dataset: fetch ahead.
+    if (k + 16 < num_records) {
+      __builtin_prefetch(&dataset.records()[records[k + 16]]);
+    }
+    const uint32_t idx = records[k];
     const extract::ExtractionRecord& r = dataset.records()[idx];
     const uint32_t prov = record_prov_[idx];
-    uint64_t pair_key = (static_cast<uint64_t>(prov) << 32) |
-                        static_cast<uint64_t>(r.triple);
-    auto [it, inserted] = pair_index.emplace(
-        pair_key, static_cast<uint32_t>(flat_triple.size()));
-    if (!inserted) {
+    const auto next_claim = static_cast<uint32_t>(flat_triple.size());
+    const uint32_t claim =
+        claim_index.Intern(KeyIndex::Key(prov, r.triple), next_claim);
+    if (claim != next_claim) {
       if (r.has_confidence) {
-        float& conf = flat_conf[it->second];
+        float& conf = flat_conf[claim];
         conf = std::max(conf, r.confidence);
       }
       continue;
     }
-    kb::DataItemId item = dataset.triple(r.triple).item;
-    auto [git, gnew] = item_index.emplace(
-        item, static_cast<uint32_t>(shard->items.size()));
-    if (gnew) {
+    const kb::DataItemId item = dataset.triple(r.triple).item;
+    const auto next_group = static_cast<uint32_t>(shard->items.size());
+    const uint32_t group = item_index.Intern(item, next_group);
+    if (group == next_group) {
       shard->items.push_back(item);
       group_counts.push_back(0);
     }
     flat_triple.push_back(r.triple);
     flat_prov.push_back(prov);
     flat_conf.push_back(r.has_confidence ? r.confidence : -1.0f);
-    flat_group.push_back(git->second);
-    ++group_counts[git->second];
+    flat_group.push_back(group);
+    ++group_counts[group];
   }
 
-  // Stable counting sort of the flat claims into item-grouped CSR columns.
+  // Stable counting sort of the flat claims into item-grouped CSR columns,
+  // visiting them in stable triple order (fusion/column_sort.h): each
+  // group comes out sorted by triple, the claims of one triple in global
+  // first-seen order. That is the sorted-group invariant, with no sort per
+  // group; triple ids are dense, so radix passes order them in linear time.
   shard->item_offsets = CsrOffsets(group_counts);
   const size_t num_claims = flat_triple.size();
   shard->claim_triple.resize(num_claims);
@@ -130,38 +154,22 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
   shard->claim_confidence.resize(num_claims);
   std::vector<uint32_t> cursor(shard->item_offsets.begin(),
                                shard->item_offsets.end() - 1);
-  for (size_t i = 0; i < num_claims; ++i) {
-    uint32_t pos = cursor[flat_group[i]]++;
+  std::vector<uint32_t> perm;
+  RadixSortPermutation(flat_triple.data(), num_claims, &perm);
+  for (uint32_t i : perm) {
+    const uint32_t pos = cursor[flat_group[i]]++;
     shard->claim_triple[pos] = flat_triple[i];
     shard->claim_prov[pos] = flat_prov[i];
     shard->claim_confidence[pos] = flat_conf[i];
   }
 
-  // Establish the sorted-group invariant: each item group sorted by
-  // triple, stable (fusion/column_sort.h) so the claims of one triple
-  // keep global first-seen order. Scratch lives outside the loop; groups
-  // already in order (the common case for 1-2 claim items) skip the
-  // permutation entirely.
-  std::vector<uint32_t> perm;
-  std::vector<kb::TripleId> tmp_triple;
-  std::vector<uint32_t> tmp_prov;
-  std::vector<float> tmp_conf;
   shard->item_multi.assign(shard->num_items(), 0);
   shard->item_distinct.assign(shard->num_items(), 0);
   for (size_t g = 0; g < shard->num_items(); ++g) {
     const uint32_t begin = shard->item_offsets[g];
     const uint32_t end = shard->item_offsets[g + 1];
-    if (!std::is_sorted(shard->claim_triple.begin() + begin,
-                        shard->claim_triple.begin() + end)) {
-      StableSortPermutation(shard->claim_triple.data() + begin, end - begin,
-                            &perm);
-      ApplyPermutation(perm, shard->claim_triple.data() + begin, &tmp_triple);
-      ApplyPermutation(perm, shard->claim_prov.data() + begin, &tmp_prov);
-      ApplyPermutation(perm, shard->claim_confidence.data() + begin,
-                       &tmp_conf);
-    }
-    // Runs are now contiguous: multi-support flag and distinct-triple
-    // count come from one linear pass, no hash map.
+    // Runs are contiguous: multi-support flag and distinct-triple count
+    // come from one linear pass, no hash map.
     uint32_t distinct = 0;
     for (uint32_t i = begin; i < end;) {
       uint32_t j = i + 1;
@@ -179,8 +187,9 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
   // groups above are the order the global cross-index historically swept,
   // shard-major). Stable permutation by prov keeps each provenance's
   // triples in claim-column order, so concatenating the per-shard groups
-  // reproduces the old global prov_triples order bit for bit.
-  StableSortPermutation(shard->claim_prov.data(), num_claims, &perm);
+  // reproduces the old global prov_triples order bit for bit. Provenance
+  // ids are dense too.
+  RadixSortPermutation(shard->claim_prov.data(), num_claims, &perm);
   shard->prov_ids.clear();
   shard->prov_offsets.clear();
   shard->prov_triples.resize(num_claims);

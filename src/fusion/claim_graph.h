@@ -1,10 +1,19 @@
 // The sharded, columnar claim graph: the item/provenance groupings of the
 // three-stage architecture (Fig. 8), built once instead of re-shuffled
 // every round. Claims are hash-partitioned into shards by DataItemId; each
-// shard stores its claims as CSR-grouped columns (item -> claim range), and
-// a global provenance cross-index (prov -> claimed triples) spans the
-// shards. Stage I of the engine sweeps shards, Stage II sweeps the
-// cross-index; neither re-hashes or re-groups anything.
+// shard stores its claims as CSR-grouped columns (item -> claim range) and
+// regroups them by provenance in a local CSR, and a global segment
+// directory (prov -> its per-shard segments) spans the shards. Stage I of
+// the engine sweeps shards, Stage II sweeps the directory; neither
+// re-hashes or re-groups anything.
+//
+// Build: provenances get dense ids in global record order; each shard
+// then deduplicates its records by (provenance, triple) and groups them by
+// item. All three interning steps go through KeyIndex
+// (common/flat_table.h), the shard's two presized from its record count,
+// so no node-based map is on the build path. Stable radix permutations
+// over the dense ids (fusion/column_sort.h) order a shard's claims by
+// triple, as they are scattered into item groups, and by provenance.
 //
 // Incremental ingest: Update() consumes the records appended to the
 // dataset since the last build, re-deduplicates only the shards whose data
@@ -17,9 +26,9 @@
 #define KF_FUSION_CLAIM_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/logging.h"
 #include "extract/dataset.h"
 #include "extract/provenance.h"
@@ -327,7 +336,7 @@ class ClaimGraph {
   std::vector<Shard> shards_;
   /// ProvenanceKey -> dense provenance id, interned in global record order
   /// (so ids are stable under appends).
-  std::unordered_map<uint64_t, uint32_t> prov_index_;
+  KeyIndex prov_index_;
   /// Dense provenance id of every indexed record (avoids re-hashing
   /// provenances when a shard is rebuilt).
   std::vector<uint32_t> record_prov_;

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "common/string_util.h"
 
 namespace kf {
@@ -173,35 +172,6 @@ TEST(StringArenaTest, KeepsDuplicatesInAppendOrder) {
   StringArena moved = std::move(arena);
   EXPECT_EQ(moved.size(), 3u);
   EXPECT_EQ(moved.Get(2), "a");
-}
-
-// Every key hashes to one bucket, so each probe walks the collision run
-// and every growth re-slots a full cluster.
-struct CollidingSlot {
-  uint32_t key = 0;
-  uint32_t value = 0xffffffffu;  // empty
-  bool empty() const { return value == 0xffffffffu; }
-  uint64_t hash() const { return 7; }
-};
-
-TEST(FlatTableTest, CollidingKeysKeepTheirFirstValueAcrossGrowth) {
-  FlatTable<CollidingSlot> table;
-  const auto key_is = [](uint32_t key) {
-    return [key](const CollidingSlot& slot) { return slot.key == key; };
-  };
-  EXPECT_EQ(table.Find(7, key_is(0)), nullptr);  // empty table
-  for (uint32_t k = 0; k < 100; ++k) {
-    EXPECT_EQ(table.Insert(CollidingSlot{k, k * 10}, key_is(k)).value, k * 10);
-  }
-  for (uint32_t k = 0; k < 100; ++k) {
-    // A second insert of a key finds the resident entry.
-    EXPECT_EQ(table.Insert(CollidingSlot{k, 1}, key_is(k)).value, k * 10);
-    const CollidingSlot* slot = table.Find(7, key_is(k));
-    ASSERT_NE(slot, nullptr);
-    EXPECT_EQ(slot->value, k * 10);
-  }
-  EXPECT_EQ(table.size(), 100u);
-  EXPECT_EQ(table.Find(7, key_is(100)), nullptr);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
 #include <tuple>
 #include <unordered_map>
 
+#include "common/checksum.h"
 #include "synth/corpus.h"
 
 namespace kf::fusion {
@@ -463,6 +465,80 @@ TEST(ClaimGraphTest, UntouchedShardsAreNotRebuilt) {
   ClaimGraph graph(corpus.dataset, gran, /*num_shards=*/32, /*num_workers=*/1,
                    /*num_records=*/total - 1);
   EXPECT_EQ(graph.Update(corpus.dataset), 1u);
+}
+
+// ---- Graph columns pinned across versions ----
+//
+// The tests above compare the graph with an oracle or with itself. This
+// case pins every column a build or an update produces to CRC-32
+// constants recorded from an earlier implementation, so a change to the
+// interning, the dedupe or the sorts that moves one id, one claim or one
+// segment fails here. A deliberate change to the graph's layout
+// re-records the constants.
+uint32_t GraphCrc(const ClaimGraph& graph) {
+  uint32_t crc = 0;
+  auto add = [&crc](const auto& column) {
+    crc = Crc32(column.data(), column.size() * sizeof(column[0]), crc);
+  };
+  for (size_t s = 0; s < graph.num_shards(); ++s) {
+    const ClaimGraph::Shard& sh = graph.shard(s);
+    add(sh.records);
+    add(sh.items);
+    add(sh.item_offsets);
+    add(sh.item_multi);
+    add(sh.item_distinct);
+    add(sh.claim_triple);
+    add(sh.claim_prov);
+    add(sh.claim_confidence);
+    add(sh.prov_ids);
+    add(sh.prov_offsets);
+    add(sh.prov_triples);
+  }
+  add(graph.prov_claims());
+  add(graph.prov_segment_offsets());
+  for (const ClaimGraph::ProvSegment& seg : graph.prov_segments()) {
+    const uint32_t fields[] = {seg.shard, seg.begin, seg.end, seg.prov};
+    crc = Crc32(fields, sizeof(fields), crc);
+  }
+  add(graph.record_provs());
+  return crc;
+}
+
+std::string Hex(uint32_t v) {
+  std::ostringstream out;
+  out << std::hex << "0x" << v;
+  return out.str();
+}
+
+TEST(ClaimGraphTest, ColumnsMatchRecordedOutput) {
+  const auto& dataset = SmallCorpus().dataset;
+  const ClaimGraph url16(dataset, extract::Granularity::ExtractorUrl(),
+                         /*num_shards=*/16);
+  EXPECT_EQ(GraphCrc(url16), 0x43282c37u)
+      << "(Extractor, URL) at 16 shards: got " << Hex(GraphCrc(url16));
+
+  const ClaimGraph pattern64(
+      dataset, extract::Granularity::ExtractorSitePredicatePattern(),
+      /*num_shards=*/64);
+  EXPECT_EQ(GraphCrc(pattern64), 0xe59756b8u)
+      << "(Extractor, Site, Predicate, Pattern) at 64 shards: got "
+      << Hex(GraphCrc(pattern64));
+
+  // Half the corpus, then the rest in 10 appends: every update path
+  // (dirty-shard rebuilds, new provenances, the directory splice) runs.
+  const size_t total = dataset.num_records();
+  const size_t base = total / 2;
+  ClaimGraph appended(dataset, extract::Granularity::ExtractorUrl(),
+                      /*num_shards=*/16, /*num_workers=*/1,
+                      /*num_records=*/base);
+  for (size_t k = 1; k <= 10; ++k) {
+    appended.Update(dataset, base + (total - base) * k / 10);
+  }
+  ASSERT_EQ(appended.num_records_indexed(), total);
+  // Equal to the full build's constant: an update is bit-identical to a
+  // build over the concatenated records.
+  EXPECT_EQ(GraphCrc(appended), 0x43282c37u)
+      << "16 shards after 10 appends: got " << Hex(GraphCrc(appended));
 }
 
 }  // namespace

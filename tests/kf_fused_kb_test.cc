@@ -417,6 +417,32 @@ TEST(FusedKbTest, ImportRejectsMalformedTsv) {
   EXPECT_EQ(ok->Lookup("s", "p")->object, "o1");
 }
 
+/// `lf` with every "\n" line end written as "\r\n".
+std::string WithCrlf(const std::string& lf) {
+  std::string out;
+  for (char c : lf) {
+    if (c == '\n') out += '\r';
+    out += c;
+  }
+  return out;
+}
+
+TEST(FusedKbTsvTest, CrlfLineEndsParseLikeLf) {
+  Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
+  ASSERT_TRUE(corpus.ok());
+  // An exported KB plus a T row whose last column, the supporters, is
+  // empty: the line end's '\r' would be all that column holds.
+  const std::string lf =
+      SnapshotTsv(&*corpus, fusion::Method::kPopAccu).ToTsv() +
+      "T\tStarWars\trelease_year\t1977\t0.5\t0.5\t1\t0\t1\t\n";
+  Result<FusedKB> from_lf = FusedKB::FromTsv(lf);
+  ASSERT_TRUE(from_lf.ok()) << from_lf.status().ToString();
+  Result<FusedKB> from_crlf = FusedKB::FromTsv(WithCrlf(lf));
+  ASSERT_TRUE(from_crlf.ok()) << from_crlf.status().ToString();
+  EXPECT_TRUE(*from_crlf == *from_lf);
+  EXPECT_EQ(from_crlf->ToTsv(), lf);
+}
+
 TEST(FusedKbTest, BinaryImportRejectsSupportersNotStrictlyAscending) {
   // The container stores any supporter order (store_roundtrip_test pins
   // that); the KB import is what enforces the ascending invariant.
