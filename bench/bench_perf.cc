@@ -109,6 +109,30 @@ BENCHMARK(BM_StageIISweep)
     ->Args({4, 8})
     ->Unit(benchmark::kMillisecond);
 
+// The same Stage II sweep at scale 1 and 1 worker across shard counts
+// (arg: shards). Stage II visits every shard's local provenance groups, so
+// a per-shard cost that grows with the shard count shows here first.
+void BM_StageIISweepShards(benchmark::State& state) {
+  const auto& corpus = CorpusAtScale(1.0);
+  fusion::FusionOptions opts = PopAccuOpts(1);
+  opts.num_shards = static_cast<size_t>(state.range(0));
+  fusion::FusionEngine engine(corpus.dataset, opts);
+  fusion::FusionResult result = engine.Prepare();
+  engine.StageI(1, &result);
+  for (auto _ : state) {
+    double delta = engine.StageII(result);
+    benchmark::DoNotOptimize(delta);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(engine.num_claims()));
+  state.counters["provs"] = static_cast<double>(engine.num_provenances());
+}
+BENCHMARK(BM_StageIISweepShards)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
 // ---- isolated scorer cost (the Stage I inner loop) ----
 
 // Every item group of the scale-1 claim graph as a (triple, prov) span over

@@ -7,6 +7,11 @@
 # other build target compiles. Fails unless each run's result line reports
 # "correct": true and "failed": 0.
 #
+# After each workload's result it prints the exact work counters the
+# traced run reports (rounds, claims, publish rounds, spill files, bytes
+# and maps, KB bytes). They do not depend on timing, so two builds that do
+# the same work print the same counters: diff two smoke logs to check.
+#
 #   ./scripts/perfbench_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +32,12 @@ except ValueError:
 print("%s: correct=%s attempted=%s failed=%s" % (
     sys.argv[1], result.get("correct"), result.get("attempted"),
     result.get("failed")))
+metrics = result.get("metrics", {})
+for name in ("fusion.rounds", "fusion.claims", "kf.publish_rounds",
+             "spill.files_written", "spill.bytes_written", "spill.maps_opened",
+             "store.kb_bytes"):
+    if name in metrics:
+        print("%s: %s=%.17g" % (sys.argv[1], name, metrics[name]["value"]))
 sys.exit(0 if result.get("correct") is True and result.get("failed") == 0
          else 1)
 ' "${workload}"

@@ -39,7 +39,11 @@ size_t ClaimGraph::Update(const extract::ExtractionDataset& dataset,
   // dense prov ids match a full rebuild of the concatenated dataset) and
   // mark every shard that receives a record dirty.
   std::vector<uint8_t> dirty(shards_.size(), 0);
-  record_prov_.reserve(n);
+  // Grow geometrically: reserving exactly `n` would reallocate and copy
+  // the whole array on every append.
+  if (n > record_prov_.capacity()) {
+    record_prov_.reserve(std::max(n, 2 * record_prov_.capacity()));
+  }
   // An extractor emits a page's triples together, so a record mostly has
   // the provenance of the one before it: only a new key is looked up.
   uint64_t last_key = 0;
@@ -65,11 +69,10 @@ size_t ClaimGraph::Update(const extract::ExtractionDataset& dataset,
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (dirty[s]) dirty_shards.push_back(static_cast<uint32_t>(s));
   }
-  // Splice the global cross-index instead of re-counting every claim:
-  // retire the dirty shards' old local-index contributions, rebuild those
-  // shards (claim columns + local prov index), re-add their new
-  // contributions, and re-derive the segment directory. Clean shards'
-  // claims are never touched.
+  // Adjust the claim counts instead of re-counting every claim: retire
+  // the dirty shards' old local-index contributions, rebuild those shards
+  // (claim columns + local prov index), and re-add their new
+  // contributions. Clean shards are never touched.
   prov_claims_.resize(prov_index_.size(), 0);  // new provs enter at 0
   for (uint32_t s : dirty_shards) AccumulateShardCounts(shards_[s], -1);
   // Shard rebuilds are independent (each touches only its own Shard), so
@@ -78,7 +81,6 @@ size_t ClaimGraph::Update(const extract::ExtractionDataset& dataset,
     RebuildShard(dataset, &shards_[dirty_shards[d]]);
   });
   for (uint32_t s : dirty_shards) AccumulateShardCounts(shards_[s], +1);
-  RebuildSegmentDirectory();
   return dirty_shards.size();
 }
 
@@ -183,12 +185,11 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
     shard->item_distinct[g] = distinct;
   }
 
-  // Local provenance cross-index over the FINAL claim columns (the sorted
-  // groups above are the order the global cross-index historically swept,
-  // shard-major). Stable permutation by prov keeps each provenance's
-  // triples in claim-column order, so concatenating the per-shard groups
-  // reproduces the old global prov_triples order bit for bit. Provenance
-  // ids are dense too.
+  // Local provenance cross-index over the FINAL claim columns. A stable
+  // permutation by prov keeps each provenance's triples in claim-column
+  // order, so the sequence Stage II folds (a provenance's groups in
+  // ascending shard order) depends only on each shard's own records.
+  // Provenance ids are dense too.
   RadixSortPermutation(shard->claim_prov.data(), num_claims, &perm);
   shard->prov_ids.clear();
   shard->prov_offsets.clear();
@@ -256,7 +257,7 @@ void ClaimGraph::RematerializeShard(const extract::ExtractionDataset& dataset,
 }
 
 void ClaimGraph::AccumulateShardCounts(const Shard& shard, int sign) {
-  for (size_t k = 0; k < shard.num_prov_segments(); ++k) {
+  for (size_t k = 0; k < shard.num_prov_groups(); ++k) {
     const uint32_t width = shard.prov_offsets[k + 1] - shard.prov_offsets[k];
     if (sign > 0) {
       prov_claims_[shard.prov_ids[k]] += width;
@@ -270,33 +271,6 @@ void ClaimGraph::AccumulateShardCounts(const Shard& shard, int sign) {
   } else {
     KF_CHECK(num_claims_ >= shard.num_claims());
     num_claims_ -= shard.num_claims();
-  }
-}
-
-// The directory is O(total segments + num_provs) to re-derive — a segment
-// is one (shard, provenance) pair, typically orders of magnitude fewer
-// than claims — and the per-claim work (the local indexes) was already
-// paid only for the dirty shards. This is the "splice" the ROADMAP asked
-// for: appending one record re-counts one shard, not the whole graph.
-void ClaimGraph::RebuildSegmentDirectory() {
-  const size_t num_provs = prov_index_.size();
-  std::vector<uint32_t> seg_counts(num_provs, 0);
-  size_t total_segments = 0;
-  for (const Shard& sh : shards_) {
-    total_segments += sh.num_prov_segments();
-    for (uint32_t p : sh.prov_ids) ++seg_counts[p];
-  }
-  prov_seg_offsets_ = CsrOffsets(seg_counts);
-  prov_segments_.resize(total_segments);
-  std::vector<uint32_t> cursor(prov_seg_offsets_.begin(),
-                               prov_seg_offsets_.end() - 1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = shards_[s];
-    for (size_t k = 0; k < sh.num_prov_segments(); ++k) {
-      prov_segments_[cursor[sh.prov_ids[k]]++] = ProvSegment{
-          static_cast<uint32_t>(s), sh.prov_offsets[k],
-          sh.prov_offsets[k + 1], sh.prov_ids[k]};
-    }
   }
 }
 

@@ -2,10 +2,12 @@
 // three-stage architecture (Fig. 8), built once instead of re-shuffled
 // every round. Claims are hash-partitioned into shards by DataItemId; each
 // shard stores its claims as CSR-grouped columns (item -> claim range) and
-// regroups them by provenance in a local CSR, and a global segment
-// directory (prov -> its per-shard segments) spans the shards. Stage I of
-// the engine sweeps shards, Stage II sweeps the directory; neither
-// re-hashes or re-groups anything.
+// regroups them by provenance in a local CSR (prov -> its claims in this
+// shard). That local index is the only provenance index: no global
+// directory spans the shards. Stage I of the engine sweeps the item
+// groups; Stage II sweeps the local provenance groups and folds them per
+// provenance in ascending shard order. Neither re-hashes or re-groups
+// anything.
 //
 // Build: provenances get dense ids in global record order; each shard
 // then deduplicates its records by (provenance, triple) and groups them by
@@ -17,11 +19,11 @@
 //
 // Incremental ingest: Update() consumes the records appended to the
 // dataset since the last build, re-deduplicates only the shards whose data
-// items are touched, and refreshes the cross-index. For a fixed shard
-// count, appending then updating yields a graph bit-identical to a full
-// rebuild over the concatenated dataset (provenance ids are interned in
-// global record order, shard contents only depend on the shard's own
-// record list).
+// items are touched, and adjusts the per-provenance claim counts by the
+// dirty shards' deltas. For a fixed shard count, appending then updating
+// yields a graph bit-identical to a full rebuild over the concatenated
+// dataset (provenance ids are interned in global record order, shard
+// contents only depend on the shard's own record list).
 #ifndef KF_FUSION_CLAIM_GRAPH_H_
 #define KF_FUSION_CLAIM_GRAPH_H_
 
@@ -120,22 +122,21 @@ class ClaimGraph {
     /// provenance. prov_ids lists the distinct dense provenance ids
     /// claiming in this shard, ascending; prov_offsets is the CSR into
     /// prov_triples (size prov_ids.size() + 1). Within one provenance the
-    /// triples keep the shard's final claim-column order, so concatenating
-    /// the per-shard groups shard-major reproduces the historical global
-    /// cross-index order exactly. Rebuilt together with the claim columns,
-    /// which is what lets Update() splice the global directory instead of
-    /// re-counting every claim.
+    /// triples keep the shard's final claim-column order, so a
+    /// provenance's claims in the whole graph are its groups concatenated
+    /// in ascending shard order — the order Stage II folds them in.
+    /// Rebuilt together with the claim columns, so an Update() touches
+    /// only the dirty shards' groups.
     std::vector<uint32_t> prov_ids;
     std::vector<uint32_t> prov_offsets;
     std::vector<kb::TripleId> prov_triples;
 
     /// Residency of the spillable columns (items/item_* /claim_* /
     /// prov_triples). `records`, `prov_ids`, and `prov_offsets` are
-    /// always resident: Update() re-deduplicates from `records`, and the
-    /// cross-index bookkeeping (AccumulateShardCounts,
-    /// RebuildSegmentDirectory) reads only the local prov CSR — so a
-    /// clean spilled shard survives an Update() of its neighbors without
-    /// touching disk.
+    /// always resident: Update() re-deduplicates from `records`, the claim
+    /// counts (AccumulateShardCounts) and Stage II's slot layout and fold
+    /// read only the local prov CSR — so a clean spilled shard survives an
+    /// Update() of its neighbors without touching disk.
     ShardResidency residency = ShardResidency::kResident;
     /// External column view when residency == kMapped. When kEvicted the
     /// pointers are null but the counts remain valid (scheduling and
@@ -150,7 +151,7 @@ class ClaimGraph {
       return residency == ShardResidency::kResident ? claim_triple.size()
                                                     : mapped.num_claims;
     }
-    size_t num_prov_segments() const { return prov_ids.size(); }
+    size_t num_prov_groups() const { return prov_ids.size(); }
 
     /// The current column view (resident vectors or the attached
     /// mapping). Checked: an evicted shard has no columns to read.
@@ -180,18 +181,6 @@ class ClaimGraph {
     }
   };
 
-  /// One provenance's claims within one shard: a span of
-  /// shard(seg.shard).prov_triples. The global cross-index is the
-  /// concatenation of a provenance's segments in directory order. The
-  /// owning provenance rides along so per-segment sweeps (Stage II's
-  /// subset accumulation) never need a reverse lookup.
-  struct ProvSegment {
-    uint32_t shard = 0;
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    uint32_t prov = 0;
-  };
-
   ClaimGraph() = default;
 
   /// Builds the graph over the first `num_records` records of `dataset`
@@ -204,12 +193,11 @@ class ClaimGraph {
              size_t num_workers = 0, size_t num_records = kAllRecords);
 
   /// Ingests records appended to `dataset` since the last build/update (up
-  /// to `num_records`), rebuilding only the touched shards, then splices
-  /// the provenance cross-index: clean shards keep their local prov
-  /// segments and only the directory (O(segments)) is re-derived — never a
-  /// flat O(total claims) pass. Returns the number of shards rebuilt (0
-  /// for an empty append). The dataset must be append-only with respect to
-  /// the records already indexed.
+  /// to `num_records`), rebuilding only the touched shards: clean shards
+  /// keep their local prov groups, and the claim counts change by the
+  /// dirty shards' deltas — the clean shards' data is never read. Returns
+  /// the number of shards rebuilt (0 for an empty append). The dataset
+  /// must be append-only with respect to the records already indexed.
   size_t Update(const extract::ExtractionDataset& dataset,
                 size_t num_records = kAllRecords);
 
@@ -237,7 +225,7 @@ class ClaimGraph {
   /// kResident -> kEvicted: frees the owning spillable columns. The
   /// caller must have preserved their contents externally first (via
   /// columns(s)); metadata (records, prov_ids/prov_offsets, counts)
-  /// stays, so Update() and the directory still work.
+  /// stays, so Update() and Stage II's fold still work.
   void ReleaseShardColumns(size_t s);
   /// kEvicted -> kMapped: serves reads from `view`, whose counts must
   /// match the evicted columns (checked). The view's storage must outlive
@@ -264,33 +252,10 @@ class ClaimGraph {
     return last_rebuilt_shards_;
   }
 
-  // ---- provenance cross-index (Stage II sweeps) ----
+  // ---- provenance counts (the groups live in the shards) ----
   size_t num_provs() const { return prov_claims_.size(); }
   /// Claims per provenance.
   const std::vector<uint32_t>& prov_claims() const { return prov_claims_; }
-  /// Per-provenance segment directory (CSR into prov_segments(); size
-  /// num_provs() + 1). Segments of one provenance appear shard-major, so
-  /// visiting them in order reproduces the deterministic global order.
-  const std::vector<uint32_t>& prov_segment_offsets() const {
-    return prov_seg_offsets_;
-  }
-  const std::vector<ProvSegment>& prov_segments() const {
-    return prov_segments_;
-  }
-
-  /// Visits every triple claimed by provenance p as fn(triple), in the
-  /// fixed deterministic cross-index order (shard-major; within a shard,
-  /// final claim-column order). This order does not depend on which
-  /// shards the last Update() rebuilt.
-  template <typename Fn>
-  void ForEachProvTriple(uint32_t p, Fn&& fn) const {
-    for (uint32_t s = prov_seg_offsets_[p]; s < prov_seg_offsets_[p + 1];
-         ++s) {
-      const ProvSegment& seg = prov_segments_[s];
-      const kb::TripleId* triples = shards_[seg.shard].Columns().prov_triples;
-      for (uint32_t i = seg.begin; i < seg.end; ++i) fn(triples[i]);
-    }
-  }
 
   // ---- whole-graph statistics ----
   size_t num_claims() const { return num_claims_; }
@@ -325,9 +290,6 @@ class ClaimGraph {
   /// Adds (sign +1) or removes (sign -1) a shard's local cross-index
   /// contribution to prov_claims_ / num_claims_.
   void AccumulateShardCounts(const Shard& shard, int sign);
-  /// Re-derives the segment directory from the shards' local indexes:
-  /// O(total segments + num_provs), never O(total claims).
-  void RebuildSegmentDirectory();
 
   extract::Granularity granularity_;
   Partitioner partitioner_{1};
@@ -346,10 +308,6 @@ class ClaimGraph {
   /// Maintained by per-shard deltas in Update(): only dirty shards'
   /// contributions are subtracted and re-added.
   std::vector<uint32_t> prov_claims_;
-  /// Starts as {0} so the CSR invariant (size num_provs() + 1) holds even
-  /// before any record is indexed (empty dataset).
-  std::vector<uint32_t> prov_seg_offsets_ = {0};
-  std::vector<ProvSegment> prov_segments_;
   std::vector<uint32_t> last_rebuilt_shards_;
 };
 

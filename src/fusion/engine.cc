@@ -372,70 +372,109 @@ void FusionEngine::BeginStageII(const FusionResult& result) {
   // interned after `result` was Prepared.
   KF_CHECK(result.probability.size() == dataset_.num_triples());
   KF_CHECK(accuracy_.size() == graph_.num_provs());
-  const size_t num_segments = graph_.prov_segments().size();
-  seg_sum_.assign(num_segments, 0.0);
-  seg_cnt_.assign(num_segments, 0);
-  seg_values_.assign(num_segments, {});
+  // One slot per local provenance group: shard s's k-th group owns slot
+  // group_base_[s] + k.
+  const size_t num_shards = graph_.num_shards();
+  group_base_.resize(num_shards + 1);
+  group_base_[0] = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    group_base_[s + 1] = group_base_[s] + graph_.shard(s).num_prov_groups();
+  }
+  group_sum_.assign(group_base_[num_shards], 0.0);
+  group_cnt_.assign(group_base_[num_shards], 0);
+  shard_values_.assign(num_shards, {});
 }
 
 void FusionEngine::AccumulateStageII(const std::vector<uint32_t>& shard_ids,
                                      const FusionResult& result) {
-  const std::vector<ClaimGraph::ProvSegment>& segments =
-      graph_.prov_segments();
-  KF_CHECK(seg_sum_.size() == segments.size());  // BeginStageII ran
-  std::vector<uint8_t> member(graph_.num_shards(), 0);
-  for (uint32_t s : shard_ids) member[s] = 1;
+  // BeginStageII ran, and FinishStageII has not released its accumulators.
+  KF_CHECK(shard_values_.size() == graph_.num_shards());
   const std::vector<uint32_t>& prov_claims = graph_.prov_claims();
-
-  // Each segment owns its accumulator slot and its arithmetic is internal
-  // to the segment, so neither the worker decomposition nor the grouping
-  // of shards into subsets can change a single bit of the partials.
-  constexpr size_t kSegBlock = 256;
-  const size_t num_blocks =
-      (segments.size() + kSegBlock - 1) / kSegBlock;
-  ParallelFor(num_blocks, options_.num_workers, [&](size_t b) {
-    const size_t seg_end = std::min((b + 1) * kSegBlock, segments.size());
-    for (size_t i = b * kSegBlock; i < seg_end; ++i) {
-      const ClaimGraph::ProvSegment& seg = segments[i];
-      if (!member[seg.shard]) continue;
-      const kb::TripleId* triples = graph_.columns(seg.shard).prov_triples;
-      if (prov_claims[seg.prov] > options_.sample_cap) {
-        // Oversized provenance: keep the raw eligible values — the
-        // reservoir sample must see the concatenated sequence, so it is
-        // drawn at Finish, never per subset.
-        std::vector<float>& vals = seg_values_[i];
-        vals.reserve(seg.end - seg.begin);
-        for (uint32_t j = seg.begin; j < seg.end; ++j) {
-          const kb::TripleId t = triples[j];
-          // Fallback probabilities are not data-driven; they must not
-          // reinforce accuracies.
-          if (!result.has_probability[t] || result.from_fallback[t]) {
-            continue;
+  // Each shard owns its groups' slots and its value buffer, and a group's
+  // arithmetic is internal to the group, so neither the worker
+  // decomposition nor the grouping of shards into subsets can change a
+  // single bit of the partials.
+  ParallelFor(
+      shard_ids.size(), options_.num_workers,
+      [&](size_t k) {
+        const uint32_t s = shard_ids[k];
+        const ClaimGraph::Shard& sh = graph_.shard(s);
+        const size_t base = group_base_[s];
+        KF_CHECK(base + sh.num_prov_groups() == group_base_[s + 1]);
+        const kb::TripleId* triples = graph_.columns(s).prov_triples;
+        std::vector<float>& values = shard_values_[s];
+        values.clear();
+        for (size_t g = 0; g < sh.num_prov_groups(); ++g) {
+          const bool oversized =
+              prov_claims[sh.prov_ids[g]] > options_.sample_cap;
+          double sum = 0.0;
+          uint32_t cnt = 0;
+          for (uint32_t j = sh.prov_offsets[g]; j < sh.prov_offsets[g + 1];
+               ++j) {
+            const kb::TripleId t = triples[j];
+            // Fallback probabilities are not data-driven; they must not
+            // reinforce accuracies.
+            if (!result.has_probability[t] || result.from_fallback[t]) {
+              continue;
+            }
+            const auto v = static_cast<float>(result.probability[t]);
+            // An oversized provenance keeps its raw eligible values: the
+            // reservoir sample must see the concatenated sequence, so it
+            // is drawn at Finish, never per subset.
+            if (oversized) {
+              values.push_back(v);
+            } else {
+              sum += static_cast<double>(v);
+            }
+            ++cnt;
           }
-          vals.push_back(static_cast<float>(result.probability[t]));
+          group_sum_[base + g] = sum;
+          group_cnt_[base + g] = cnt;
         }
-        continue;
-      }
-      double sum = 0.0;
-      uint32_t cnt = 0;
-      for (uint32_t j = seg.begin; j < seg.end; ++j) {
-        const kb::TripleId t = triples[j];
-        if (!result.has_probability[t] || result.from_fallback[t]) continue;
-        sum += static_cast<double>(static_cast<float>(result.probability[t]));
-        ++cnt;
-      }
-      seg_sum_[i] = sum;
-      seg_cnt_[i] = cnt;
-    }
-  });
+      },
+      /*grain=*/1);
 }
 
 double FusionEngine::FinishStageII(double damping, double quantile) {
   KF_CHECK(damping > 0.0 && damping <= 1.0);
   KF_CHECK(quantile > 0.0 && quantile <= 1.0);
+  KF_CHECK(shard_values_.size() == graph_.num_shards());  // BeginStageII ran
   const size_t num_provs = graph_.num_provs();
-  const std::vector<uint32_t>& seg_offsets = graph_.prov_segment_offsets();
   const std::vector<uint32_t>& prov_claims = graph_.prov_claims();
+
+  // Fold the group partials per provenance, shards in ascending order: a
+  // provenance's claims in that order are its canonical sequence, so the
+  // sum adds the same terms in the same order for any subset plan or
+  // worker count. An oversized provenance concatenates its raw values in
+  // the same order instead.
+  std::vector<double> prov_sum(num_provs, 0.0);
+  std::vector<uint32_t> prov_cnt(num_provs, 0);
+  // Sized at the first oversized group; oversized provenances are rare.
+  std::vector<std::vector<float>> prov_values;
+  for (size_t s = 0; s < graph_.num_shards(); ++s) {
+    const ClaimGraph::Shard& sh = graph_.shard(s);
+    KF_CHECK(group_base_[s] + sh.num_prov_groups() == group_base_[s + 1]);
+    const float* values = shard_values_[s].data();
+    for (size_t g = 0; g < sh.num_prov_groups(); ++g) {
+      const uint32_t p = sh.prov_ids[g];
+      const size_t slot = group_base_[s] + g;
+      if (prov_claims[p] > options_.sample_cap) {
+        if (prov_values.empty()) prov_values.resize(num_provs);
+        prov_values[p].insert(prov_values[p].end(), values,
+                              values + group_cnt_[slot]);
+        values += group_cnt_[slot];
+      } else {
+        prov_sum[p] += group_sum_[slot];
+        prov_cnt[p] += group_cnt_[slot];
+      }
+    }
+  }
+  // Release the accumulators (an oversized provenance's values are
+  // O(claims) floats; the budget story wants that memory back).
+  std::vector<double>().swap(group_sum_);
+  std::vector<uint32_t>().swap(group_cnt_);
+  std::vector<std::vector<float>>().swap(shard_values_);
+
   const size_t num_blocks = (num_provs + kProvBlock - 1) / kProvBlock;
   // The quantile criterion needs every provenance's delta, not just the
   // per-block max; -1 marks provenances this sweep did not update.
@@ -444,20 +483,13 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
   if (need_all_deltas) prov_delta.assign(num_provs, -1.0);
   std::vector<double> block_delta(num_blocks, 0.0);
   ParallelFor(num_blocks, options_.num_workers, [&](size_t b) {
-    std::vector<float> values;
     const size_t p_end = std::min((b + 1) * kProvBlock, num_provs);
     for (size_t p = b * kProvBlock; p < p_end; ++p) {
-      double sum = 0.0;
-      size_t cnt = 0;
+      double sum = prov_sum[p];
+      size_t cnt = prov_cnt[p];
       if (prov_claims[p] > options_.sample_cap) {
-        // Concatenating the per-segment values in directory order
-        // reproduces the flat cross-index value sequence, so the sample
-        // (and thus the sum) is independent of the subset decomposition.
-        values.clear();
-        for (uint32_t s = seg_offsets[p]; s < seg_offsets[p + 1]; ++s) {
-          values.insert(values.end(), seg_values_[s].begin(),
-                        seg_values_[s].end());
-        }
+        // The fold visited p's groups, so prov_values is sized.
+        std::vector<float>& values = prov_values[p];
         if (values.size() > options_.sample_cap) {
           Rng rng(HashCombine(HashCombine(options_.seed, 0x52),
                               static_cast<uint64_t>(p)));
@@ -465,14 +497,6 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
         }
         for (float v : values) sum += v;
         cnt = values.size();
-      } else {
-        // Two-level reduction: per-segment partials folded in directory
-        // order — the canonical Stage II arithmetic for both the
-        // resident and the budgeted path.
-        for (uint32_t s = seg_offsets[p]; s < seg_offsets[p + 1]; ++s) {
-          sum += seg_sum_[s];
-          cnt += seg_cnt_[s];
-        }
       }
       if (cnt == 0) continue;
       double proposed = std::clamp(sum / static_cast<double>(cnt),
@@ -494,11 +518,6 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
       evaluated_[p] = 1;
     }
   });
-  // Release the accumulators (seg_values_ can hold O(claims) floats for
-  // oversized provenances; the budget story wants that memory back).
-  std::vector<double>().swap(seg_sum_);
-  std::vector<uint32_t>().swap(seg_cnt_);
-  std::vector<std::vector<float>>().swap(seg_values_);
   double max_delta = 0.0;
   for (double d : block_delta) max_delta = std::max(max_delta, d);
   if (!need_all_deltas) return max_delta;
@@ -533,7 +552,7 @@ Status FusionEngine::RunRounds(
       subsets == nullptr ? resident_plan : *subsets;
 
   for (size_t round = 1; round <= max_rounds; ++round) {
-    // A shard's Stage II segments reference only that shard's triples, so
+    // A shard's Stage II groups reference only that shard's triples, so
     // each subset's accumulation rides its sweep instead of a second pass
     // over the shard files.
     BeginStageI(++rounds_run_, result);

@@ -1,7 +1,8 @@
 // The knowledge-fusion engine: the three-stage architecture of Fig. 8 over
 // a sharded claim graph. Stage I sweeps the item-partitioned shards and
-// scores triples; Stage II sweeps the provenance cross-index and
-// re-evaluates accuracies; RunRounds iterates the two up to R rounds (VOTE
+// scores triples; Stage II sweeps each shard's local provenance groups,
+// folds them per provenance in ascending shard order, and re-evaluates
+// accuracies; RunRounds iterates the two up to R rounds (VOTE
 // needs one round) for every engine-method run — cold or warm, resident or
 // budgeted. The item/provenance groupings are built ONCE
 // (fusion/claim_graph.h) and swept every round — no per-round shuffle, no
@@ -11,8 +12,9 @@
 // Determinism contract: for a fixed dataset, options, and shard count the
 // result is bit-identical regardless of options.num_workers. Stage I
 // writes disjoint per-triple slots (each triple lives in exactly one item
-// group of one shard); Stage II reduces each provenance's claims in fixed
-// cross-index order within a fixed block decomposition.
+// group of one shard); Stage II sums each local provenance group into its
+// own slot and folds a provenance's slots in ascending shard order, then
+// finalizes provenances in a fixed block decomposition.
 #ifndef KF_FUSION_ENGINE_H_
 #define KF_FUSION_ENGINE_H_
 
@@ -145,8 +147,9 @@ class FusionEngine {
   // A round calls the Begin steps once, then sweeps / accumulates each
   // shard subset of its plan once the residency callback (if any) made it
   // readable. Every triple lives in one shard and every accumulator slot
-  // belongs to one segment, so any disjoint subset decomposition — like
-  // any worker count — produces bits identical to the one-shot sweep.
+  // belongs to one local provenance group, so any disjoint subset
+  // decomposition, in any order — like any worker count — produces bits
+  // identical to the one-shot sweep.
 
   /// Freezes the per-round Stage I tables (log-odds, theta mask, the
   /// round's filter regime), clears the result masks, and zeroes the
@@ -156,15 +159,17 @@ class FusionEngine {
   /// first. Subsets across one round must partition the shard set.
   void SweepStageI(const std::vector<uint32_t>& shard_ids,
                    FusionResult* result);
-  /// Sizes and zeroes the per-segment Stage II accumulators.
+  /// Lays out one accumulator slot per local provenance group (shard s's
+  /// groups start at a prefix sum of the shards' group counts) and zeroes
+  /// them.
   void BeginStageII(const FusionResult& result);
-  /// Folds the prov segments of the given shards into their accumulator
-  /// slots. Subsets across one round must partition the shard set.
+  /// Sums each local provenance group of the given shards into its slot.
+  /// Subsets across one round must partition the shard set.
   void AccumulateStageII(const std::vector<uint32_t>& shard_ids,
                          const FusionResult& result);
-  /// Merges the per-segment accumulators per provenance in directory
-  /// order, applies the damped accuracy update, and returns the quantile
-  /// delta (see StageII). Releases the accumulators.
+  /// Folds the slots per provenance over the shards in ascending order,
+  /// applies the damped accuracy update, and returns the quantile delta
+  /// (see StageII). Releases the accumulators.
   double FinishStageII(double damping, double quantile);
 
   /// Restores an evicted shard's columns resident, bit-identical to what
@@ -241,17 +246,22 @@ class FusionEngine {
   bool stage1_in_place_ = false;
   std::vector<uint32_t> shard_sweep_micros_;  // by shard id, last sweep
 
-  // ---- Stage II per-segment accumulators (BeginStageII..Finish) ----
-  // Indexed by global segment id (ClaimGraph::prov_segments). The
-  // canonical Stage II reduction is two-level: per-segment partial sums
-  // folded per provenance in directory order, which is what makes
+  // ---- Stage II per-group accumulators (BeginStageII..Finish) ----
+  // The canonical Stage II reduction is two-level: per-group partial sums
+  // folded per provenance in ascending shard order, which is what makes
   // subset-at-a-time accumulation bit-identical to the one-shot sweep.
-  std::vector<double> seg_sum_;
-  std::vector<uint32_t> seg_cnt_;
-  /// Raw eligible values, kept only for provenances whose claim count
-  /// exceeds sample_cap: their reservoir sample must be drawn from the
-  /// full concatenated value sequence, not from partial sums.
-  std::vector<std::vector<float>> seg_values_;
+  /// Shard s's k-th local provenance group owns slot group_base_[s] + k
+  /// (size num_shards + 1).
+  std::vector<size_t> group_base_;
+  std::vector<double> group_sum_;
+  /// Eligible claims per group (for an oversized provenance, the number
+  /// of values the group appended to its shard's buffer).
+  std::vector<uint32_t> group_cnt_;
+  /// Per shard: the raw eligible values of its groups whose provenance
+  /// has more claims than sample_cap, in group order. Their reservoir
+  /// sample must be drawn from the full concatenated value sequence, not
+  /// from partial sums.
+  std::vector<std::vector<float>> shard_values_;
 
   /// Rounds RunRounds swept since the last Prepare (global numbering).
   size_t rounds_run_ = 0;

@@ -13,10 +13,11 @@
 // Determinism contract (the headline guarantee): a budgeted run is
 // BIT-IDENTICAL to the fully-resident run, for every budget and every
 // worker count. Stage I writes disjoint per-triple slots under tables
-// frozen per round, so subset order cannot change bits; Stage II
-// accumulates per-segment partials that the finish step folds per
-// provenance in directory order, so the grouping of shards into subsets
-// cannot either (fusion/engine.h, "out-of-core decompositions").
+// frozen per round, so subset order cannot change bits; Stage II sums
+// each shard's local provenance groups into their own slots, and the
+// finish step folds a provenance's slots in ascending shard order, so
+// neither the grouping of shards into subsets nor their order can either
+// (fusion/engine.h, "subset decompositions").
 //
 // Budget semantics: the budget bounds the ACCOUNTED spillable bytes
 // (resident + mapped shard columns) during the round loop, after the

@@ -262,13 +262,19 @@ TEST(ClaimGraphTest, ShardsPartitionItemsDisjointly) {
   }
 }
 
-/// The global per-prov triple sequences, materialized through the segment
-/// directory (the only supported cross-index view).
+/// The global per-prov triple sequences: each provenance's shard-local
+/// groups concatenated in ascending shard order, the order Stage II folds
+/// them in.
 std::vector<std::vector<kb::TripleId>> ProvSequences(const ClaimGraph& graph) {
   std::vector<std::vector<kb::TripleId>> out(graph.num_provs());
-  for (size_t p = 0; p < graph.num_provs(); ++p) {
-    graph.ForEachProvTriple(static_cast<uint32_t>(p),
-                            [&](kb::TripleId t) { out[p].push_back(t); });
+  for (size_t s = 0; s < graph.num_shards(); ++s) {
+    const ClaimGraph::Shard& sh = graph.shard(s);
+    for (size_t k = 0; k < sh.num_prov_groups(); ++k) {
+      out[sh.prov_ids[k]].insert(
+          out[sh.prov_ids[k]].end(),
+          sh.prov_triples.begin() + sh.prov_offsets[k],
+          sh.prov_triples.begin() + sh.prov_offsets[k + 1]);
+    }
   }
   return out;
 }
@@ -277,8 +283,6 @@ TEST(ClaimGraphTest, ProvCrossIndexCoversEveryClaim) {
   const auto& corpus = SmallCorpus();
   ClaimGraph graph(corpus.dataset, extract::Granularity::ExtractorSite(),
                    /*num_shards=*/8);
-  ASSERT_EQ(graph.prov_segment_offsets().size(), graph.num_provs() + 1);
-  EXPECT_EQ(graph.prov_segment_offsets().back(), graph.prov_segments().size());
   // Cross-index multiset == shard-column multiset, per provenance; counts
   // and total must add up to every deduplicated claim exactly once.
   std::vector<std::multiset<kb::TripleId>> from_shards(graph.num_provs());
@@ -302,7 +306,7 @@ TEST(ClaimGraphTest, ShardLocalProvIndexMatchesClaimColumns) {
                    /*num_shards=*/8);
   for (size_t s = 0; s < graph.num_shards(); ++s) {
     const ClaimGraph::Shard& sh = graph.shard(s);
-    ASSERT_EQ(sh.prov_offsets.size(), sh.num_prov_segments() + 1);
+    ASSERT_EQ(sh.prov_offsets.size(), sh.num_prov_groups() + 1);
     ASSERT_EQ(sh.prov_triples.size(), sh.num_claims());
     ASSERT_TRUE(std::is_sorted(sh.prov_ids.begin(), sh.prov_ids.end()));
     // Per provenance, the local group must equal the subsequence of the
@@ -311,8 +315,8 @@ TEST(ClaimGraphTest, ShardLocalProvIndexMatchesClaimColumns) {
     for (size_t i = 0; i < sh.num_claims(); ++i) {
       expected[sh.claim_prov[i]].push_back(sh.claim_triple[i]);
     }
-    ASSERT_EQ(sh.num_prov_segments(), expected.size());
-    for (size_t k = 0; k < sh.num_prov_segments(); ++k) {
+    ASSERT_EQ(sh.num_prov_groups(), expected.size());
+    for (size_t k = 0; k < sh.num_prov_groups(); ++k) {
       std::vector<kb::TripleId> local(
           sh.prov_triples.begin() + sh.prov_offsets[k],
           sh.prov_triples.begin() + sh.prov_offsets[k + 1]);
@@ -467,6 +471,31 @@ TEST(ClaimGraphTest, UntouchedShardsAreNotRebuilt) {
   EXPECT_EQ(graph.Update(corpus.dataset), 1u);
 }
 
+TEST(ClaimGraphTest, OneRecordAppendsGrowRecordProvsGeometrically) {
+  // A streaming writer appends a few records at a time. Growing the
+  // per-record provenance array to the exact new size on every append
+  // would copy the whole array each time; geometric growth reallocates it
+  // O(log appends) times.
+  const auto& corpus = SmallCorpus();
+  const size_t total = corpus.dataset.num_records();
+  constexpr size_t kAppends = 1000;
+  ASSERT_GT(total, kAppends);
+  ClaimGraph graph(corpus.dataset, extract::Granularity::ExtractorUrl(),
+                   /*num_shards=*/16, /*num_workers=*/1,
+                   /*num_records=*/total - kAppends);
+  size_t capacity = graph.record_provs().capacity();
+  size_t changes = 0;
+  for (size_t n = total - kAppends + 1; n <= total; ++n) {
+    graph.Update(corpus.dataset, n);
+    ASSERT_EQ(graph.record_provs().size(), n);
+    if (graph.record_provs().capacity() != capacity) {
+      capacity = graph.record_provs().capacity();
+      ++changes;
+    }
+  }
+  EXPECT_LE(changes, 11u);
+}
+
 // ---- Graph columns pinned across versions ----
 //
 // The tests above compare the graph with an oracle or with itself. This
@@ -495,11 +524,6 @@ uint32_t GraphCrc(const ClaimGraph& graph) {
     add(sh.prov_triples);
   }
   add(graph.prov_claims());
-  add(graph.prov_segment_offsets());
-  for (const ClaimGraph::ProvSegment& seg : graph.prov_segments()) {
-    const uint32_t fields[] = {seg.shard, seg.begin, seg.end, seg.prov};
-    crc = Crc32(fields, sizeof(fields), crc);
-  }
   add(graph.record_provs());
   return crc;
 }
@@ -514,18 +538,18 @@ TEST(ClaimGraphTest, ColumnsMatchRecordedOutput) {
   const auto& dataset = SmallCorpus().dataset;
   const ClaimGraph url16(dataset, extract::Granularity::ExtractorUrl(),
                          /*num_shards=*/16);
-  EXPECT_EQ(GraphCrc(url16), 0x43282c37u)
+  EXPECT_EQ(GraphCrc(url16), 0x376400au)
       << "(Extractor, URL) at 16 shards: got " << Hex(GraphCrc(url16));
 
   const ClaimGraph pattern64(
       dataset, extract::Granularity::ExtractorSitePredicatePattern(),
       /*num_shards=*/64);
-  EXPECT_EQ(GraphCrc(pattern64), 0xe59756b8u)
+  EXPECT_EQ(GraphCrc(pattern64), 0x997a814du)
       << "(Extractor, Site, Predicate, Pattern) at 64 shards: got "
       << Hex(GraphCrc(pattern64));
 
   // Half the corpus, then the rest in 10 appends: every update path
-  // (dirty-shard rebuilds, new provenances, the directory splice) runs.
+  // (dirty-shard rebuilds, new provenances, the claim-count deltas) runs.
   const size_t total = dataset.num_records();
   const size_t base = total / 2;
   ClaimGraph appended(dataset, extract::Granularity::ExtractorUrl(),
@@ -537,7 +561,7 @@ TEST(ClaimGraphTest, ColumnsMatchRecordedOutput) {
   ASSERT_EQ(appended.num_records_indexed(), total);
   // Equal to the full build's constant: an update is bit-identical to a
   // build over the concatenated records.
-  EXPECT_EQ(GraphCrc(appended), 0x43282c37u)
+  EXPECT_EQ(GraphCrc(appended), 0x376400au)
       << "16 shards after 10 appends: got " << Hex(GraphCrc(appended));
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "eval/gold_standard.h"
@@ -218,6 +221,53 @@ TEST(EngineTest, ShardSweepMicrosCoversEveryShard) {
   EXPECT_GT((*manager)->plan().subsets.size(), 1u);
   EXPECT_EQ(budgeted.shard_sweep_micros().size(),
             budgeted.graph().num_shards());
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Stage II folds each provenance's groups in ascending shard order however
+// the plan lists its subsets: the plans below feed it shards in descending
+// order, one at a time, and dealt round-robin into three subsets listed
+// last-first. sample_cap 3 sends provenances down the oversized path,
+// whose raw values are concatenated rather than summed.
+TEST(EngineTest, AnySubsetPlanMatchesResidentRun) {
+  static const synth::SynthCorpus& corpus = *new synth::SynthCorpus(
+      synth::GenerateCorpus(synth::SynthConfig::Small()));
+  constexpr uint32_t kShards = 8;
+  std::vector<std::vector<uint32_t>> descending;
+  for (uint32_t s = kShards; s-- > 0;) descending.push_back({s});
+  std::vector<std::vector<uint32_t>> dealt(3);
+  for (uint32_t s = 0; s < kShards; ++s) dealt[s % 3].push_back(s);
+  std::reverse(dealt.begin(), dealt.end());
+
+  for (size_t cap : {FusionOptions().sample_cap, size_t{3}}) {
+    FusionOptions opts = FusionOptions::PopAccu();
+    opts.num_shards = kShards;
+    opts.sample_cap = cap;
+    FusionEngine resident(corpus.dataset, opts);
+    const FusionResult expected = resident.Run();
+    if (cap == 3) {
+      const std::vector<uint32_t>& claims = resident.provenance_claims();
+      ASSERT_GT(*std::max_element(claims.begin(), claims.end()), cap);
+    }
+    for (const auto* plan : {&descending, &dealt}) {
+      SCOPED_TRACE(StrFormat("sample_cap %zu, %zu subsets", cap,
+                             plan->size()));
+      FusionEngine engine(corpus.dataset, opts);
+      FusionResult result = engine.Prepare();
+      ASSERT_TRUE(
+          engine.RunRounds(FusionEngine::Start::kCold, &result, plan).ok());
+      EXPECT_EQ(result.num_rounds, expected.num_rounds);
+      EXPECT_TRUE(SameBits(result.probability, expected.probability));
+      EXPECT_EQ(result.has_probability, expected.has_probability);
+      EXPECT_EQ(result.from_fallback, expected.from_fallback);
+      EXPECT_TRUE(SameBits(engine.provenance_accuracy(),
+                           resident.provenance_accuracy()));
+    }
+  }
 }
 
 // Granularity sweep on a real corpus: engine must produce valid

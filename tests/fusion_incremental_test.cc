@@ -21,6 +21,22 @@ const synth::SynthCorpus& SmallCorpus() {
 using extract::CloneRecordPrefix;
 using extract::ReinternTail;
 
+/// Each provenance's triples: its shard-local groups concatenated in
+/// ascending shard order.
+std::vector<std::vector<kb::TripleId>> ProvSequences(const ClaimGraph& graph) {
+  std::vector<std::vector<kb::TripleId>> out(graph.num_provs());
+  for (size_t s = 0; s < graph.num_shards(); ++s) {
+    const ClaimGraph::Shard& sh = graph.shard(s);
+    for (size_t k = 0; k < sh.num_prov_groups(); ++k) {
+      out[sh.prov_ids[k]].insert(
+          out[sh.prov_ids[k]].end(),
+          sh.prov_triples.begin() + sh.prov_offsets[k],
+          sh.prov_triples.begin() + sh.prov_offsets[k + 1]);
+    }
+  }
+  return out;
+}
+
 void ExpectIdentical(const FusionResult& a, const FusionResult& b) {
   EXPECT_EQ(a.probability, b.probability);
   EXPECT_EQ(a.has_probability, b.has_probability);
@@ -139,10 +155,10 @@ TEST(IncrementalTest, StreamingRefreshHandlesNewProvenances) {
 TEST(IncrementalTest, SplicedCrossIndexMatchesRebuildAcrossManyBatches) {
   // Regression guard for the cross-index splice: Update() no longer
   // re-counts every claim but retires/re-adds only the dirty shards' local
-  // segments. Drip the corpus in many small batches (each Update splices
-  // against a different dirty set) and require the directory-built per-prov
-  // sequences, counts, and claim totals to match a from-scratch build after
-  // every batch.
+  // groups. Drip the corpus in many small batches (each Update splices
+  // against a different dirty set) and require the per-prov sequences
+  // (local groups concatenated in shard order), counts, and claim totals
+  // to match a from-scratch build after every batch.
   const auto& src = SmallCorpus().dataset;
   const size_t total = src.num_records();
   const size_t base = total / 3;
@@ -168,13 +184,10 @@ TEST(IncrementalTest, SplicedCrossIndexMatchesRebuildAcrossManyBatches) {
     ClaimGraph fresh(incr, gran, /*num_shards=*/16);
     ASSERT_EQ(graph.num_claims(), fresh.num_claims()) << "batch " << b;
     ASSERT_EQ(graph.prov_claims(), fresh.prov_claims()) << "batch " << b;
+    const auto a = ProvSequences(graph);
+    const auto e = ProvSequences(fresh);
     for (size_t p = 0; p < fresh.num_provs(); ++p) {
-      std::vector<kb::TripleId> a, e;
-      graph.ForEachProvTriple(static_cast<uint32_t>(p),
-                              [&](kb::TripleId t) { a.push_back(t); });
-      fresh.ForEachProvTriple(static_cast<uint32_t>(p),
-                              [&](kb::TripleId t) { e.push_back(t); });
-      ASSERT_EQ(a, e) << "batch " << b << " prov " << p;
+      ASSERT_EQ(a[p], e[p]) << "batch " << b << " prov " << p;
     }
   }
   EXPECT_EQ(next, total);
