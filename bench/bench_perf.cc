@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "bench/bench_util.h"
@@ -208,15 +209,16 @@ void BM_IncrementalAppend(benchmark::State& state) {
   // no-op Update that reports an inflated appends/sec baseline.
   const size_t batch =
       std::min(static_cast<size_t>(state.range(0)), total);
+  // Outside the loop, so the previous iteration's graph is torn down by
+  // the untimed emplace and not at the end of the timed body.
+  std::optional<fusion::ClaimGraph> graph;
   for (auto _ : state) {
     state.PauseTiming();
-    fusion::ClaimGraph graph(corpus.dataset,
-                             extract::Granularity::ExtractorUrl(),
-                             /*num_shards=*/64, /*num_workers=*/0,
-                             total - batch);
+    graph.emplace(corpus.dataset, extract::Granularity::ExtractorUrl(),
+                  /*num_shards=*/64, /*num_workers=*/0, total - batch);
     state.ResumeTiming();
-    graph.Update(corpus.dataset);
-    benchmark::DoNotOptimize(graph);
+    graph->Update(corpus.dataset);
+    benchmark::DoNotOptimize(*graph);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
@@ -413,27 +415,34 @@ BENCHMARK(BM_ScalingCurvePopAccu)
 // max subset), spill traffic (spill_mb, maps), and for the end-to-end
 // bench the round loop's sampled peak RSS (peak_rss_mb) — the budget
 // plus the engine's non-spillable state, the documented constant.
-size_t TotalSpillableBytes(const fusion::ClaimGraph& graph) {
+/// PopAccuOpts(8) with memory_budget_bytes at `percent` of the graph's
+/// spillable bytes. The budget is sized off a throwaway resident build;
+/// the budgeted engine rebuilds the same graph, so the fraction carries
+/// over exactly.
+fusion::FusionOptions BudgetedOpts(const extract::ExtractionDataset& dataset,
+                                   int64_t percent) {
+  fusion::FusionOptions opts = PopAccuOpts(8);
+  fusion::FusionEngine probe(dataset, opts);
+  probe.Prepare();
   size_t total = 0;
-  for (size_t s = 0; s < graph.num_shards(); ++s) {
-    total += graph.shard(s).SpillableBytes();
+  for (size_t s = 0; s < probe.graph().num_shards(); ++s) {
+    total += probe.graph().shard(s).SpillableBytes();
   }
-  return total;
+  opts.memory_budget_bytes =
+      std::max<size_t>(1, total * static_cast<size_t>(percent) / 100);
+  return opts;
 }
 
 void BM_OutOfCoreStageI(benchmark::State& state) {
   const auto& corpus = CorpusAtScale(1.0);
-  fusion::FusionOptions opts = PopAccuOpts(8);
+  const fusion::FusionOptions opts =
+      BudgetedOpts(corpus.dataset, state.range(0));
   fusion::FusionEngine engine(corpus.dataset, opts);
   fusion::FusionResult result = engine.Prepare();
-  const size_t total = TotalSpillableBytes(engine.graph());
-  const size_t budget =
-      std::max<size_t>(1, total * static_cast<size_t>(state.range(0)) / 100);
-  spill::ShardSpillManager::Options mo;
-  mo.budget_bytes = budget;
-  auto mgr = spill::ShardSpillManager::Create(&engine.mutable_graph(), mo);
+  auto mgr = spill::ShardSpillManager::Create(&engine);
   KF_CHECK_OK(mgr.status());
-  const spill::SpillPlan plan = spill::PlanSubsets(engine.graph(), budget);
+  const spill::SpillPlan plan =
+      spill::PlanSubsets(engine.graph(), opts.memory_budget_bytes);
   for (auto _ : state) {
     engine.BeginStageI(1, &result);
     for (const auto& subset : plan.subsets) {
@@ -445,7 +454,8 @@ void BM_OutOfCoreStageI(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(engine.num_claims()));
   const spill::SpillStats& stats = (*mgr)->stats();
-  state.counters["budget_mb"] = static_cast<double>(budget) / (1 << 20);
+  state.counters["budget_mb"] =
+      static_cast<double>(opts.memory_budget_bytes) / (1 << 20);
   state.counters["hw_mb"] =
       static_cast<double>(stats.accounted_high_water) / (1 << 20);
   state.counters["subsets"] = static_cast<double>(plan.subsets.size());
@@ -461,16 +471,8 @@ BENCHMARK(BM_OutOfCoreStageI)
 
 void BM_OutOfCorePopAccu(benchmark::State& state) {
   const auto& corpus = CorpusAtScale(1.0);
-  fusion::FusionOptions opts = PopAccuOpts(8);
-  // Size the budget off a throwaway resident build; the budgeted engine
-  // rebuilds the same graph, so the fraction carries over exactly.
-  const size_t total = [&] {
-    fusion::FusionEngine probe(corpus.dataset, opts);
-    probe.Prepare();
-    return TotalSpillableBytes(probe.graph());
-  }();
-  opts.memory_budget_bytes =
-      std::max<size_t>(1, total * static_cast<size_t>(state.range(0)) / 100);
+  const fusion::FusionOptions opts =
+      BudgetedOpts(corpus.dataset, state.range(0));
   // One budgeted cold run per iteration, as kf::Session::Fuse drives it:
   // graph build, Prepare, the manager's round loop.
   spill::SpillStats stats;
@@ -480,8 +482,8 @@ void BM_OutOfCorePopAccu(benchmark::State& state) {
     fusion::FusionResult result = engine.Prepare();
     auto manager = spill::ShardSpillManager::Create(&engine);
     KF_CHECK_OK(manager.status());
-    KF_CHECK_OK((*manager)->RunRounds(
-        &engine, fusion::FusionEngine::Start::kCold, &result));
+    KF_CHECK_OK(
+        (*manager)->RunRounds(fusion::FusionEngine::Start::kCold, &result));
     benchmark::DoNotOptimize(result);
     stats = (*manager)->stats();
     peak_rss = (*manager)->round_loop_peak_rss();

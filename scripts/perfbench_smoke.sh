@@ -9,8 +9,11 @@
 #
 # After each workload's result it prints the exact work counters the
 # traced run reports (rounds, claims, publish rounds, spill files, bytes
-# and maps, KB bytes). They do not depend on timing, so two builds that do
-# the same work print the same counters: diff two smoke logs to check.
+# and maps, the spill budget and high water, KB bytes). They do not depend
+# on timing, so two builds that do the same work print the same counters:
+# diff two smoke logs to check. The budget is 25% of the graph's spillable
+# bytes and the high water follows the subset plan, so a change to the
+# spilled columns moves both.
 #
 #   ./scripts/perfbench_smoke.sh
 set -euo pipefail
@@ -35,7 +38,7 @@ print("%s: correct=%s attempted=%s failed=%s" % (
 metrics = result.get("metrics", {})
 for name in ("fusion.rounds", "fusion.claims", "kf.publish_rounds",
              "spill.files_written", "spill.bytes_written", "spill.maps_opened",
-             "store.kb_bytes"):
+             "spill.budget_mb", "spill.high_water_mb", "store.kb_bytes"):
     if name in metrics:
         print("%s: %s=%.17g" % (sys.argv[1], name, metrics[name]["value"]))
 sys.exit(0 if result.get("correct") is True and result.get("failed") == 0

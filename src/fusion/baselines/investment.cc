@@ -27,13 +27,13 @@ FusionResult RunInvestment(const extract::ExtractionDataset& dataset,
   std::vector<double> trust(graph.num_provs(), 1.0);
   std::vector<double> credit(dataset.num_triples(), 0.0);
   std::vector<uint8_t> claimed(dataset.num_triples(), 0);
-  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
-                         float) { claimed[triple] = 1; });
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t) {
+    claimed[triple] = 1;
+  });
 
   for (size_t round = 0; round < options.max_rounds; ++round) {
     std::vector<double> invested(dataset.num_triples(), 0.0);
-    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
       invested[triple] +=
           trust[prov] / static_cast<double>(prov_claims[prov]);
     });
@@ -41,8 +41,7 @@ FusionResult RunInvestment(const extract::ExtractionDataset& dataset,
       if (claimed[t]) credit[t] = std::pow(invested[t], kGrowth);
     }
     std::vector<double> new_trust(graph.num_provs(), 0.0);
-    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
       double share = trust[prov] / static_cast<double>(prov_claims[prov]);
       if (invested[triple] > 0.0) {
         new_trust[prov] += credit[triple] * share / invested[triple];

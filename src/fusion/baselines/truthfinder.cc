@@ -26,15 +26,15 @@ FusionResult RunTruthFinder(const extract::ExtractionDataset& dataset,
   std::vector<double> trust(graph.num_provs(), kInitialTrust);
   std::vector<double> conf(dataset.num_triples(), 0.0);
   std::vector<uint8_t> claimed(dataset.num_triples(), 0);
-  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
-                         float) { claimed[triple] = 1; });
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t) {
+    claimed[triple] = 1;
+  });
 
   for (size_t round = 0; round < options.max_rounds; ++round) {
     // Value confidence: sigma(v) = sum of tau(S) = -ln(1 - t(S)) over
     // claimants; conf(v) = 1 / (1 + exp(-gamma * sigma(v))).
     std::vector<double> sigma(dataset.num_triples(), 0.0);
-    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
       double t = std::min(trust[prov], 0.999999);
       sigma[triple] += -std::log(1.0 - t);
     });
@@ -44,8 +44,7 @@ FusionResult RunTruthFinder(const extract::ExtractionDataset& dataset,
     }
     // Source trustworthiness: mean confidence of claimed values.
     std::vector<double> sum(graph.num_provs(), 0.0);
-    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
       sum[prov] += conf[triple];
     });
     for (size_t p = 0; p < graph.num_provs(); ++p) {

@@ -27,8 +27,9 @@ FusionResult RunTwoEstimates(const extract::ExtractionDataset& dataset,
   std::vector<double> truth(dataset.num_triples(), 0.5);
   std::vector<double> error(graph.num_provs(), 0.2);
   std::vector<uint8_t> claimed(dataset.num_triples(), 0);
-  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
-                         float) { claimed[triple] = 1; });
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t) {
+    claimed[triple] = 1;
+  });
 
   auto renormalize = [](std::vector<double>* v,
                         const std::vector<uint8_t>* mask) {
@@ -52,21 +53,19 @@ FusionResult RunTwoEstimates(const extract::ExtractionDataset& dataset,
     std::vector<double> t_sum(dataset.num_triples(), 0.0);
     std::vector<double> t_cnt(dataset.num_triples(), 0.0);
     // positive evidence
-    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
       t_sum[triple] += 1.0 - error[prov];
       t_cnt[triple] += 1.0;
     });
     // negative evidence: other claims on the same item
     std::vector<double> item_err_sum(dataset.num_items(), 0.0);
     std::vector<double> item_cnt(dataset.num_items(), 0.0);
-    graph.ForEachClaim([&](kb::DataItemId item, kb::TripleId,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId item, kb::TripleId, uint32_t prov) {
       item_err_sum[item] += error[prov];
       item_cnt[item] += 1.0;
     });
     graph.ForEachClaim([&](kb::DataItemId item, kb::TripleId triple,
-                           uint32_t prov, float) {
+                           uint32_t prov) {
       // Each rival claim on the item contributes its source's error as
       // support for v (the rival being wrong supports v).
       double rival_cnt = item_cnt[item] - 1.0;
@@ -83,8 +82,7 @@ FusionResult RunTwoEstimates(const extract::ExtractionDataset& dataset,
 
     // e step: a source erred on a claim in proportion to (1 - T(v)).
     std::vector<double> e_sum(graph.num_provs(), 0.0);
-    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple,
-                           uint32_t prov, float) {
+    graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
       e_sum[prov] += 1.0 - truth[triple];
     });
     for (size_t p = 0; p < graph.num_provs(); ++p) {

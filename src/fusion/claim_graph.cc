@@ -102,11 +102,9 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
   item_index.Reserve(num_records);
   std::vector<kb::TripleId> flat_triple;
   std::vector<uint32_t> flat_prov;
-  std::vector<float> flat_conf;
   std::vector<uint32_t> flat_group;  // item group of each claim
   flat_triple.reserve(num_records);
   flat_prov.reserve(num_records);
-  flat_conf.reserve(num_records);
   flat_group.reserve(num_records);
   std::vector<uint32_t> group_counts;
   shard->items.clear();
@@ -123,13 +121,7 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
     const auto next_claim = static_cast<uint32_t>(flat_triple.size());
     const uint32_t claim =
         claim_index.Intern(KeyIndex::Key(prov, r.triple), next_claim);
-    if (claim != next_claim) {
-      if (r.has_confidence) {
-        float& conf = flat_conf[claim];
-        conf = std::max(conf, r.confidence);
-      }
-      continue;
-    }
+    if (claim != next_claim) continue;
     const kb::DataItemId item = dataset.triple(r.triple).item;
     const auto next_group = static_cast<uint32_t>(shard->items.size());
     const uint32_t group = item_index.Intern(item, next_group);
@@ -139,7 +131,6 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
     }
     flat_triple.push_back(r.triple);
     flat_prov.push_back(prov);
-    flat_conf.push_back(r.has_confidence ? r.confidence : -1.0f);
     flat_group.push_back(group);
     ++group_counts[group];
   }
@@ -153,7 +144,6 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
   const size_t num_claims = flat_triple.size();
   shard->claim_triple.resize(num_claims);
   shard->claim_prov.resize(num_claims);
-  shard->claim_confidence.resize(num_claims);
   std::vector<uint32_t> cursor(shard->item_offsets.begin(),
                                shard->item_offsets.end() - 1);
   std::vector<uint32_t> perm;
@@ -162,7 +152,6 @@ void ClaimGraph::RebuildShard(const extract::ExtractionDataset& dataset,
     const uint32_t pos = cursor[flat_group[i]]++;
     shard->claim_triple[pos] = flat_triple[i];
     shard->claim_prov[pos] = flat_prov[i];
-    shard->claim_confidence[pos] = flat_conf[i];
   }
 
   shard->item_multi.assign(shard->num_items(), 0);
@@ -219,7 +208,6 @@ void ClaimGraph::ReleaseShardColumns(size_t s) {
   std::vector<uint32_t>().swap(sh.item_distinct);
   std::vector<kb::TripleId>().swap(sh.claim_triple);
   std::vector<uint32_t>().swap(sh.claim_prov);
-  std::vector<float>().swap(sh.claim_confidence);
   std::vector<kb::TripleId>().swap(sh.prov_triples);
   sh.mapped = counts;  // pointers null: kEvicted keeps only the counts
   sh.residency = ShardResidency::kEvicted;

@@ -57,7 +57,6 @@ struct ShardColumns {
   const uint32_t* item_distinct = nullptr;
   const kb::TripleId* claim_triple = nullptr;
   const uint32_t* claim_prov = nullptr;
-  const float* claim_confidence = nullptr;
   const kb::TripleId* prov_triples = nullptr;
   uint32_t num_items = 0;
   uint32_t num_claims = 0;
@@ -70,7 +69,7 @@ struct ShardColumns {
                (sizeof(kb::DataItemId) + sizeof(uint8_t) + sizeof(uint32_t)) +
            static_cast<size_t>(num_items + 1) * sizeof(uint32_t) +
            static_cast<size_t>(num_claims) *
-               (sizeof(kb::TripleId) * 2 + sizeof(uint32_t) + sizeof(float));
+               (sizeof(kb::TripleId) * 2 + sizeof(uint32_t));
   }
 };
 
@@ -114,9 +113,6 @@ class ClaimGraph {
 
     std::vector<kb::TripleId> claim_triple;
     std::vector<uint32_t> claim_prov;
-    /// Max confidence any record assigned to the claim, -1 when none had
-    /// one.
-    std::vector<float> claim_confidence;
 
     /// Local provenance cross-index: the shard's claims regrouped by
     /// provenance. prov_ids lists the distinct dense provenance ids
@@ -165,7 +161,6 @@ class ClaimGraph {
       c.item_distinct = item_distinct.data();
       c.claim_triple = claim_triple.data();
       c.claim_prov = claim_prov.data();
-      c.claim_confidence = claim_confidence.data();
       c.prov_triples = prov_triples.data();
       c.num_items = static_cast<uint32_t>(items.size());
       c.num_claims = static_cast<uint32_t>(claim_triple.size());
@@ -266,8 +261,8 @@ class ClaimGraph {
   /// (pick any record of the id) — e.g. for rendering explanations.
   const std::vector<uint32_t>& record_provs() const { return record_prov_; }
 
-  /// Visits every claim as fn(item, triple, prov, confidence), sweeping
-  /// shards in order. This is the full-graph view; pass a single shard to
+  /// Visits every claim as fn(item, triple, prov), sweeping shards in
+  /// order. This is the full-graph view; pass a single shard to
   /// ForEachClaimInShard for the shard-local one.
   template <typename Fn>
   void ForEachClaim(Fn&& fn) const {
@@ -279,8 +274,7 @@ class ClaimGraph {
     const ShardColumns c = sh.Columns();
     for (size_t g = 0; g < c.num_items; ++g) {
       for (uint32_t i = c.item_offsets[g]; i < c.item_offsets[g + 1]; ++i) {
-        fn(c.items[g], c.claim_triple[i], c.claim_prov[i],
-           c.claim_confidence[i]);
+        fn(c.items[g], c.claim_triple[i], c.claim_prov[i]);
       }
     }
   }

@@ -102,8 +102,7 @@ void FusionEngine::InitAccuracies(const std::vector<Label>* gold) {
   std::vector<uint32_t> labeled(num_provs, 0);
   std::vector<uint32_t> correct(num_provs, 0);
   const double rate = options_.gold_sample_rate;
-  graph_.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov,
-                          float) {
+  graph_.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
     Label label = (*gold)[triple];
     if (label == Label::kUnknown) return;
     if (rate < 1.0 &&

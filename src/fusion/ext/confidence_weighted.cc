@@ -78,9 +78,9 @@ FusionResult RunConfidenceWeighted(const extract::ExtractionDataset& dataset,
   // ---- weighted POPACCU over the claim graph ----
   // Each claim carries a weight: the best recalibrated confidence among
   // its records (the extractor-wide accuracy for a record without one).
-  // The graph's claim_confidence keeps only the max raw confidence, which
-  // loses the extractor whenever one provenance spans extractors, so the
-  // weights are keyed (dense prov id, triple) through record_provs().
+  // Recalibration is per extractor and one provenance can span
+  // extractors, so the weights are taken per record and keyed (dense prov
+  // id, triple) through record_provs().
   const ClaimGraph graph(dataset, options.granularity, options.num_shards,
                          options.num_workers);
   const size_t num_provs = graph.num_provs();

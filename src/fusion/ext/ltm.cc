@@ -126,7 +126,7 @@ FusionResult RunLatentTruth(const extract::ExtractionDataset& dataset,
     }
   }
 
-  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId t, uint32_t, float) {
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId t, uint32_t) {
     result.probability[t] = prob[t];
     result.has_probability[t] = 1;
   });

@@ -282,10 +282,9 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
   // no re-grouping, no per-item corpus scans.
   const fusion::ClaimGraph& graph = engine.graph();
   std::vector<uint32_t> counts(n, 0);
-  graph.ForEachClaim(
-      [&](kb::DataItemId, kb::TripleId triple, uint32_t, float) {
-        if (triple < n) ++counts[triple];
-      });
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t) {
+    if (triple < n) ++counts[triple];
+  });
   c.support_offsets.assign(n + 1, 0);
   for (size_t t = 0; t < n; ++t) {
     c.support_offsets[t + 1] = c.support_offsets[t] + counts[t];
@@ -293,10 +292,9 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
   c.supporters.resize(c.support_offsets[n]);
   std::vector<uint32_t> cursor(c.support_offsets.begin(),
                                c.support_offsets.end() - 1);
-  graph.ForEachClaim(
-      [&](kb::DataItemId, kb::TripleId triple, uint32_t prov, float) {
-        if (triple < n) c.supporters[cursor[triple]++] = prov;
-      });
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
+    if (triple < n) c.supporters[cursor[triple]++] = prov;
+  });
   for (size_t t = 0; t < n; ++t) {
     std::sort(c.supporters.begin() + c.support_offsets[t],
               c.supporters.begin() + c.support_offsets[t + 1]);

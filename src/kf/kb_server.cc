@@ -53,14 +53,22 @@ Result<KbSnapshotStats> KbServer::Publish() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   const int64_t start = NowMicros();
 
+  // A warm Refuse keeps the spill manager and its lifetime counters, so a
+  // generation stamps only what its own run added to them; a cold Fuse
+  // builds a new manager that starts at zero.
+  const bool warm = session_->can_refuse();
+  spill::SpillStats spill_before;
+  if (warm && session_->spill_stats() != nullptr) {
+    spill_before = *session_->spill_stats();
+  }
+
   // Cold first generation, warm re-fusion after: Refuse() re-syncs only
   // dirty shards and iterates until reconvergence.
   // A failed (re)fuse publishes nothing: current_ and published_seqno_
   // are untouched, so readers keep serving the last good generation and
   // the writer can retry once the fault clears.
   Result<fusion::FusionResult> run =
-      session_->can_refuse() ? session_->Refuse()
-                             : session_->Fuse(options_.fusion);
+      warm ? session_->Refuse() : session_->Fuse(options_.fusion);
   if (!run.ok()) {
     ++publish_failures_;
     return run.status();
@@ -80,8 +88,10 @@ Result<KbSnapshotStats> KbServer::Publish() {
   snap->stats_.num_rounds = run->num_rounds;
   snap->stats_.build_micros = NowMicros() - start;
   if (const spill::SpillStats* sp = session_->spill_stats()) {
-    snap->stats_.spill_transient_retries = sp->transient_retries;
-    snap->stats_.spill_shards_quarantined = sp->shards_quarantined;
+    snap->stats_.spill_transient_retries =
+        sp->transient_retries - spill_before.transient_retries;
+    snap->stats_.spill_shards_quarantined =
+        sp->shards_quarantined - spill_before.shards_quarantined;
     snap->stats_.spill_resident_fallback = sp->resident_fallback;
   }
 

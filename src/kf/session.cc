@@ -87,7 +87,7 @@ Result<fusion::FusionResult> Session::FuseEngine(
 
 Status Session::RunRounds(fusion::FusionEngine::Start start,
                           fusion::FusionResult* result) {
-  return spill_ ? spill_->RunRounds(&*engine_, start, result)
+  return spill_ ? spill_->RunRounds(start, result)
                 : engine_->RunRounds(start, result);
 }
 

@@ -89,7 +89,6 @@ store::ShardFileColumns ToFileColumns(uint32_t shard_id,
   f.item_distinct = {c.item_distinct, c.num_items};
   f.claim_triple = {c.claim_triple, c.num_claims};
   f.claim_prov = {c.claim_prov, c.num_claims};
-  f.claim_confidence = {c.claim_confidence, c.num_claims};
   f.prov_triples = {c.prov_triples, c.num_claims};
   return f;
 }
@@ -102,7 +101,6 @@ fusion::ShardColumns ToGraphColumns(const store::ShardFileColumns& f) {
   c.item_distinct = f.item_distinct.ptr;
   c.claim_triple = f.claim_triple.ptr;
   c.claim_prov = f.claim_prov.ptr;
-  c.claim_confidence = f.claim_confidence.ptr;
   c.prov_triples = f.prov_triples.ptr;
   c.num_items = static_cast<uint32_t>(f.num_items());
   c.num_claims = static_cast<uint32_t>(f.num_claims());
@@ -173,16 +171,17 @@ SpillPlan PlanSubsets(const fusion::ClaimGraph& graph, size_t budget_bytes) {
 // ---- ShardSpillManager ------------------------------------------------
 
 Result<std::unique_ptr<ShardSpillManager>> ShardSpillManager::Create(
-    fusion::ClaimGraph* graph, const Options& options) {
-  KF_CHECK(graph != nullptr);
-  if (options.budget_bytes == 0) {
+    fusion::FusionEngine* engine) {
+  KF_CHECK(engine != nullptr);
+  const fusion::FusionOptions& options = engine->options();
+  if (options.memory_budget_bytes == 0) {
     return Status::InvalidArgument(
-        "spill: budget_bytes must be positive (unbudgeted runs never "
+        "spill: memory_budget_bytes must be positive (unbudgeted runs never "
         "construct a spill manager)");
   }
   std::unique_ptr<ShardSpillManager> mgr(new ShardSpillManager());
-  mgr->graph_ = graph;
-  mgr->options_ = options;
+  mgr->engine_ = engine;
+  mgr->graph_ = &engine->mutable_graph();
   if (options.spill_dir.empty()) {
     Result<std::string> dir = MakeTempDir();
     if (!dir.ok()) return dir.status();
@@ -201,25 +200,9 @@ Result<std::unique_ptr<ShardSpillManager>> ShardSpillManager::Create(
     mgr->dir_.clear();
     return probe;
   }
-  mgr->file_valid_.assign(graph->num_shards(), 0);
-  mgr->maps_.resize(graph->num_shards());
+  mgr->file_valid_.assign(mgr->graph_->num_shards(), 0);
+  mgr->maps_.resize(mgr->graph_->num_shards());
   return mgr;
-}
-
-Result<std::unique_ptr<ShardSpillManager>> ShardSpillManager::Create(
-    fusion::FusionEngine* engine) {
-  KF_CHECK(engine != nullptr);
-  Options options;
-  options.budget_bytes = engine->options().memory_budget_bytes;
-  options.spill_dir = engine->options().spill_dir;
-  options.rematerialize = [engine](uint32_t s) -> Status {
-    if (const int e = fault::Inject("spill.remat")) {
-      return Status::FromErrno("rematerialize shard", StrFormat("%u", s), e);
-    }
-    engine->RematerializeShard(s);
-    return Status::OK();
-  };
-  return Create(&engine->mutable_graph(), options);
 }
 
 ShardSpillManager::~ShardSpillManager() {
@@ -298,13 +281,7 @@ Status ShardSpillManager::AttachShard(uint32_t s) {
     ::unlink(path.c_str());
     file_valid_[s] = 0;
     ++stats_.shards_quarantined;
-    if (!options_.rematerialize) {
-      return Status(st.code(),
-                    st.message() + " (no rematerialize hook to recover with)");
-    }
-    KF_RETURN_IF_ERROR(options_.rematerialize(s));
-    ++stats_.shards_rematerialized;
-    return Status::OK();
+    return Rematerialize(s);
   }
   maps_[s] = std::move(view);
   graph_->AttachShardColumns(s, ToGraphColumns(maps_[s].columns()));
@@ -312,12 +289,16 @@ Status ShardSpillManager::AttachShard(uint32_t s) {
   return Status::OK();
 }
 
-Status ShardSpillManager::DegradeToResident(const Status& cause) {
-  if (!options_.rematerialize) {
-    return Status(cause.code(),
-                  cause.message() +
-                      " (no rematerialize hook; cannot degrade to resident)");
+Status ShardSpillManager::Rematerialize(uint32_t s) {
+  if (const int e = fault::Inject("spill.remat")) {
+    return Status::FromErrno("rematerialize shard", StrFormat("%u", s), e);
   }
+  engine_->RematerializeShard(s);
+  ++stats_.shards_rematerialized;
+  return Status::OK();
+}
+
+Status ShardSpillManager::DegradeToResident() {
   // Budget waiver: bring every shard back resident from memory, drop all
   // mappings and files, and stop touching the (dead) spill destination
   // for good. The result bits are unaffected — rematerialized columns
@@ -330,12 +311,10 @@ Status ShardSpillManager::DegradeToResident(const Status& cause) {
       case fusion::ShardResidency::kMapped:
         graph_->DetachShardColumns(s);
         maps_[s] = store::ShardMmapView();
-        KF_RETURN_IF_ERROR(options_.rematerialize(s));
-        ++stats_.shards_rematerialized;
+        KF_RETURN_IF_ERROR(Rematerialize(s));
         break;
       case fusion::ShardResidency::kEvicted:
-        KF_RETURN_IF_ERROR(options_.rematerialize(s));
-        ++stats_.shards_rematerialized;
+        KF_RETURN_IF_ERROR(Rematerialize(s));
         break;
     }
     ::unlink(ShardPath(s).c_str());
@@ -343,9 +322,6 @@ Status ShardSpillManager::DegradeToResident(const Status& cause) {
   }
   degraded_ = true;
   stats_.resident_fallback = true;
-  // Deliberately excluded from the high-water mark: the budget is waived
-  // from here on, and the accounted bytes now reflect the full graph.
-  RecountAccounted(/*update_high_water=*/false);
   return Status::OK();
 }
 
@@ -353,12 +329,10 @@ void ShardSpillManager::EvictShard(uint32_t s) {
   switch (graph_->shard_residency(s)) {
     case fusion::ShardResidency::kResident:
       graph_->ReleaseShardColumns(s);
-      ++stats_.shards_evicted;
       break;
     case fusion::ShardResidency::kMapped:
       graph_->DetachShardColumns(s);
       maps_[s] = store::ShardMmapView();
-      ++stats_.shards_evicted;
       break;
     case fusion::ShardResidency::kEvicted:
       break;
@@ -379,14 +353,11 @@ Status ShardSpillManager::EnsureOnly(const std::vector<uint32_t>& subset) {
   for (uint32_t s = 0; s < n; ++s) {
     if (want[s]) continue;
     if (graph_->shard_residency(s) == fusion::ShardResidency::kResident &&
-        !file_valid_[s]) {
-      Status write = WriteShard(s);
-      if (!write.ok()) {
-        // A write that survived its retries means the destination is
-        // gone (full disk, yanked mount): waive the budget and finish
-        // the run fully resident rather than failing it.
-        return DegradeToResident(write);
-      }
+        !file_valid_[s] && !WriteShard(s).ok()) {
+      // A write that survived its retries means the destination is gone
+      // (full disk, yanked mount): waive the budget and finish the run
+      // fully resident rather than failing it.
+      return DegradeToResident();
     }
     EvictShard(s);
   }
@@ -398,7 +369,7 @@ Status ShardSpillManager::EnsureOnly(const std::vector<uint32_t>& subset) {
       KF_RETURN_IF_ERROR(AttachShard(s));
     }
   }
-  RecountAccounted(/*update_high_water=*/true);
+  UpdateHighWater();
   return Status::OK();
 }
 
@@ -411,12 +382,8 @@ Status ShardSpillManager::MapAll() {
   // columns readable, all backing pages file-backed and reclaimable.
   for (uint32_t s = 0; s < n; ++s) {
     if (graph_->shard_residency(s) == fusion::ShardResidency::kResident) {
-      if (!file_valid_[s]) {
-        Status write = WriteShard(s);
-        if (!write.ok()) return DegradeToResident(write);
-      }
+      if (!file_valid_[s] && !WriteShard(s).ok()) return DegradeToResident();
       graph_->ReleaseShardColumns(s);
-      ++stats_.shards_evicted;
     }
   }
   for (uint32_t s = 0; s < n; ++s) {
@@ -432,17 +399,14 @@ Status ShardSpillManager::MapAll() {
   for (uint32_t s = 0; s < n; ++s) {
     if (graph_->shard_residency(s) == fusion::ShardResidency::kResident &&
         !file_valid_[s]) {
-      Status write = WriteShard(s);
-      if (!write.ok()) return DegradeToResident(write);
+      if (!WriteShard(s).ok()) return DegradeToResident();
       graph_->ReleaseShardColumns(s);
-      ++stats_.shards_evicted;
       KF_RETURN_IF_ERROR(AttachShard(s));
     }
   }
   // Deliberately all-mapped: the end-of-run state exceeds the budget in
-  // accounted bytes, but every page is file-backed and reclaimable —
-  // excluded from the round-loop high-water by design.
-  RecountAccounted(/*update_high_water=*/false);
+  // accounted bytes, but every page is file-backed and reclaimable — kept
+  // out of the round-loop high-water by design.
   return Status::OK();
 }
 
@@ -455,21 +419,16 @@ void ShardSpillManager::Reconcile() {
     file_valid_[s] = 0;
     maps_[s] = store::ShardMmapView();
   }
-  // Rebuilt shards are resident until the next EnsureOnly — the
-  // PrepareWarm phase, excluded from the round-loop high-water.
-  RecountAccounted(/*update_high_water=*/false);
 }
 
-Status ShardSpillManager::RunRounds(fusion::FusionEngine* engine,
-                                    fusion::FusionEngine::Start start,
+Status ShardSpillManager::RunRounds(fusion::FusionEngine::Start start,
                                     fusion::FusionResult* result) {
-  KF_CHECK(&engine->graph() == graph_);
-  plan_ = PlanSubsets(*graph_, options_.budget_bytes);
+  plan_ = PlanSubsets(*graph_, engine_->options().memory_budget_bytes);
   // Constructed here, after the plan and before round 1: the tracker
   // resets the kernel's RSS high-water mark, so the peak covers the
   // round loop and not the graph build.
   PeakRssTracker rss;
-  KF_RETURN_IF_ERROR(engine->RunRounds(
+  KF_RETURN_IF_ERROR(engine_->RunRounds(
       start, result, &plan_.subsets,
       [&](const std::vector<uint32_t>& subset) {
         const Status made = EnsureOnly(subset);
@@ -482,18 +441,14 @@ Status ShardSpillManager::RunRounds(fusion::FusionEngine* engine,
   return Status::OK();
 }
 
-void ShardSpillManager::RecountAccounted(bool update_high_water) {
+void ShardSpillManager::UpdateHighWater() {
   size_t bytes = 0;
   for (size_t s = 0; s < graph_->num_shards(); ++s) {
     if (graph_->shard_residency(s) != fusion::ShardResidency::kEvicted) {
       bytes += graph_->shard(s).SpillableBytes();
     }
   }
-  stats_.accounted_bytes = bytes;
-  if (update_high_water) {
-    stats_.accounted_high_water =
-        std::max(stats_.accounted_high_water, bytes);
-  }
+  stats_.accounted_high_water = std::max(stats_.accounted_high_water, bytes);
 }
 
 void ShardSpillManager::RemoveFilesBestEffort() {

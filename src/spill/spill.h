@@ -3,7 +3,7 @@
 //
 // When FusionOptions::memory_budget_bytes is set, the claim graph's
 // spillable columns (items, the claim columns, the local prov
-// cross-index — ~16 B/claim + ~13 B/item) no longer need to be resident
+// cross-index — ~12 B/claim + ~13 B/item) no longer need to be resident
 // all at once. ShardSpillManager writes cold shards to per-shard
 // kf::store kClaimShard files and maps them back zero-copy when the
 // SpillScheduler's plan brings them on budget; the engine sweeps
@@ -32,7 +32,6 @@
 #ifndef KF_SPILL_SPILL_H_
 #define KF_SPILL_SPILL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,12 +69,9 @@ struct SpillStats {
   /// Max accounted (resident + mapped) spillable bytes observed at the
   /// end of any EnsureOnly() — the steady-state per-subset footprint.
   size_t accounted_high_water = 0;
-  /// Currently accounted spillable bytes.
-  size_t accounted_bytes = 0;
   size_t files_written = 0;      // shard files written (once per dirty shard)
   size_t bytes_written = 0;      // file bytes written
   size_t maps_opened = 0;        // mmap attach count (re-maps included)
-  size_t shards_evicted = 0;     // release/detach transitions
 
   // ---- fault recovery (the degradation ladder, rung by rung) ----
   /// Transient I/O errors (EINTR/EAGAIN/ENOSPC) absorbed by the bounded
@@ -93,39 +89,16 @@ struct SpillStats {
 };
 
 /// Owns the spill directory and the per-shard file + mapping lifecycle
-/// for one ClaimGraph. The graph stays file-unaware: this class is the
-/// only writer/reader of its residency states.
+/// for one engine's ClaimGraph. The graph stays file-unaware: this class
+/// is the only writer/reader of its residency states.
 class ShardSpillManager {
  public:
-  struct Options {
-    /// Target accounted-bytes budget (0 is invalid here; kf::Session
-    /// only builds a manager for budgeted runs).
-    size_t budget_bytes = 0;
-    /// Directory for the per-shard files. Empty: a fresh
-    /// kf-spill-XXXXXX temp directory is created (and removed with the
-    /// manager). Non-empty: created if missing, files are removed with
-    /// the manager but the directory itself is kept.
-    std::string spill_dir;
-    /// Recovery hook: rebuilds evicted shard `s`'s columns resident,
-    /// bit-identical to what eviction released (Create(engine) wires this
-    /// to FusionEngine::RematerializeShard). With it set, a corrupt or
-    /// unreadable shard file is quarantined and the shard rebuilt, and a
-    /// dead spill destination degrades the run to fully-resident
-    /// execution instead of failing. Null: every unrecovered I/O error
-    /// propagates as a Status.
-    std::function<Status(uint32_t)> rematerialize;
-  };
-
-  /// Validates options, creates (or claims) the spill directory, and
-  /// probes it for writability. The graph must outlive the manager.
-  static Result<std::unique_ptr<ShardSpillManager>> Create(
-      fusion::ClaimGraph* graph, const Options& options);
-
-  /// The manager of a budgeted run over `engine`'s graph: budget and
-  /// spill directory from the engine's options, and a rematerialize hook
-  /// that rebuilds a shard from the engine's always-resident record lists
-  /// (a failpoint site of its own, `spill.remat`, so tests can exhaust the
-  /// whole ladder). The engine must outlive the manager.
+  /// The manager of a budgeted run over `engine`'s graph, with the budget
+  /// and spill directory of the engine's options. An empty spill_dir
+  /// gets a fresh kf-spill-XXXXXX temp directory, removed with the
+  /// manager; a named one is created if missing, and only the files go
+  /// with the manager. Creates (or claims) the directory and probes it
+  /// for writability. The engine must outlive the manager.
   static Result<std::unique_ptr<ShardSpillManager>> Create(
       fusion::FusionEngine* engine);
 
@@ -152,16 +125,14 @@ class ShardSpillManager {
   /// invalidated and any mapping dropped. Call right after PrepareWarm.
   void Reconcile();
 
-  /// The budgeted round loop of an engine-method run over `engine`, whose
-  /// graph this manager serves: cuts the subset plan for the current
-  /// shard sizes and runs the engine's RunRounds over it, each subset made
-  /// readable by EnsureOnly right before its sweep. Ends with MapAll, so
-  /// every shard is on disk and mapped (Snapshot / ForEachClaim read
-  /// zero-copy while the columns stay reclaimable) or, after a resident
-  /// fallback, fully resident. An error means the degradation ladder ran
-  /// dry and the run has no result.
-  Status RunRounds(fusion::FusionEngine* engine,
-                   fusion::FusionEngine::Start start,
+  /// The budgeted round loop of the engine's run: cuts the subset plan
+  /// for the current shard sizes and runs the engine's RunRounds over it,
+  /// each subset made readable by EnsureOnly right before its sweep. Ends
+  /// with MapAll, so every shard is on disk and mapped (Snapshot /
+  /// ForEachClaim read zero-copy while the columns stay reclaimable) or,
+  /// after a resident fallback, fully resident. An error means the
+  /// degradation ladder ran dry and the run has no result.
+  Status RunRounds(fusion::FusionEngine::Start start,
                    fusion::FusionResult* result);
 
   /// The subset plan of the last RunRounds.
@@ -172,10 +143,6 @@ class ShardSpillManager {
 
   const SpillStats& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
-  /// True after the manager waived the budget (see
-  /// SpillStats::resident_fallback): every shard is resident, EnsureOnly
-  /// and MapAll are no-ops.
-  bool degraded() const { return degraded_; }
 
  private:
   ShardSpillManager() = default;
@@ -186,24 +153,30 @@ class ShardSpillManager {
   /// Opens + validates shard `s`'s file and attaches the mapping.
   /// Transient open errors are retried; a corrupt, swapped, or
   /// persistently unreadable file is quarantined (unlinked, file_valid_
-  /// cleared) and the shard rematerialized when the recovery hook is
-  /// set.
+  /// cleared) and the shard rematerialized.
   Status AttachShard(uint32_t s);
+  /// Rebuilds evicted shard `s` resident from the engine's always-resident
+  /// record lists, bit-identical to what eviction released. A failpoint
+  /// site of its own, `spill.remat`, so tests can exhaust the whole
+  /// ladder.
+  Status Rematerialize(uint32_t s);
   /// The last rung of the ladder: rematerializes every evicted shard,
   /// drops all mappings and files, and waives the budget for the rest
-  /// of the run. Fails (leaving the manager unusable) only when the
-  /// recovery hook is unset or itself fails.
-  Status DegradeToResident(const Status& cause);
+  /// of the run. Fails (leaving the manager unusable) only when a
+  /// rematerialize fails.
+  Status DegradeToResident();
   /// Releases or detaches shard `s` (no-op when already evicted).
   void EvictShard(uint32_t s);
   std::string ShardPath(uint32_t s) const;
-  void RecountAccounted(bool update_high_water);
+  /// Folds the current accounted (resident + mapped) bytes into
+  /// SpillStats::accounted_high_water.
+  void UpdateHighWater();
   /// Removes every file this manager wrote, and the directory when
   /// owned. Mappings must already be detached.
   void RemoveFilesBestEffort();
 
-  fusion::ClaimGraph* graph_ = nullptr;
-  Options options_;
+  fusion::FusionEngine* engine_ = nullptr;
+  fusion::ClaimGraph* graph_ = nullptr;  // engine_'s graph
   std::string dir_;
   bool owns_dir_ = false;
   /// Budget waived: fully-resident execution until the manager dies.

@@ -127,7 +127,7 @@ enum class BlockId : uint32_t {
   kShardItemDistinct = 74,  // kRaw u32, per item group
   kShardClaimTriple = 75,   // kRaw u32 (TripleId), per claim
   kShardClaimProv = 76,     // kRaw u32, per claim
-  kShardClaimConfidence = 77,  // kRaw f32, per claim
+  // 77 is retired (the per-claim max-confidence column); never reuse it.
   kShardProvTriples = 78,   // kRaw u32 (TripleId), local prov cross-index
   // 79 is retired (the shard-bundle directory); never reuse it.
 };

@@ -52,7 +52,6 @@ std::string BuildShardFile(const ShardFileColumns& cols) {
   KF_CHECK(cols.item_multi.size() == cols.items.size());
   KF_CHECK(cols.item_distinct.size() == cols.items.size());
   KF_CHECK(cols.claim_prov.size() == cols.claim_triple.size());
-  KF_CHECK(cols.claim_confidence.size() == cols.claim_triple.size());
   KF_CHECK(cols.prov_triples.size() == cols.claim_triple.size());
 
   BlockBuilder builder;
@@ -65,7 +64,6 @@ std::string BuildShardFile(const ShardFileColumns& cols) {
   AddSpan(&builder, BlockId::kShardItemDistinct, cols.item_distinct);
   AddSpan(&builder, BlockId::kShardClaimTriple, cols.claim_triple);
   AddSpan(&builder, BlockId::kShardClaimProv, cols.claim_prov);
-  AddSpan(&builder, BlockId::kShardClaimConfidence, cols.claim_confidence);
   AddSpan(&builder, BlockId::kShardProvTriples, cols.prov_triples);
   return builder.Finish(ContentKind::kClaimShard);
 }
@@ -101,8 +99,6 @@ Result<ShardFileColumns> ReadShardColumns(const BlockFile& file) {
                                 num_claims, &cols.claim_triple));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardClaimProv, num_claims,
                                 &cols.claim_prov));
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardClaimConfidence,
-                                num_claims, &cols.claim_confidence));
   KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kShardProvTriples,
                                 num_claims, &cols.prov_triples));
   // The CSR must cover the claim columns exactly: Stage I walks

@@ -1,9 +1,9 @@
 // Claim-shard files: the on-disk schema spill::ShardSpillManager writes
 // one claim-graph shard's spillable columns into (content kind
-// claim-shard, store/format.h): meta + eight kRaw columns, all 8-aligned
+// claim-shard, store/format.h): meta + seven kRaw columns, all 8-aligned
 // so a mapped file serves ShardFileColumns in place.
 //
-// The layer speaks plain u32/u8/f32 spans (kb::TripleId and friends are
+// The layer speaks plain u32/u8 spans (kb::TripleId and friends are
 // uint32_t typedefs), so store stays independent of fusion; the spill
 // layer adapts fusion::ShardColumns on both sides.
 #ifndef KF_STORE_SHARD_STORE_H_
@@ -20,7 +20,7 @@ namespace kf::store {
 /// One shard's spillable columns as plain spans. Invariants (checked by
 /// the writer, validated by the reader): item_offsets has items.size()+1
 /// entries; items/item_multi/item_distinct share one length;
-/// claim_triple/claim_prov/claim_confidence/prov_triples share another.
+/// claim_triple/claim_prov/prov_triples share another.
 struct ShardFileColumns {
   uint64_t shard_id = 0;
   Span<const uint32_t> items;
@@ -29,7 +29,6 @@ struct ShardFileColumns {
   Span<const uint32_t> item_distinct;
   Span<const uint32_t> claim_triple;
   Span<const uint32_t> claim_prov;
-  Span<const float> claim_confidence;
   Span<const uint32_t> prov_triples;
 
   size_t num_items() const { return items.size(); }

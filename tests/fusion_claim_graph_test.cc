@@ -8,6 +8,7 @@
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/checksum.h"
 #include "synth/corpus.h"
@@ -36,16 +37,13 @@ struct ClaimSet {
   std::vector<uint32_t> prov_claims;
   /// Claims per data item.
   std::vector<uint32_t> item_claims;
-  /// Max confidence any record assigned to the (prov, triple) pair, or -1
-  /// when no contributing record had a confidence.
-  std::vector<float> confidence;
 };
 
 ClaimSet BuildClaimSet(const extract::ExtractionDataset& dataset,
                        const extract::Granularity& granularity) {
   ClaimSet set;
   std::unordered_map<uint64_t, uint32_t> prov_index;
-  std::unordered_map<uint64_t, uint32_t> pair_index;  // (prov, triple)
+  std::unordered_set<uint64_t> pair_index;  // (prov, triple)
   for (const extract::ExtractionRecord& r : dataset.records()) {
     uint64_t key = extract::ProvenanceKey(r.prov, granularity);
     uint32_t prov =
@@ -53,15 +51,9 @@ ClaimSet BuildClaimSet(const extract::ExtractionDataset& dataset,
             .first->second;
     uint64_t pair_key =
         (static_cast<uint64_t>(prov) << 32) | static_cast<uint64_t>(r.triple);
-    auto [it, inserted] = pair_index.emplace(
-        pair_key, static_cast<uint32_t>(set.claims.size()));
-    if (inserted) {
+    if (pair_index.insert(pair_key).second) {
       set.claims.push_back(
           Claim{r.triple, dataset.triple(r.triple).item, prov});
-      set.confidence.push_back(r.has_confidence ? r.confidence : -1.0f);
-    } else if (r.has_confidence) {
-      float& conf = set.confidence[it->second];
-      conf = std::max(conf, r.confidence);
     }
   }
   set.num_provs = prov_index.size();
@@ -82,8 +74,7 @@ extract::ExtractionDataset TwoSiteDataset() {
                                           false, 1, 0}});
   d.SetUrlSites({0, 0, 1});
   d.SetCounts(2, 2, 2);
-  auto add = [&](kb::ValueId o, uint32_t ext, uint32_t url, float conf,
-                 bool has_conf) {
+  auto add = [&](kb::ValueId o, uint32_t ext, uint32_t url) {
     kb::TripleId t = d.InternTriple(kb::DataItem{1, 0}, o, false, false);
     extract::ExtractionRecord r;
     r.triple = t;
@@ -92,14 +83,12 @@ extract::ExtractionDataset TwoSiteDataset() {
     r.prov.site = d.site_of_url(url);
     r.prov.pattern = ext;
     r.prov.predicate = 0;
-    r.confidence = conf;
-    r.has_confidence = has_conf;
     d.AddRecord(r);
   };
-  add(10, 0, 0, 0.5f, true);
-  add(10, 0, 0, 0.9f, true);  // duplicate (prov, triple), higher conf
-  add(10, 0, 1, 0.4f, true);  // same extractor, other url, same site
-  add(11, 1, 2, 0.0f, false);
+  add(10, 0, 0);
+  add(10, 0, 0);  // duplicate (prov, triple)
+  add(10, 0, 1);  // same extractor, other url, same site
+  add(11, 1, 2);
   return d;
 }
 
@@ -128,48 +117,6 @@ TEST(ClaimSetTest, DedupesAtSiteGranularity) {
   ClaimGraph graph(d, gran, /*num_shards=*/4);
   EXPECT_EQ(graph.num_claims(), 2u);
   EXPECT_EQ(graph.num_provs(), 2u);
-}
-
-TEST(ClaimSetTest, KeepsMaxConfidence) {
-  auto d = TwoSiteDataset();
-  auto gran = extract::Granularity::ExtractorUrl();
-  const kb::TripleId t10 = d.FindTriple(kb::DataItem{1, 0}, 10);
-  ClaimSet set = BuildClaimSet(d, gran);
-  // The duplicate record had confidence 0.9 > 0.5.
-  bool found = false;
-  for (size_t i = 0; i < set.claims.size(); ++i) {
-    if (set.claims[i].triple == t10 && set.confidence[i] > 0.0f) {
-      EXPECT_GE(set.confidence[i], 0.4f);
-      if (set.confidence[i] == 0.9f) found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  std::multiset<float> graph_confidences;
-  ClaimGraph(d, gran, /*num_shards=*/4)
-      .ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
-                        float conf) {
-        if (triple == t10) graph_confidences.insert(conf);
-      });
-  EXPECT_EQ(graph_confidences, (std::multiset<float>{0.4f, 0.9f}));
-}
-
-TEST(ClaimSetTest, NoConfidenceIsMinusOne) {
-  auto d = TwoSiteDataset();
-  auto gran = extract::Granularity::ExtractorUrl();
-  kb::TripleId t11 = d.FindTriple(kb::DataItem{1, 0}, 11);
-  ClaimSet set = BuildClaimSet(d, gran);
-  for (size_t i = 0; i < set.claims.size(); ++i) {
-    if (set.claims[i].triple == t11) {
-      EXPECT_FLOAT_EQ(set.confidence[i], -1.0f);
-    }
-  }
-  ClaimGraph(d, gran, /*num_shards=*/4)
-      .ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t,
-                        float conf) {
-        if (triple == t11) {
-          EXPECT_FLOAT_EQ(conf, -1.0f);
-        }
-      });
 }
 
 TEST(ClaimSetTest, CountsPerProvenanceAndItem) {
@@ -211,14 +158,12 @@ const synth::SynthCorpus& SmallCorpus() {
   return corpus;
 }
 
-using ClaimTuple = std::tuple<kb::DataItemId, kb::TripleId, uint32_t, float>;
+using ClaimTuple = std::tuple<kb::DataItemId, kb::TripleId, uint32_t>;
 
 std::multiset<ClaimTuple> GraphClaims(const ClaimGraph& graph) {
   std::multiset<ClaimTuple> out;
   graph.ForEachClaim([&](kb::DataItemId item, kb::TripleId triple,
-                         uint32_t prov, float conf) {
-    out.insert({item, triple, prov, conf});
-  });
+                         uint32_t prov) { out.insert({item, triple, prov}); });
   return out;
 }
 
@@ -234,14 +179,11 @@ TEST(ClaimGraphTest, MatchesClaimSetOnSynthCorpus) {
   ASSERT_EQ(graph.prov_claims().size(), set.prov_claims.size());
   EXPECT_EQ(graph.prov_claims(), set.prov_claims);
 
-  // Same deduplicated claim multiset, including merged confidences. The
-  // prov interner visits records in the same global order as BuildClaimSet,
-  // so dense prov ids agree exactly.
+  // Same deduplicated claim multiset. The prov interner visits records in
+  // the same global order as BuildClaimSet, so dense prov ids agree
+  // exactly.
   std::multiset<ClaimTuple> expected;
-  for (size_t i = 0; i < set.claims.size(); ++i) {
-    const Claim& c = set.claims[i];
-    expected.insert({c.item, c.triple, c.prov, set.confidence[i]});
-  }
+  for (const Claim& c : set.claims) expected.insert({c.item, c.triple, c.prov});
   EXPECT_EQ(GraphClaims(graph), expected);
 }
 
@@ -260,6 +202,34 @@ TEST(ClaimGraphTest, ShardsPartitionItemsDisjointly) {
       EXPECT_TRUE(seen.insert(item).second) << "item in two shards";
     }
   }
+}
+
+// SpillableBytes() is the unit of the memory budget: it must count exactly
+// the columns a spill file carries and a sweep reads, computed from the
+// counts alone.
+TEST(ClaimGraphTest, SpillableBytesMatchTheSpillableColumns) {
+  const auto& corpus = SmallCorpus();
+  ClaimGraph graph(corpus.dataset, extract::Granularity::ExtractorUrl(),
+                   /*num_shards=*/16);
+  size_t checked = 0;
+  for (size_t s = 0; s < graph.num_shards(); ++s) {
+    const ClaimGraph::Shard& sh = graph.shard(s);
+    if (sh.records.empty()) continue;  // never built: no offsets entry
+    size_t bytes = 0;
+    auto add = [&bytes](const auto& column) {
+      bytes += column.size() * sizeof(column[0]);
+    };
+    add(sh.items);
+    add(sh.item_offsets);
+    add(sh.item_multi);
+    add(sh.item_distinct);
+    add(sh.claim_triple);
+    add(sh.claim_prov);
+    add(sh.prov_triples);
+    EXPECT_EQ(sh.SpillableBytes(), bytes) << "shard " << s;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 /// The global per-prov triple sequences: each provenance's shard-local
@@ -286,8 +256,9 @@ TEST(ClaimGraphTest, ProvCrossIndexCoversEveryClaim) {
   // Cross-index multiset == shard-column multiset, per provenance; counts
   // and total must add up to every deduplicated claim exactly once.
   std::vector<std::multiset<kb::TripleId>> from_shards(graph.num_provs());
-  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov,
-                         float) { from_shards[prov].insert(triple); });
+  graph.ForEachClaim([&](kb::DataItemId, kb::TripleId triple, uint32_t prov) {
+    from_shards[prov].insert(triple);
+  });
   size_t total = 0;
   const auto sequences = ProvSequences(graph);
   for (size_t p = 0; p < graph.num_provs(); ++p) {
@@ -349,7 +320,6 @@ bool ShardsEqual(const ClaimGraph::Shard& a, const ClaimGraph::Shard& b) {
          a.item_offsets == b.item_offsets && a.item_multi == b.item_multi &&
          a.item_distinct == b.item_distinct &&
          a.claim_triple == b.claim_triple && a.claim_prov == b.claim_prov &&
-         a.claim_confidence == b.claim_confidence &&
          a.prov_ids == b.prov_ids && a.prov_offsets == b.prov_offsets &&
          a.prov_triples == b.prov_triples;
 }
@@ -418,7 +388,7 @@ TEST(ClaimGraphTest, SortIsStableByFirstSeenProvenance) {
   std::map<std::pair<kb::DataItemId, kb::TripleId>, std::vector<uint32_t>>
       actual;
   graph.ForEachClaim([&](kb::DataItemId item, kb::TripleId triple,
-                         uint32_t prov, float) {
+                         uint32_t prov) {
     actual[{item, triple}].push_back(prov);
   });
   EXPECT_EQ(actual, expected);
@@ -518,7 +488,6 @@ uint32_t GraphCrc(const ClaimGraph& graph) {
     add(sh.item_distinct);
     add(sh.claim_triple);
     add(sh.claim_prov);
-    add(sh.claim_confidence);
     add(sh.prov_ids);
     add(sh.prov_offsets);
     add(sh.prov_triples);
@@ -538,13 +507,13 @@ TEST(ClaimGraphTest, ColumnsMatchRecordedOutput) {
   const auto& dataset = SmallCorpus().dataset;
   const ClaimGraph url16(dataset, extract::Granularity::ExtractorUrl(),
                          /*num_shards=*/16);
-  EXPECT_EQ(GraphCrc(url16), 0x376400au)
+  EXPECT_EQ(GraphCrc(url16), 0xd2c0f68fu)
       << "(Extractor, URL) at 16 shards: got " << Hex(GraphCrc(url16));
 
   const ClaimGraph pattern64(
       dataset, extract::Granularity::ExtractorSitePredicatePattern(),
       /*num_shards=*/64);
-  EXPECT_EQ(GraphCrc(pattern64), 0x997a814du)
+  EXPECT_EQ(GraphCrc(pattern64), 0xeeb0765bu)
       << "(Extractor, Site, Predicate, Pattern) at 64 shards: got "
       << Hex(GraphCrc(pattern64));
 
@@ -561,7 +530,7 @@ TEST(ClaimGraphTest, ColumnsMatchRecordedOutput) {
   ASSERT_EQ(appended.num_records_indexed(), total);
   // Equal to the full build's constant: an update is bit-identical to a
   // build over the concatenated records.
-  EXPECT_EQ(GraphCrc(appended), 0x376400au)
+  EXPECT_EQ(GraphCrc(appended), 0xd2c0f68fu)
       << "16 shards after 10 appends: got " << Hex(GraphCrc(appended));
 }
 

@@ -215,9 +215,8 @@ TEST(EngineTest, ShardSweepMicrosCoversEveryShard) {
   FusionResult result = budgeted.Prepare();
   auto manager = spill::ShardSpillManager::Create(&budgeted);
   ASSERT_TRUE(manager.ok());
-  ASSERT_TRUE((*manager)
-                  ->RunRounds(&budgeted, FusionEngine::Start::kCold, &result)
-                  .ok());
+  ASSERT_TRUE(
+      (*manager)->RunRounds(FusionEngine::Start::kCold, &result).ok());
   EXPECT_GT((*manager)->plan().subsets.size(), 1u);
   EXPECT_EQ(budgeted.shard_sweep_micros().size(),
             budgeted.graph().num_shards());

@@ -4,7 +4,7 @@
 //                the always-resident record lists, run equal
 //   resident     a permanently dead spill destination waives the budget
 //   fallback     and the run finishes fully resident, run STILL equal
-//   Status       with recovery impossible (no hook / hook faulted) the
+//   Status       with recovery impossible (the rebuild faulted) the
 //                failure surfaces as a clean Status — never an abort —
 //                and Session/KbServer reset or keep serving accordingly.
 // "Equal" throughout means operator==-level: probabilities, accuracies,
@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "eval/gold_standard.h"
 #include "extract/tsv_io.h"
@@ -141,18 +142,15 @@ TEST_F(SpillFaultTest, ByteFlipBetweenRoundsQuarantinesAndRecovers) {
                                   SnapshotNaming{});
   ASSERT_TRUE(ref_kb.ok());
 
-  FusionEngine engine(dataset, opts);
+  FusionOptions budgeted = opts;
+  budgeted.memory_budget_bytes = TotalSpillableBytes(dataset, opts) / 4;
+  FusionEngine engine(dataset, budgeted);
   FusionResult result = engine.Prepare();
-  ShardSpillManager::Options mo;
-  mo.budget_bytes = TotalSpillableBytes(dataset, opts) / 4;
-  mo.rematerialize = [&engine](uint32_t s) {
-    engine.RematerializeShard(s);
-    return Status::OK();
-  };
-  auto mgr = ShardSpillManager::Create(&engine.mutable_graph(), mo);
+  auto mgr = ShardSpillManager::Create(&engine);
   ASSERT_TRUE(mgr.ok());
   ShardSpillManager& manager = **mgr;
-  const SpillPlan plan = PlanSubsets(engine.graph(), mo.budget_bytes);
+  const SpillPlan plan =
+      PlanSubsets(engine.graph(), budgeted.memory_budget_bytes);
   ASSERT_GT(plan.subsets.size(), 1u);  // the budget binds: real files
 
   for (size_t round = 1; round <= opts.max_rounds; ++round) {
@@ -234,46 +232,55 @@ TEST_F(SpillFaultTest, DeadSpillDirFallsBackToResidentBitIdentical) {
 
 // ---- rung 4: the ladder runs dry — a clean Status, never an abort ----
 
-TEST_F(SpillFaultTest, NoRematerializeHookPropagatesWriteFailure) {
-  const auto& dataset = GetDataset();
-  FusionOptions opts = BaseOptions();
-  opts.num_workers = 1;
-  FusionEngine engine(dataset, opts);
-  engine.Prepare();
-  ShardSpillManager::Options mo;
-  mo.budget_bytes = 1;  // every EnsureOnly really spills
-  auto mgr = ShardSpillManager::Create(&engine.mutable_graph(), mo);
-  ASSERT_TRUE(mgr.ok());
-
-  fault::ScopedFaults scope;
-  ASSERT_TRUE(fault::ArmFromConfig("spill.write=enospc").ok());
-  Status st = (*mgr)->EnsureOnly({0});
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
-  EXPECT_NE(st.message().find("cannot degrade to resident"),
-            std::string::npos);
+/// Prepares `engine`, whose options set a 1-byte budget (every EnsureOnly
+/// really spills), and returns its manager with shard 0 resident and
+/// every other shard spilled.
+std::unique_ptr<ShardSpillManager> SpillAllButShardZero(FusionEngine* engine) {
+  engine->Prepare();
+  auto mgr = ShardSpillManager::Create(engine);
+  KF_CHECK_OK(mgr.status());
+  KF_CHECK_OK((*mgr)->EnsureOnly({0}));
+  return std::move(mgr).value();
 }
 
-TEST_F(SpillFaultTest, NoRematerializeHookPropagatesCorruptAttach) {
+TEST_F(SpillFaultTest, FailedRematerializePropagatesWriteFailure) {
   const auto& dataset = GetDataset();
   FusionOptions opts = BaseOptions();
   opts.num_workers = 1;
+  opts.memory_budget_bytes = 1;
   FusionEngine engine(dataset, opts);
-  engine.Prepare();
-  ShardSpillManager::Options mo;
-  mo.budget_bytes = 1;
-  auto mgr = ShardSpillManager::Create(&engine.mutable_graph(), mo);
-  ASSERT_TRUE(mgr.ok());
-  ASSERT_TRUE((*mgr)->EnsureOnly({0}).ok());  // spills everything else
+  auto manager = SpillAllButShardZero(&engine);
 
   fault::ScopedFaults scope;
-  // EIO is not transient: no retry, straight to quarantine — which has
-  // nothing to rebuild with here.
-  ASSERT_TRUE(fault::ArmFromConfig("spill.attach=eio@1").ok());
-  Status st = (*mgr)->EnsureOnly({1});
+  // Shard 0's write fails for good, so the manager degrades to resident;
+  // rebuilding the spilled shards fails too: the ladder runs dry.
+  ASSERT_TRUE(
+      fault::ArmFromConfig("spill.write=enospc;spill.remat=eio").ok());
+  Status st = manager->EnsureOnly({1});
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("no rematerialize hook"), std::string::npos);
-  EXPECT_EQ((*mgr)->stats().shards_quarantined, 1u);
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.message().find("rematerialize shard"), std::string::npos);
+  EXPECT_FALSE(manager->stats().resident_fallback);
+}
+
+TEST_F(SpillFaultTest, FailedRematerializePropagatesCorruptAttach) {
+  const auto& dataset = GetDataset();
+  FusionOptions opts = BaseOptions();
+  opts.num_workers = 1;
+  opts.memory_budget_bytes = 1;
+  FusionEngine engine(dataset, opts);
+  auto manager = SpillAllButShardZero(&engine);
+
+  fault::ScopedFaults scope;
+  // EIO is not transient: no retry, straight to quarantine — whose
+  // rebuild fails as well.
+  ASSERT_TRUE(
+      fault::ArmFromConfig("spill.attach=eio@1;spill.remat=eio").ok());
+  Status st = manager->EnsureOnly({1});
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.message().find("rematerialize shard"), std::string::npos);
+  EXPECT_EQ(manager->stats().shards_quarantined, 1u);
 }
 
 TEST_F(SpillFaultTest, SessionResetsCleanlyWhenTheLadderRunsDry) {
@@ -346,9 +353,9 @@ TEST_F(SpillFaultTest, PublishFailureKeepsReadersOnLastGoodGeneration) {
   // A tiny tail: a few appended records dirty a few shards while the
   // rest stay clean and MAPPED — so the faulted warm Publish both has
   // to write spill files (dirty shards) and, when that fails, has to
-  // rematerialize mapped shards through the (also faulted) hook. A big
-  // tail would dirty every shard and let the budget waiver succeed
-  // trivially with nothing to rematerialize.
+  // rematerialize mapped shards (also faulted). A big tail would dirty
+  // every shard and let the budget waiver succeed trivially with nothing
+  // to rematerialize.
   ASSERT_GT(src.num_records(), 4u);
   const size_t base = src.num_records() - 3;
   KbServer::Options options;
@@ -420,6 +427,33 @@ TEST_F(SpillFaultTest, PublishSurfacesRecoveryCountersInSnapshotStats) {
   EXPECT_FALSE(gen1->spill_resident_fallback);
   EXPECT_EQ(server.stats().current.spill_transient_retries,
             gen1->spill_transient_retries);
+}
+
+TEST_F(SpillFaultTest, SnapshotStatsCountOnlyTheProducingRun) {
+  // A warm Publish keeps the spill manager, whose counters run over its
+  // lifetime: generation 2 must not report generation 1's recovery.
+  const auto& src = GetDataset();
+  ASSERT_GT(src.num_records(), 4u);
+  const size_t base = src.num_records() - 3;
+  KbServer::Options options;
+  options.fusion = BaseOptions();
+  options.fusion.memory_budget_bytes =
+      TotalSpillableBytes(src, options.fusion) / 4;
+  KbServer server(CloneRecordPrefix(src, base), options);
+  {
+    fault::ScopedFaults scope;
+    ASSERT_TRUE(fault::ArmFromConfig("spill.write=eintr@1").ok());
+    auto gen1 = server.Publish();
+    ASSERT_TRUE(gen1.ok()) << gen1.status().ToString();
+    ASSERT_GE(gen1->spill_transient_retries, 1u);
+  }
+  ASSERT_TRUE(
+      server.Append(ReinternTail(src, base, &server.mutable_dataset())).ok());
+  auto gen2 = server.Publish();
+  ASSERT_TRUE(gen2.ok()) << gen2.status().ToString();
+  EXPECT_EQ(gen2->seqno, 2u);
+  EXPECT_EQ(gen2->spill_transient_retries, 0u);
+  EXPECT_EQ(gen2->spill_shards_quarantined, 0u);
 }
 
 // ---- probe hygiene (the ProbeWritable leak regression) ---------------

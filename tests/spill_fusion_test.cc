@@ -149,8 +149,8 @@ ManagedRun RunManaged(const extract::ExtractionDataset& dataset,
   auto manager = ShardSpillManager::Create(run.engine.get());
   KF_CHECK_OK(manager.status());
   run.manager = std::move(manager).value();
-  KF_CHECK_OK(run.manager->RunRounds(
-      run.engine.get(), FusionEngine::Start::kCold, &run.result));
+  KF_CHECK_OK(
+      run.manager->RunRounds(FusionEngine::Start::kCold, &run.result));
   return run;
 }
 
@@ -505,20 +505,16 @@ TEST(SpillFusionTest, UncreatableSpillDirIsACleanStatus) {
 }
 
 TEST(SpillFusionTest, ManagerRemovesItsOwnedTempDir) {
-  // Bare manager, no rematerialize hook: armed spill faults would turn
-  // into hard Statuses here by design — not this test's subject.
-  if (fault::AnyArmed()) GTEST_SKIP() << "no recovery hook; faults armed";
   const auto& dataset = GetWorkload().corpus.dataset;
   FusionOptions opts = FusionOptions::PopAccu();
   opts.num_shards = 8;
   opts.num_workers = 1;
+  opts.memory_budget_bytes = 1;  // force real spill files
   FusionEngine engine(dataset, opts);
   engine.Prepare();
   std::string dir;
   {
-    ShardSpillManager::Options mo;
-    mo.budget_bytes = 1;  // force real spill files
-    auto mgr = ShardSpillManager::Create(&engine.mutable_graph(), mo);
+    auto mgr = ShardSpillManager::Create(&engine);
     ASSERT_TRUE(mgr.ok()) << mgr.status().message();
     dir = (*mgr)->dir();
     ASSERT_TRUE((*mgr)->EnsureOnly({0}).ok());

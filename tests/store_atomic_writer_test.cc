@@ -168,7 +168,6 @@ Result<extract::TsvCorpus> MakeCorpus(int version) {
 std::string ShardImage(uint32_t items) {
   std::vector<uint32_t> ids, offs{0}, distinct, ct, cp, pt;
   std::vector<uint8_t> multi;
-  std::vector<float> conf;
   for (uint32_t g = 0; g < items; ++g) {
     ids.push_back(g);
     multi.push_back(g % 2);
@@ -176,7 +175,6 @@ std::string ShardImage(uint32_t items) {
     for (uint32_t k = 0; k < 2; ++k) {
       ct.push_back(100 + 2 * g + k);
       cp.push_back((2 * g + k) % 5);
-      conf.push_back(0.5f);
       pt.push_back(100 + (g + k) % (2 * items));
     }
     offs.push_back(2 * (g + 1));
@@ -189,7 +187,6 @@ std::string ShardImage(uint32_t items) {
   c.item_distinct = {distinct.data(), distinct.size()};
   c.claim_triple = {ct.data(), ct.size()};
   c.claim_prov = {cp.data(), cp.size()};
-  c.claim_confidence = {conf.data(), conf.size()};
   c.prov_triples = {pt.data(), pt.size()};
   return BuildShardFile(c);
 }

@@ -23,7 +23,6 @@ struct OwnedShard {
   std::vector<uint32_t> item_distinct;
   std::vector<uint32_t> claim_triple;
   std::vector<uint32_t> claim_prov;
-  std::vector<float> claim_confidence;
   std::vector<uint32_t> prov_triples;
 
   ShardFileColumns Columns() const {
@@ -35,7 +34,6 @@ struct OwnedShard {
     c.item_distinct = {item_distinct.data(), item_distinct.size()};
     c.claim_triple = {claim_triple.data(), claim_triple.size()};
     c.claim_prov = {claim_prov.data(), claim_prov.size()};
-    c.claim_confidence = {claim_confidence.data(), claim_confidence.size()};
     c.prov_triples = {prov_triples.data(), prov_triples.size()};
     return c;
   }
@@ -55,7 +53,6 @@ OwnedShard MakeShard(uint64_t shard_id, uint32_t items) {
       const uint32_t claim = 2 * g + k;
       s.claim_triple.push_back(100 + claim);
       s.claim_prov.push_back(claim % 5);
-      s.claim_confidence.push_back(0.25f * (1 + claim % 3));
       s.prov_triples.push_back(100 + (claim * 7) % (2 * items));
     }
     s.item_offsets.push_back(2 * (g + 1));
@@ -76,7 +73,6 @@ void ExpectSameColumns(const OwnedShard& expect, const ShardFileColumns& got) {
   EXPECT_EQ(ToVector(got.item_distinct), expect.item_distinct);
   EXPECT_EQ(ToVector(got.claim_triple), expect.claim_triple);
   EXPECT_EQ(ToVector(got.claim_prov), expect.claim_prov);
-  EXPECT_EQ(ToVector(got.claim_confidence), expect.claim_confidence);
   EXPECT_EQ(ToVector(got.prov_triples), expect.prov_triples);
 }
 
@@ -108,6 +104,34 @@ TEST(ShardStoreTest, RoundTripEmptyShard) {
   EXPECT_EQ(cols->num_claims(), 0u);
   EXPECT_EQ(cols->item_offsets.size(), 1u);
   EXPECT_EQ(cols->item_offsets[0], 0u);
+}
+
+TEST(ShardStoreTest, ReaderIgnoresARetiredBlock) {
+  // Block 77 once held a per-claim f32 column between the claim columns.
+  // Its id is retired, and readers ignore ids they do not know
+  // (store/format.h): a shard image that still carries it reads back the
+  // same columns.
+  const OwnedShard shard = MakeShard(5, 4);
+  const std::vector<float> retired(shard.claim_triple.size(), 0.5f);
+  const uint64_t meta[3] = {shard.shard_id, shard.items.size(),
+                            shard.claim_triple.size()};
+  BlockBuilder builder;
+  builder.AddRaw(BlockId::kShardMeta, meta, sizeof(meta), 3);
+  builder.AddColumn(BlockId::kShardItems, shard.items);
+  builder.AddColumn(BlockId::kShardItemOffsets, shard.item_offsets);
+  builder.AddColumn(BlockId::kShardItemMulti, shard.item_multi);
+  builder.AddColumn(BlockId::kShardItemDistinct, shard.item_distinct);
+  builder.AddColumn(BlockId::kShardClaimTriple, shard.claim_triple);
+  builder.AddColumn(BlockId::kShardClaimProv, shard.claim_prov);
+  builder.AddColumn(static_cast<BlockId>(77), retired);
+  builder.AddColumn(BlockId::kShardProvTriples, shard.prov_triples);
+  const std::string image = builder.Finish(ContentKind::kClaimShard);
+  auto file = BlockFile::Parse(image, ContentKind::kClaimShard);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  ASSERT_NE(file->Find(static_cast<BlockId>(77)), nullptr);
+  auto cols = ReadShardColumns(*file);
+  ASSERT_TRUE(cols.ok()) << cols.status().message();
+  ExpectSameColumns(shard, *cols);
 }
 
 TEST(ShardStoreTest, MmapViewServesColumnsInPlace) {
