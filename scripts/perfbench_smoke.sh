@@ -7,13 +7,15 @@
 # other build target compiles. Fails unless each run's result line reports
 # "correct": true and "failed": 0.
 #
-# After each workload's result it prints the exact work counters the
-# traced run reports (rounds, claims, publish rounds, spill files, bytes
-# and maps, the spill budget and high water, KB bytes). They do not depend
-# on timing, so two builds that do the same work print the same counters:
-# diff two smoke logs to check. The budget is 25% of the graph's spillable
-# bytes and the high water follows the subset plan, so a change to the
-# spilled columns moves both.
+# After each workload's result it prints the workload's `config fusion`
+# line and its `config batch` or `config serve` line (not `config
+# build_type`, which carries the load average), then the exact work
+# counters the traced run reports (rounds, claims, publish rounds, spill
+# files, bytes and maps, the spill budget and high water, KB bytes). None
+# of these depend on timing, so two builds that run the same configuration
+# and do the same work print the same lines: diff two smoke logs to check.
+# The budget is 25% of the graph's spillable bytes and the high water
+# follows the subset plan, so a change to the spilled columns moves both.
 #
 #   ./scripts/perfbench_smoke.sh
 set -euo pipefail
@@ -21,20 +23,24 @@ cd "$(dirname "$0")/.."
 
 for workload in batch_tsv batch_bin_budget serve_stream; do
   echo "== perfbench ${workload}"
-  # run.py keeps build output on stderr: the JSON result is the last
-  # stdout line.
+  # run.py keeps build output on stderr: stdout is kf_e2e's report, whose
+  # last line is the JSON result.
   python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
-      --trace 1 | tail -n 1 | python3 -c '
+      --trace 1 | python3 -c '
 import json
 import sys
 
+lines = sys.stdin.read().splitlines()
 try:
-    result = json.loads(sys.stdin.read())
-except ValueError:
+    result = json.loads(lines[-1])
+except (IndexError, ValueError):
     sys.exit(sys.argv[1] + ": no JSON result line")
 print("%s: correct=%s attempted=%s failed=%s" % (
     sys.argv[1], result.get("correct"), result.get("attempted"),
     result.get("failed")))
+for line in lines:
+    if line.startswith(("config fusion ", "config batch ", "config serve ")):
+        print("%s: %s" % (sys.argv[1], line))
 metrics = result.get("metrics", {})
 for name in ("fusion.rounds", "fusion.claims", "kf.publish_rounds",
              "spill.files_written", "spill.bytes_written", "spill.maps_opened",

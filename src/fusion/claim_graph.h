@@ -103,7 +103,9 @@ class ClaimGraph {
     std::vector<uint32_t> records;
 
     std::vector<kb::DataItemId> items;
-    std::vector<uint32_t> item_offsets;  // size items.size() + 1
+    /// Size items.size() + 1, so a shard that never received a record
+    /// holds the lone [0] offset.
+    std::vector<uint32_t> item_offsets = {0};
     /// Per item: some triple has >= 2 supporting claims (the round-1
     /// coverage-filter qualification, structural so computed at build).
     std::vector<uint8_t> item_multi;
@@ -124,7 +126,7 @@ class ClaimGraph {
     /// Rebuilt together with the claim columns, so an Update() touches
     /// only the dirty shards' groups.
     std::vector<uint32_t> prov_ids;
-    std::vector<uint32_t> prov_offsets;
+    std::vector<uint32_t> prov_offsets = {0};
     std::vector<kb::TripleId> prov_triples;
 
     /// Residency of the spillable columns (items/item_* /claim_* /

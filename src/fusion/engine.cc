@@ -35,25 +35,20 @@ std::unique_ptr<Scorer> MakeScorer(const FusionOptions& options) {
 /// worker count so the reduction decomposition is reproducible.
 constexpr size_t kProvBlock = 256;
 
-/// Round cap, stop epsilon, and Stage II step of one RunRounds call.
+/// Round cap and stop epsilon of one RunRounds call.
 struct RoundPolicy {
   size_t max_rounds;
   double epsilon;
-  double damping;
-  double quantile;
 };
 
 /// The one place warm_start is read: a warm run takes each override that
 /// is set (> 0) and inherits the cold value otherwise.
 RoundPolicy ResolveRoundPolicy(const FusionOptions& o, bool warm) {
-  RoundPolicy p{o.max_rounds, o.convergence_epsilon, o.accuracy_damping,
-                o.convergence_quantile};
+  RoundPolicy p{o.max_rounds, o.convergence_epsilon};
   if (!warm) return p;
   const WarmStartOptions& w = o.warm_start;
   if (w.max_rounds > 0) p.max_rounds = w.max_rounds;
   if (w.epsilon > 0.0) p.epsilon = w.epsilon;
-  if (w.damping > 0.0) p.damping = w.damping;
-  if (w.quantile > 0.0) p.quantile = w.quantile;
   return p;
 }
 
@@ -362,8 +357,7 @@ std::vector<uint32_t> FusionEngine::AllShards() const {
 double FusionEngine::StageII(const FusionResult& result) {
   BeginStageII(result);
   AccumulateStageII(AllShards(), result);
-  return FinishStageII(options_.accuracy_damping,
-                       options_.convergence_quantile);
+  return FinishStageII();
 }
 
 void FusionEngine::BeginStageII(const FusionResult& result) {
@@ -434,9 +428,7 @@ void FusionEngine::AccumulateStageII(const std::vector<uint32_t>& shard_ids,
       /*grain=*/1);
 }
 
-double FusionEngine::FinishStageII(double damping, double quantile) {
-  KF_CHECK(damping > 0.0 && damping <= 1.0);
-  KF_CHECK(quantile > 0.0 && quantile <= 1.0);
+double FusionEngine::FinishStageII() {
   KF_CHECK(shard_values_.size() == graph_.num_shards());  // BeginStageII ran
   const size_t num_provs = graph_.num_provs();
   const std::vector<uint32_t>& prov_claims = graph_.prov_claims();
@@ -475,11 +467,6 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
   std::vector<std::vector<float>>().swap(shard_values_);
 
   const size_t num_blocks = (num_provs + kProvBlock - 1) / kProvBlock;
-  // The quantile criterion needs every provenance's delta, not just the
-  // per-block max; -1 marks provenances this sweep did not update.
-  const bool need_all_deltas = quantile < 1.0;
-  std::vector<double> prov_delta;
-  if (need_all_deltas) prov_delta.assign(num_provs, -1.0);
   std::vector<double> block_delta(num_blocks, 0.0);
   ParallelFor(num_blocks, options_.num_workers, [&](size_t b) {
     const size_t p_end = std::min((b + 1) * kProvBlock, num_provs);
@@ -498,42 +485,17 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
         cnt = values.size();
       }
       if (cnt == 0) continue;
-      double proposed = std::clamp(sum / static_cast<double>(cnt),
-                                   options_.accuracy_floor,
-                                   options_.accuracy_ceiling);
-      // Damped step toward the proposal; damping 1 applies it exactly
-      // (not via old + (proposed - old), which could perturb the last
-      // bit and break bit-identity with the undamped update).
-      double a = damping == 1.0
-                     ? proposed
-                     : std::clamp(accuracy_[p] +
-                                      damping * (proposed - accuracy_[p]),
+      const double a = std::clamp(sum / static_cast<double>(cnt),
                                   options_.accuracy_floor,
                                   options_.accuracy_ceiling);
-      const double delta = std::fabs(a - accuracy_[p]);
-      block_delta[b] = std::max(block_delta[b], delta);
-      if (need_all_deltas) prov_delta[p] = delta;
+      block_delta[b] = std::max(block_delta[b], std::fabs(a - accuracy_[p]));
       accuracy_[p] = a;
       evaluated_[p] = 1;
     }
   });
   double max_delta = 0.0;
   for (double d : block_delta) max_delta = std::max(max_delta, d);
-  if (!need_all_deltas) return max_delta;
-  // q-quantile over the provenances updated this sweep (deterministic:
-  // per-provenance deltas do not depend on the worker decomposition).
-  std::vector<double> updated;
-  updated.reserve(num_provs);
-  for (double d : prov_delta) {
-    if (d >= 0.0) updated.push_back(d);
-  }
-  if (updated.empty()) return 0.0;
-  size_t k = static_cast<size_t>(
-      std::ceil(quantile * static_cast<double>(updated.size())));
-  k = std::min(std::max<size_t>(k, 1), updated.size());
-  std::nth_element(updated.begin(), updated.begin() + (k - 1),
-                   updated.end());
-  return updated[k - 1];
+  return max_delta;
 }
 
 Status FusionEngine::RunRounds(
@@ -566,7 +528,7 @@ Status FusionEngine::RunRounds(
       callback(round, result->probability, result->has_probability);
     }
     if (is_vote) break;
-    const double delta = FinishStageII(policy.damping, policy.quantile);
+    const double delta = FinishStageII();
     if ((warm || round > 1) && delta < policy.epsilon) break;
   }
 

@@ -76,11 +76,11 @@ class FusionEngine {
   using ResidencyCallback =
       std::function<Status(const std::vector<uint32_t>& subset)>;
 
-  /// Stop policy of RunRounds. kCold: options.max_rounds, damping and
-  /// quantile, epsilon tested from round 2 (round 1 moves every accuracy
-  /// off its seed). kWarm: the options.warm_start overrides (0 inherits
-  /// the cold value), epsilon tested from round 1 — a small append barely
-  /// moves the converged accuracies.
+  /// Stop policy of RunRounds. kCold: options.max_rounds and
+  /// convergence_epsilon, epsilon tested from round 2 (round 1 moves every
+  /// accuracy off its seed). kWarm: the options.warm_start overrides (0
+  /// inherits the cold value), epsilon tested from round 1 — a small
+  /// append barely moves the converged accuracies.
   enum class Start { kCold, kWarm };
 
   /// Builds the claim graph (options.num_shards shards; 0 = auto).
@@ -135,10 +135,9 @@ class FusionEngine {
   /// One Stage I sweep: scores every qualified item group into `result`
   /// (BeginStageI + SweepStageI over all shards).
   void StageI(size_t round, FusionResult* result);
-  /// One Stage II sweep: re-evaluates provenance accuracies against
-  /// `result` under the options' accuracy_damping, and returns the
-  /// options' convergence_quantile of the per-provenance accuracy changes
-  /// (the largest change under the default quantile 1).
+  /// One Stage II sweep: sets each provenance's accuracy to the clamped
+  /// mean probability of its triples in `result` (Section 4.1), and
+  /// returns the largest accuracy change.
   double StageII(const FusionResult& result);
 
   // ---- subset decompositions (the steps of a RunRounds round) ----
@@ -168,9 +167,9 @@ class FusionEngine {
   void AccumulateStageII(const std::vector<uint32_t>& shard_ids,
                          const FusionResult& result);
   /// Folds the slots per provenance over the shards in ascending order,
-  /// applies the damped accuracy update, and returns the quantile delta
+  /// applies the accuracy update, and returns the largest accuracy change
   /// (see StageII). Releases the accumulators.
-  double FinishStageII(double damping, double quantile);
+  double FinishStageII();
 
   /// Restores an evicted shard's columns resident, bit-identical to what
   /// eviction released (ClaimGraph::RematerializeShard over the engine's

@@ -68,16 +68,6 @@ Status FusionOptions::Validate() const {
         StrFormat("convergence_epsilon must be non-negative, got %g",
                   convergence_epsilon));
   }
-  if (!(accuracy_damping > 0.0 && accuracy_damping <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("accuracy_damping must be in (0,1], got %g",
-                  accuracy_damping));
-  }
-  if (!(convergence_quantile > 0.0 && convergence_quantile <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("convergence_quantile must be in (0,1], got %g",
-                  convergence_quantile));
-  }
   if (sample_cap == 0) {
     return Status::InvalidArgument("sample_cap must be at least 1");
   }
@@ -121,18 +111,6 @@ Status FusionOptions::Validate() const {
         StrFormat("warm_start.epsilon must be non-negative, got %g",
                   warm_start.epsilon));
   }
-  if (!(warm_start.damping >= 0.0 && warm_start.damping <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("warm_start.damping must be in [0,1] (0 = inherit), "
-                  "got %g",
-                  warm_start.damping));
-  }
-  if (!(warm_start.quantile >= 0.0 && warm_start.quantile <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("warm_start.quantile must be in [0,1] (0 = inherit), "
-                  "got %g",
-                  warm_start.quantile));
-  }
   return Status::OK();
 }
 
@@ -150,12 +128,6 @@ std::string FusionOptions::ToString() const {
   }
   if (init_accuracy_from_gold) {
     out += StrFormat(" +InitAccuByGS(%.0f%%)", gold_sample_rate * 100.0);
-  }
-  if (accuracy_damping < 1.0) {
-    out += StrFormat(" +Damping(%.2f)", accuracy_damping);
-  }
-  if (convergence_quantile < 1.0) {
-    out += StrFormat(" +ConvQuantile(%.2f)", convergence_quantile);
   }
   if (memory_budget_bytes > 0) {
     out += StrFormat(" +Budget(%zuB)", memory_budget_bytes);

@@ -51,18 +51,9 @@ struct WarmStartOptions {
   size_t max_rounds = 0;
   /// Reconvergence epsilon (0 = inherit convergence_epsilon).
   double epsilon = 0.0;
-  /// Stage II damping for warm re-fusion (0 = inherit accuracy_damping).
-  /// Streaming workloads under POPACCU typically want < 1 here so a
-  /// re-fusion cannot fall into the item-value-tie limit cycle and burn
-  /// the whole round cap (see accuracy_damping).
-  double damping = 0.0;
-  /// Convergence quantile for warm re-fusion (0 = inherit
-  /// convergence_quantile).
-  double quantile = 0.0;
 
   friend bool operator==(const WarmStartOptions& a, const WarmStartOptions& b) {
-    return a.max_rounds == b.max_rounds && a.epsilon == b.epsilon &&
-           a.damping == b.damping && a.quantile == b.quantile;
+    return a.max_rounds == b.max_rounds && a.epsilon == b.epsilon;
   }
 };
 
@@ -78,18 +69,12 @@ struct FusionOptions {
   size_t max_rounds = 5;
   /// Early stop when no provenance accuracy moves more than this.
   double convergence_epsilon = 1e-4;
-  /// Stage II step damping: the applied accuracy is
-  /// old + accuracy_damping * (proposed - old). 1 is the paper's undamped
-  /// update; lower values break the limit cycles POPACCU (and huge ACCU
-  /// corpora) fall into when item-value ties flip winners round over
-  /// round, so the epsilon check can actually fire. Range (0, 1].
-  double accuracy_damping = 1.0;
-  /// Quantile of the per-provenance accuracy deltas the epsilon check
-  /// compares against: 1 is the strict max; e.g. 0.98 declares
-  /// convergence once 98% of the evaluated provenances moved less than
-  /// convergence_epsilon, tolerating a few tie-cycling stragglers.
-  /// Range (0, 1].
-  double convergence_quantile = 1.0;
+  /// Stage II is the paper's undamped update with the strict max-|Δa|
+  /// stop test; neither can be set. These names remain only because the
+  /// end-to-end benchmark's config line (perfbench/kf_e2e.cc,
+  /// DescribeOptions) prints them, and go when that line drops them.
+  static constexpr double convergence_quantile = 1.0;
+  static constexpr double accuracy_damping = 1.0;
   /// L: reservoir-sample cap per reducer group (both stages).
   size_t sample_cap = 1000000;
 

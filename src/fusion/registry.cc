@@ -26,8 +26,6 @@ constexpr FieldInfo kFields[] = {
     KF_OPTION_FIELD(n_false_values),
     KF_OPTION_FIELD(max_rounds),
     KF_OPTION_FIELD(convergence_epsilon),
-    KF_OPTION_FIELD(accuracy_damping),
-    KF_OPTION_FIELD(convergence_quantile),
     KF_OPTION_FIELD(sample_cap),
     KF_OPTION_FIELD(filter_by_coverage),
     KF_OPTION_FIELD(min_provenance_accuracy),

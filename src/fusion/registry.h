@@ -40,8 +40,6 @@ enum class OptionField : uint8_t {
   kNFalseValues,
   kMaxRounds,
   kConvergenceEpsilon,
-  kAccuracyDamping,
-  kConvergenceQuantile,
   kSampleCap,
   kFilterByCoverage,
   kMinProvenanceAccuracy,
@@ -56,7 +54,7 @@ enum class OptionField : uint8_t {
   kAccuracyCeiling,
   kWarmStart,
 };
-inline constexpr size_t kNumOptionFields = 20;
+inline constexpr size_t kNumOptionFields = 18;
 
 class Registry {
  public:

@@ -74,17 +74,12 @@ Result<std::string> MakeTempDir() {
 /// so the adaptation is purely structural.
 store::ShardFileColumns ToFileColumns(uint32_t shard_id,
                                       const fusion::ShardColumns& c) {
-  // A shard that never received a record keeps default-empty column
-  // vectors: num_items == 0 yet the CSR contract still promises
-  // num_items + 1 offset entries. Serve the lone [0] offset from a
-  // static so the writer never reads through a null pointer.
-  static constexpr uint32_t kEmptyOffsets[1] = {0};
-  KF_CHECK(c.item_offsets != nullptr || c.num_items == 0);
+  // Even a shard with no items holds its lone [0] offset.
+  KF_CHECK(c.item_offsets != nullptr);
   store::ShardFileColumns f;
   f.shard_id = shard_id;
   f.items = {c.items, c.num_items};
-  f.item_offsets = {c.item_offsets != nullptr ? c.item_offsets : kEmptyOffsets,
-                    static_cast<size_t>(c.num_items) + 1};
+  f.item_offsets = {c.item_offsets, static_cast<size_t>(c.num_items) + 1};
   f.item_multi = {c.item_multi, c.num_items};
   f.item_distinct = {c.item_distinct, c.num_items};
   f.claim_triple = {c.claim_triple, c.num_claims};

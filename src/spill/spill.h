@@ -46,8 +46,8 @@ namespace kf::spill {
 
 /// The scheduler's sweep plan: ordered shard subsets, each fitting the
 /// budget (or holding exactly one over-budget shard — the documented
-/// floor). Subsets partition the shard set; empty shards ride along in
-/// the first subset at zero cost.
+/// floor). Subsets partition the shard set; an empty shard costs the 4 B
+/// of its lone [0] offset and joins the first subset with room for it.
 struct SpillPlan {
   std::vector<std::vector<uint32_t>> subsets;
   /// Spillable bytes of the largest single shard (the budget floor).

@@ -277,8 +277,9 @@ class BlockFile {
     return ColumnAt<T>(*entry);
   }
 
-  /// Typed view of a specific TOC entry (bundle members share BlockIds,
-  /// so the caller resolves the entry first).
+  /// Typed view of a specific TOC entry, for a caller that checks the
+  /// entry itself (the claim-shard reader rejects a nonzero `reserved`)
+  /// before reading the column.
   template <typename T>
   Result<Span<const T>> ColumnAt(const BlockEntry& entry) const {
     const BlockId id = static_cast<BlockId>(entry.id);

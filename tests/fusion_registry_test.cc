@@ -285,9 +285,6 @@ TEST_F(RegistryTest, RowsRejectFieldsTheyDoNotRead) {
       {"max_rounds", [](FusionOptions* o) { o->max_rounds = 3; }},
       {"convergence_epsilon",
        [](FusionOptions* o) { o->convergence_epsilon = 1e-3; }},
-      {"accuracy_damping", [](FusionOptions* o) { o->accuracy_damping = 0.5; }},
-      {"convergence_quantile",
-       [](FusionOptions* o) { o->convergence_quantile = 0.9; }},
       {"sample_cap", [](FusionOptions* o) { o->sample_cap = 100; }},
       {"filter_by_coverage",
        [](FusionOptions* o) { o->filter_by_coverage = true; }},

@@ -162,8 +162,7 @@ TEST_F(SpillFaultTest, ByteFlipBetweenRoundsQuarantinesAndRecovers) {
       engine.AccumulateStageII(subset, result);
     }
     result.num_rounds = round;
-    const double delta = engine.FinishStageII(opts.accuracy_damping,
-                                              opts.convergence_quantile);
+    const double delta = engine.FinishStageII();
     if (round > 1 && delta < opts.convergence_epsilon) break;
 
     // Between rounds: flip a byte in the middle of every EVICTED

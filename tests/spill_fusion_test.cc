@@ -228,6 +228,24 @@ TEST(SpillFusionTest, GoldInitializedBitIdentical) {
                      RunBudgeted(dataset, opts, OneBudget(g), 8, gold));
 }
 
+TEST(SpillFusionTest, EmptyShardsSpillAndMapBack) {
+  // At 1024 shards some shards of the small corpus receive no record; a
+  // 1-byte budget writes each of them to its own file and maps it back.
+  const auto& dataset = GetWorkload().corpus.dataset;
+  FusionOptions opts = FusionOptions::PopAccu();
+  opts.num_shards = 1024;
+  {
+    const FusionEngine probe(dataset, opts);
+    size_t empty = 0;
+    for (size_t s = 0; s < probe.graph().num_shards(); ++s) {
+      if (probe.graph().shard(s).records.empty()) ++empty;
+    }
+    ASSERT_GT(empty, 0u);
+  }
+  ExpectBitIdentical(RunResident(dataset, opts),
+                     RunBudgeted(dataset, opts, /*budget=*/1, 8));
+}
+
 // ---- budget accounting ------------------------------------------------
 
 TEST(SpillFusionTest, HighWaterStaysWithinThePlan) {
@@ -275,8 +293,7 @@ TEST(SpillFusionTest, UnconstrainedBudgetSpillsNothingDuringRounds) {
 // Every warm path of the round loop, resident vs budgeted: each engine
 // method plus the coverage-filtered stack (whose prefer-evaluated switch
 // reads the global round number), with warm settings inherited and with
-// warm_start overriding the round cap, damping, and quantile, across two
-// Append + Refuse cycles.
+// warm_start overriding the round cap, across two Append + Refuse cycles.
 TEST(SpillFusionTest, WarmRefuseBitIdenticalToResident) {
   const auto& src = GetWorkload().corpus.dataset;
   const size_t base = src.num_records() * 2 / 3;
@@ -288,8 +305,6 @@ TEST(SpillFusionTest, WarmRefuseBitIdenticalToResident) {
 
   fusion::WarmStartOptions tuned;
   tuned.max_rounds = 2;
-  tuned.damping = 0.5;
-  tuned.quantile = 0.98;
   const std::pair<const char*, FusionOptions> stacks[] = {
       {"vote", FusionOptions::Vote()},
       {"accu", FusionOptions::Accu()},
